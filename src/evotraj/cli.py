@@ -23,7 +23,7 @@ from .genome import NtMutation, SpikeMap, load_annotation, DEFAULT_ANNOTATION, D
 from .model import (
     ModelConfig,
     TrainConfig,
-    load_checkpoint,
+    load_model,
     rank_next_mutations,
     rank_without_location,
     save_checkpoint,
@@ -287,10 +287,15 @@ def cmd_train(args) -> int:
     verify_against_manifest(dataset)
     samples = read_token_stream(dataset / "tokens.bin")
     tok = Tokenizer.load(dataset / "layout.txt")
-    plan: list[int] = []
-    plan_paths = sorted(Path(args.plans).glob("epoch_*.plan"))
+    plans = Path(args.plans)
+    # only the plan files the verified manifest names are read
+    outputs = verify_against_manifest(plans)["outputs"]
+    plan_paths = [
+        plans / outputs[name]["path"] for name in sorted(outputs) if name.startswith("epoch_")
+    ]
     if not plan_paths:
         raise SystemExit(f"no epoch_*.plan files under {args.plans}")
+    plan: list[int] = []
     for path in plan_paths:
         plan.extend(sampler.load_plan(path).flatten())
 
@@ -345,12 +350,12 @@ def _context_tokens(tok: Tokenizer, args) -> list[int]:
 
 def cmd_predict(args) -> int:
     config = _load_config(args)
-    state, meta = load_checkpoint(args.checkpoint)
+    model, meta = load_model(args.checkpoint)
     tok = Tokenizer.load(args.layout)
     require_hash_match("tokenizer layout", meta["layout_hash"], sha256_file(args.layout))
     context = _context_tokens(tok, args)
     rank_fn = rank_without_location if args.no_location else rank_next_mutations
-    pred = rank_fn(state.model, tok, context, k=args.k)
+    pred = rank_fn(model, tok, context, k=args.k)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ranked_out = out_dir / "ranked.csv"
@@ -420,9 +425,9 @@ def cmd_evaluate(args) -> int:
 
     inputs = {"tree": args.tree, "layout": args.layout}
     if args.checkpoint:
-        state, meta = load_checkpoint(args.checkpoint)
+        model, meta = load_model(args.checkpoint)
         require_hash_match("tokenizer layout", meta["layout_hash"], sha256_file(args.layout))
-        predictor = evaluation.ModelPredictor(state.model, tok, use_location=not args.no_location)
+        predictor = evaluation.ModelPredictor(model, tok, use_location=not args.no_location)
         inputs["checkpoint"] = args.checkpoint
     elif args.baseline:
         table = baseline_mod.load_bloom_table(args.baseline)

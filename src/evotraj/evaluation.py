@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -20,21 +21,26 @@ import numpy as np
 from .genome import AaMutation, SpikeMap, SpikeState
 from .tokenizer import PREFIX_LENGTH, TokenizedSample, Tokenizer
 from .tree import Trajectory, spike_aa_steps
-from .model.ranking import strip_location
+from .model.ranking import rank_contexts, strip_location
 from .pipeline import write_atomic
 from .model.transformer import Transformer
 
 
 class NtPredictor(Protocol):
+    def rank_batch(
+        self, contexts: Sequence[Sequence[int]], positions: Sequence[Sequence[int]], k: int
+    ) -> list[list[tuple[int, ...]]]:
+        """Top-k mutation tokens for each end position of each context."""
+
     def rank_at_positions(
         self, tokens: Sequence[int], positions: Sequence[int], k: int
     ) -> list[tuple[int, ...]]:
-        """Top-k mutation tokens for each context end position."""
+        """rank_batch for one context."""
 
 
 class ModelPredictor:
     """Ranks with a trained model; one forward pass serves every step of a
-    sequence because the distributions at all positions are causal."""
+    batch of sequences because the distributions at all positions are causal."""
 
     def __init__(self, model: Transformer, tokenizer: Tokenizer, use_location: bool = True):
         self.model = model
@@ -45,24 +51,14 @@ class ModelPredictor:
     def max_context(self) -> int:
         return self.model.config.max_seq
 
-    def rank_at_positions(self, tokens, positions, k):
-        tokens = list(tokens)
+    def rank_batch(self, contexts, positions, k):
         if not self.use_location:
-            tokens = strip_location(self.tokenizer, tokens)
-        probs = self.model.forward(np.asarray(tokens, dtype=np.int64))[0]
-        lo, hi = self.tokenizer.mutation_block
-        out = []
-        for pos in positions:
-            row = probs[pos, lo:hi].copy()
-            for t in tokens[PREFIX_LENGTH : pos + 1]:
-                if lo <= t < hi:
-                    row[t - lo] = -1.0
-            k_eff = min(k, row.size)
-            top = np.argpartition(row, -k_eff)[-k_eff:]
-            top = top[np.argsort(row[top])[::-1]]
-            top = top[row[top] >= 0.0]
-            out.append(tuple(int(t) + lo for t in top))
-        return out
+            contexts = [strip_location(self.tokenizer, c) for c in contexts]
+        ranked = rank_contexts(self.model, self.tokenizer, contexts, positions, k)
+        return [[tuple(tokens.tolist()) for tokens, _ in seq] for seq in ranked]
+
+    def rank_at_positions(self, tokens, positions, k):
+        return self.rank_batch([tokens], [positions], k)[0]
 
 
 class StaticPredictor:
@@ -72,8 +68,11 @@ class StaticPredictor:
     def __init__(self, ranked_tokens: Sequence[int]):
         self.ranked_tokens = tuple(ranked_tokens)
 
+    def rank_batch(self, contexts, positions, k):
+        return [[self.ranked_tokens[:k] for _ in p] for p in positions]
+
     def rank_at_positions(self, tokens, positions, k):
-        return [self.ranked_tokens[:k] for _ in positions]
+        return self.rank_batch([tokens], [positions], k)[0]
 
 
 class RandomPredictor:
@@ -83,12 +82,18 @@ class RandomPredictor:
         self.candidates = np.asarray(candidate_tokens)
         self.rng = np.random.default_rng(seed)
 
-    def rank_at_positions(self, tokens, positions, k):
+    def rank_batch(self, contexts, positions, k):
         k_eff = min(k, self.candidates.size)
         return [
-            tuple(int(t) for t in self.rng.choice(self.candidates, size=k_eff, replace=False))
-            for _ in positions
+            [
+                tuple(int(t) for t in self.rng.choice(self.candidates, size=k_eff, replace=False))
+                for _ in p
+            ]
+            for p in positions
         ]
+
+    def rank_at_positions(self, tokens, positions, k):
+        return self.rank_batch([tokens], [positions], k)[0]
 
 
 class StaticAaPredictor:
@@ -113,6 +118,99 @@ class SequenceRecall:
     n_steps: int
 
 
+# A step's hit rank is the index of the first candidate matching its target;
+# the step is a hit at every k above it. Top-k lists are nested, so one
+# ranking at the largest k scores every smaller k.
+MISS = math.inf
+
+
+def _recall(ranks: Sequence[float], k: int) -> SequenceRecall:
+    return SequenceRecall(recall=sum(r < k for r in ranks) / len(ranks), n_steps=len(ranks))
+
+
+def _spike_hit_ranks(
+    trajectory: Trajectory,
+    steps: Sequence[tuple[int, AaMutation]],
+    ranked: Sequence[tuple[int, ...]],
+    tokenizer: Tokenizer,
+    spike_map: SpikeMap,
+) -> list[float]:
+    """Nucleotide candidates matched through the codon context in force at
+    each step."""
+    state = SpikeState(spike_map)
+    for m in trajectory.variant_mutations:
+        state.apply(m)
+    ranks = []
+    step_iter = iter(zip(steps, ranked))
+    pending = next(step_iter, None)
+    for i, mut in enumerate(trajectory.sequence_mutations):
+        if pending is not None and pending[0][0] == i:
+            (_, target), candidates = pending
+            rank = MISS
+            for j, token in enumerate(candidates):
+                cand = tokenizer.mutation_of_token(token)
+                ctx = state.context_for_site(cand.site)
+                if ctx is not None and spike_map.aa_mutation_of(cand, ctx) == target:
+                    rank = j
+                    break
+            ranks.append(rank)
+            pending = next(step_iter, None)
+        state.apply(mut)
+    return ranks
+
+
+def _hit_ranks(
+    trajectories: Sequence[Trajectory | None],
+    samples: Sequence[TokenizedSample],
+    predictor,
+    k: int,
+    task: str,
+    tokenizer: Tokenizer | None = None,
+    spike_map: SpikeMap | None = None,
+    max_context: int | None = None,
+) -> list[list[float] | None]:
+    """Every sequence's step hit ranks from one batched ranking at k; None
+    for a sequence whose context exceeds max_context.
+
+    A step is a private mutation (nucleotide task) or a private mutation that
+    changes a spike residue (spike task); its context is the prefix, the
+    variant mutations and all earlier private mutations.
+    """
+    aa = hasattr(predictor, "rank_aa_at_steps")
+    pairs = list(zip(trajectories, samples))
+    out: list[list[float] | None] = [None] * len(pairs)
+    kept, contexts, positions, steps = [], [], [], []
+    for idx, (traj, sample) in enumerate(pairs):
+        base = PREFIX_LENGTH + sample.split_index
+        if task == "nucleotide":
+            targets = sample.tokens[base:]
+            if not targets:
+                raise ValueError("sequence has no private mutations to predict")
+            seq_steps = list(enumerate(targets))
+        else:
+            seq_steps = spike_aa_steps(traj, spike_map)
+            if not seq_steps:
+                raise ValueError("sequence has no private spike amino-acid mutations")
+        context = list(sample.tokens[:-1])
+        if max_context is not None and len(context) > max_context:
+            continue
+        kept.append(idx)
+        contexts.append(context)
+        positions.append([base + i - 1 for i, _ in seq_steps])
+        steps.append(seq_steps)
+
+    if aa:
+        ranked_all = [predictor.rank_aa_at_steps(len(s), k) for s in steps]
+    else:
+        ranked_all = predictor.rank_batch(contexts, positions, k)
+    for idx, seq_steps, ranked in zip(kept, steps, ranked_all):
+        if task == "nucleotide" or aa:
+            out[idx] = [c.index(t) if t in c else MISS for (_, t), c in zip(seq_steps, ranked)]
+        else:
+            out[idx] = _spike_hit_ranks(trajectories[idx], seq_steps, ranked, tokenizer, spike_map)
+    return out
+
+
 def nucleotide_recall_at_k(
     sample: TokenizedSample, predictor: NtPredictor, k: int, max_context: int | None = None
 ) -> SequenceRecall | None:
@@ -121,21 +219,8 @@ def nucleotide_recall_at_k(
     Returns None when the longest context would exceed max_context; the caller
     counts and reports such exclusions.
     """
-    n_var = sample.split_index
-    n_priv = len(sample.trajectory_tokens) - n_var
-    if n_priv < 1:
-        raise ValueError("sequence has no private mutations to predict")
-    tokens = list(sample.tokens)
-    context = tokens[:-1]
-    if max_context is not None and len(context) > max_context:
-        return None
-    base = PREFIX_LENGTH + n_var
-    positions = [base + i - 1 for i in range(n_priv)]
-    ranked = predictor.rank_at_positions(context, positions, k)
-    hits = sum(
-        tokens[base + i] in ranked[i] for i in range(n_priv)
-    )
-    return SequenceRecall(recall=hits / n_priv, n_steps=n_priv)
+    [ranks] = _hit_ranks([None], [sample], predictor, k, "nucleotide", max_context=max_context)
+    return None if ranks is None else _recall(ranks, k)
 
 
 def spike_recall_at_k(
@@ -154,46 +239,10 @@ def spike_recall_at_k(
     in force at the step; an amino-acid predictor (rank_aa_at_steps) is
     matched directly.
     """
-    steps = spike_aa_steps(trajectory, spike_map)
-    if not steps:
-        raise ValueError("sequence has no private spike amino-acid mutations")
-    tokens = list(sample.tokens)
-    context = tokens[:-1]
-    if max_context is not None and len(context) > max_context:
-        return None
-    n_var = sample.split_index
-    base = PREFIX_LENGTH + n_var
-
-    if hasattr(predictor, "rank_aa_at_steps"):
-        ranked_aa = predictor.rank_aa_at_steps(len(steps), k)
-        hits = sum(
-            target in ranked_aa[j] for j, (_, target) in enumerate(steps)
-        )
-        return SequenceRecall(recall=hits / len(steps), n_steps=len(steps))
-
-    positions = [base + i - 1 for i, _ in steps]
-    ranked = predictor.rank_at_positions(context, positions, k)
-
-    state = SpikeState(spike_map)
-    for m in trajectory.variant_mutations:
-        state.apply(m)
-    hits = 0
-    step_iter = iter(zip(steps, ranked))
-    pending = next(step_iter, None)
-    for i, mut in enumerate(trajectory.sequence_mutations):
-        if pending is not None and pending[0][0] == i:
-            (_, target), candidates = pending
-            for token in candidates:
-                cand = tokenizer.mutation_of_token(token)
-                ctx = state.context_for_site(cand.site)
-                if ctx is None:
-                    continue
-                if spike_map.aa_mutation_of(cand, ctx) == target:
-                    hits += 1
-                    break
-            pending = next(step_iter, None)
-        state.apply(mut)
-    return SequenceRecall(recall=hits / len(steps), n_steps=len(steps))
+    [ranks] = _hit_ranks(
+        [trajectory], [sample], predictor, k, "spike", tokenizer, spike_map, max_context
+    )
+    return None if ranks is None else _recall(ranks, k)
 
 
 def aggregate(recalls: Sequence[float], weights: Sequence[float] | None = None) -> tuple[float, float]:
@@ -248,27 +297,19 @@ def evaluate_sequences(
     if max_context is None and hasattr(predictor, "max_context"):
         max_context = predictor.max_context
 
+    if not ks:
+        raise ValueError("no k to evaluate")
+
     result = EvalResult(task=task, per_k={k: [] for k in ks}, weights=[], months=[])
-    kept_weights: list[float] = []
-    for idx, (traj, sample) in enumerate(zip(trajectories, samples)):
-        per_seq: dict[int, SequenceRecall] = {}
-        excluded = False
-        for k in ks:
-            if task == "nucleotide":
-                r = nucleotide_recall_at_k(sample, predictor, k, max_context)
-            else:
-                r = spike_recall_at_k(
-                    traj, sample, predictor, k, tokenizer, spike_map, max_context
-                )
-            if r is None:
-                excluded = True
-                break
-            per_seq[k] = r
-        if excluded:
+    ranks_all = _hit_ranks(
+        trajectories, samples, predictor, max(ks), task, tokenizer, spike_map, max_context
+    )
+    for idx, (traj, ranks) in enumerate(zip(trajectories, ranks_all)):
+        if ranks is None:
             result.n_excluded_too_long += 1
             continue
         for k in ks:
-            result.per_k[k].append(per_seq[k].recall)
+            result.per_k[k].append(_recall(ranks, k).recall)
         w = 1.0 if weights is None else float(weights[idx])
         result.weights.append(w)
         collected = traj.meta.collected

@@ -12,6 +12,7 @@ from .training import (
     TrainState,
     TrainingDiverged,
     load_checkpoint,
+    load_model,
     save_checkpoint,
     train,
     write_training_log,
@@ -29,6 +30,7 @@ __all__ = [
     "Transformer",
     "batch_arrays",
     "load_checkpoint",
+    "load_model",
     "masked_cross_entropy",
     "rank_next_mutations",
     "rank_without_location",

@@ -1,13 +1,24 @@
-"""Ranked next-mutation inference from a trained model."""
+"""Ranked next-mutation inference from a trained model.
+
+One kernel, ``top_k_unseen``, ranks every prediction: top-k over the
+mutation block, best first, with the tokens already seen in the context
+trajectory left out. ``rank_contexts`` feeds it from batched forwards.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..tokenizer import PREFIX_LENGTH, Tokenizer
-from .transformer import Transformer
+from .transformer import Transformer, pad_batch
+
+# contexts per forward, and prediction rows per forward: the (rows, V) head
+# block of one forward stays within that of a training step
+BATCH_CONTEXTS = 64
+BATCH_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -24,6 +35,80 @@ class RankedPrediction:
             raise ValueError("duplicate candidates in ranking")
 
 
+def top_k_unseen(
+    probs: np.ndarray, seen: np.ndarray, k: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The k best columns of each row of ``probs``, best first, with the
+    row's seen columns left out; returns (columns, scores) per row.
+
+    ``seen`` is (rows, s) column indices; entries outside the row are
+    ignored, so it may be padded with -1. A seen column scores -1, the k
+    largest are selected by argpartition and ordered by a descending
+    argsort, and the seen ones are dropped, so a row may return fewer than k.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    scores = probs.copy()
+    n = scores.shape[1]
+    r, c = np.nonzero((seen >= 0) & (seen < n))
+    scores[r, seen[r, c]] = -1.0
+    k_eff = min(k, n)
+    top = np.argpartition(scores, -k_eff, axis=1)[:, -k_eff:]
+    top_scores = np.take_along_axis(scores, top, axis=1)
+    order = np.argsort(top_scores, axis=1)[:, ::-1]
+    top = np.take_along_axis(top, order, axis=1)
+    top_scores = np.take_along_axis(top_scores, order, axis=1)
+    keep = top_scores >= 0.0
+    return [(t[m], s[m]) for t, s, m in zip(top, top_scores, keep)]
+
+
+def _batches(contexts: Sequence[Sequence[int]], positions: Sequence[Sequence[int]]):
+    """Context indices grouped for forwards: sorted by length, at most
+    BATCH_CONTEXTS contexts and, unless one context alone exceeds it,
+    BATCH_ROWS prediction rows per group."""
+    batch: list[int] = []
+    rows = 0
+    for i in sorted(range(len(contexts)), key=lambda i: len(contexts[i])):
+        if batch and (len(batch) == BATCH_CONTEXTS or rows + len(positions[i]) > BATCH_ROWS):
+            yield batch
+            batch, rows = [], 0
+        batch.append(i)
+        rows += len(positions[i])
+    if batch:
+        yield batch
+
+
+def rank_contexts(
+    model: Transformer,
+    tokenizer: Tokenizer,
+    contexts: Sequence[Sequence[int]],
+    positions: Sequence[Sequence[int]],
+    k: int,
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Top-k mutation tokens and their probabilities after each position of
+    each context, excluding mutation tokens at or before that position.
+
+    Contexts are packed into padded batches; each forward runs the head on
+    the prediction rows only. Returns, per context, one (tokens, scores)
+    pair per position.
+    """
+    lo, hi = tokenizer.mutation_block
+    out: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in contexts]
+    for batch in _batches(contexts, positions):
+        ids = pad_batch([contexts[i] for i in batch])
+        b_idx = np.repeat(np.arange(len(batch)), [len(positions[i]) for i in batch])
+        t_idx = np.concatenate([np.asarray(positions[i], dtype=np.int64) for i in batch])
+        probs = model.forward(ids, rows=(b_idx, t_idx))[:, lo:hi]
+        # a row has seen the trajectory tokens up to its own position
+        cols = np.arange(ids.shape[1])
+        live = (cols >= PREFIX_LENGTH) & (cols <= t_idx[:, None])
+        seen = np.where(live, ids[b_idx] - lo, -1)
+        ranked = top_k_unseen(probs, seen, k)
+        for b, (tokens, scores) in zip(b_idx, ranked):
+            out[batch[b]].append((tokens + lo, scores))
+    return out
+
+
 def rank_next_mutations(
     model: Transformer,
     tokenizer: Tokenizer,
@@ -36,22 +121,13 @@ def rank_next_mutations(
     Tokens already present in the context trajectory are excluded: the same
     site-state event cannot meaningfully recur.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    probs = model.forward(np.asarray(context_tokens, dtype=np.int64))[0, -1]
-    lo, hi = tokenizer.mutation_block
-    mut_probs = probs[lo:hi].copy()
-    for t in context_tokens[PREFIX_LENGTH:]:
-        if lo <= t < hi:
-            mut_probs[t - lo] = -1.0
-    k_eff = min(k, len(mut_probs))
-    top = np.argpartition(mut_probs, -k_eff)[-k_eff:]
-    top = top[np.argsort(mut_probs[top])[::-1]]
-    top = top[mut_probs[top] >= 0.0]
+    [(tokens, scores)] = rank_contexts(
+        model, tokenizer, [context_tokens], [[len(context_tokens) - 1]], k
+    )[0]
     return RankedPrediction(
         context_id=context_id,
-        tokens=tuple(int(t) + lo for t in top),
-        scores=tuple(float(mut_probs[t]) for t in top),
+        tokens=tuple(tokens.tolist()),
+        scores=tuple(scores.tolist()),
         k=k,
     )
 

@@ -82,6 +82,8 @@ class Adam:
 def plan_batch(flat_plan: Sequence[int], batch_size: int, step: int) -> list[int]:
     """Batch for a step, cycling through the flattened plan stream."""
     n = len(flat_plan)
+    if n == 0:
+        raise ValueError("plan is empty: no sequences to batch")
     start = step * batch_size
     return [flat_plan[(start + i) % n] for i in range(batch_size)]
 
@@ -185,31 +187,63 @@ def save_checkpoint(
                 zf.writestr(f"{kind}/{name}.npy", buf.getvalue())
 
 
-def load_checkpoint(path: Path | str) -> tuple[TrainState, dict]:
-    """Restore model + optimizer; returns (state, metadata)."""
+def _read_checkpoint(path: Path | str, optimizer: bool) -> tuple[dict, Transformer, Adam | None]:
+    """The one checkpoint reader: metadata, the model and, when ``optimizer``
+    is set, Adam with its moments; otherwise the moments are not read.
+
+    The archive must hold exactly one array per parameter for each of
+    param/, adam_m/ and adam_v/, each of the parameter's shape; anything
+    else raises ValueError naming the file and the entry.
+    """
     with zipfile.ZipFile(path) as zf:
+        names = set(zf.namelist())
+        if "meta.json" not in names:
+            raise ValueError(f"{path}: not a checkpoint file")
         meta = json.loads(zf.read("meta.json"))
         if meta.get("format") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        model_config = ModelConfig(**meta["model_config"])
-        tc = meta["train_config"]
-        tc.setdefault("schedule", "linear")
-        train_config = TrainConfig(**tc)
-        model = Transformer(model_config, seed=train_config.seed)
-        opt = Adam(model.parameters(), train_config)
-        params = model.parameters()
-        for info in zf.infolist():
-            kind, _, rest = info.filename.partition("/")
-            if not rest:
-                continue
-            name = rest[: -len(".npy")]
-            arr = np.load(io.BytesIO(zf.read(info)))
-            if kind == "param":
-                params[name].value[...] = arr
-            elif kind == "adam_m":
-                opt.m[name][...] = arr
-            elif kind == "adam_v":
-                opt.v[name][...] = arr
-        opt.step_count = meta["adam_step_count"]
-        state = TrainState(model=model, optimizer=opt, step=meta["step"])
-    return state, meta
+        model = Transformer(ModelConfig(**meta["model_config"]))
+        params = {k: p.value for k, p in model.parameters().items()}
+        expected = {"meta.json"} | {
+            f"{kind}/{name}.npy" for kind in ("param", "adam_m", "adam_v") for name in params
+        }
+        missing, extra = sorted(expected - names), sorted(names - expected)
+        if missing:
+            raise ValueError(f"{path}: checkpoint entry {missing[0]} is missing")
+        if extra:
+            raise ValueError(f"{path}: unexpected checkpoint entry {extra[0]}")
+
+        def read(kind: str, arrays: dict[str, np.ndarray]) -> None:
+            for name, dest in arrays.items():
+                entry = f"{kind}/{name}.npy"
+                with zf.open(entry) as f:
+                    arr = np.lib.format.read_array(f)
+                if arr.shape != dest.shape:
+                    raise ValueError(
+                        f"{path}: checkpoint entry {entry} has shape {arr.shape}, "
+                        f"expected {dest.shape}"
+                    )
+                dest[...] = arr
+
+        read("param", params)
+        opt = None
+        if optimizer:
+            tc = meta["train_config"]
+            tc.setdefault("schedule", "linear")
+            opt = Adam(model.parameters(), TrainConfig(**tc))
+            read("adam_m", opt.m)
+            read("adam_v", opt.v)
+            opt.step_count = meta["adam_step_count"]
+    return meta, model, opt
+
+
+def load_checkpoint(path: Path | str) -> tuple[TrainState, dict]:
+    """Restore model + optimizer for resuming; returns (state, metadata)."""
+    meta, model, opt = _read_checkpoint(path, optimizer=True)
+    return TrainState(model=model, optimizer=opt, step=meta["step"]), meta
+
+
+def load_model(path: Path | str) -> tuple[Transformer, dict]:
+    """Restore only the model, for inference; returns (model, metadata)."""
+    meta, model, _ = _read_checkpoint(path, optimizer=False)
+    return model, meta

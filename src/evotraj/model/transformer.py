@@ -8,6 +8,7 @@ rotationally inside attention, so there is no absolute position table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -66,17 +67,24 @@ class Transformer(Module):
             raise ValueError("token id outside vocabulary")
         return ids
 
-    def logits(self, ids: np.ndarray) -> np.ndarray:
+    def logits(self, ids: np.ndarray, rows=None) -> np.ndarray:
+        """(B, T, V) next-token logits. ``rows`` indexes the (B, T) positions,
+        e.g. a (batch indices, positions) pair; then only those positions go
+        through the head and the result is (rows, V). Only a full forward can
+        be followed by ``backward``."""
         ids = self._check_input(ids)
         x = self.embed.forward(ids)
         for block in self.blocks:
             x = block.forward(x)
         x = self.ln_f.forward(x)
+        if rows is not None:
+            x = x[rows]
         return self.head.forward(x)
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
-        """Per-position probability distribution over the vocabulary."""
-        return softmax(self.logits(ids))
+    def forward(self, ids: np.ndarray, rows=None) -> np.ndarray:
+        """Per-position probability distribution over the vocabulary, at
+        ``rows`` only when given (see ``logits``)."""
+        return softmax(self.logits(ids, rows))
 
     def backward(self, grad_logits: np.ndarray) -> None:
         dx = self.head.backward(grad_logits)
@@ -143,22 +151,23 @@ def batch_arrays(
     width are padded at the end; padded positions are excluded from the loss
     by the mask, and causality keeps them from influencing real positions.
     """
-    widths = [len(tokens) - 1 for tokens, _ in samples if len(tokens) >= 2]
-    if not widths:
+    if not any(len(tokens) >= 2 for tokens, _ in samples):
         raise ValueError("no sample in batch has at least two tokens")
-    t_max = max(widths)
-    b = len(samples)
-    inputs = np.full((b, t_max), pad_id, dtype=np.int64)
-    targets = np.full((b, t_max), pad_id, dtype=np.int64)
-    mask = np.zeros((b, t_max), dtype=bool)
+    inputs = pad_batch([tokens[:-1] for tokens, _ in samples], pad_id)
+    targets = pad_batch([tokens[1:] for tokens, _ in samples], pad_id)
+    mask = np.zeros(inputs.shape, dtype=bool)
     for i, (tokens, prefix_len) in enumerate(samples):
-        n = len(tokens)
-        if n < 2:
-            continue
-        inputs[i, : n - 1] = tokens[:-1]
-        targets[i, : n - 1] = tokens[1:]
         # the target at input position t is token t+1; trajectory tokens
         # start right after the prefix
         first = max(prefix_len - 1, 0)
-        mask[i, first : n - 1] = True
+        mask[i, first : max(len(tokens) - 1, 0)] = True
     return inputs, targets, mask
+
+
+def pad_batch(seqs: Sequence[Sequence[int]], pad_id: int = 0) -> np.ndarray:
+    """Stack token sequences into a (B, T) array, padded at the end to the
+    longest. Causality keeps the padding from influencing real positions."""
+    out = np.full((len(seqs), max(len(s) for s in seqs)), pad_id, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, : len(s)] = s
+    return out

@@ -17,6 +17,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import BinaryIO
 
 CONFIG_HEADER = "evotraj-config v1"
 
@@ -143,6 +144,20 @@ def write_atomic(path: Path | str, data: bytes | str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_exact(f: BinaryIO, n: int, path: Path | str) -> bytes:
+    """The next ``n`` bytes of a binary file. When fewer remain, raises
+    ValueError naming ``path`` and the byte offset, without reading: a
+    corrupt length field cannot ask for more memory than the file holds."""
+    offset = f.tell()
+    size = os.fstat(f.fileno()).st_size
+    if size - offset < n:
+        raise ValueError(
+            f"{path}: truncated: {n} bytes expected at byte offset {offset}, "
+            f"file ends at byte {size}"
+        )
+    return f.read(n)
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pipeline import write_atomic
+from .pipeline import read_exact, write_atomic
 
 PLAN_MAGIC = b"EVPL"
 PLAN_VERSION = 1
@@ -113,16 +113,16 @@ def save_plan(selection: EpochSelection, path: Path | str, config_hash: str = ""
 def load_plan(path: Path | str) -> EpochSelection:
     path = Path(path)
     with open(path, "rb") as f:
-        if f.read(4) != PLAN_MAGIC:
+        if read_exact(f, 4, path) != PLAN_MAGIC:
             raise ValueError(f"{path}: not a sample-plan file")
-        version, n_workers = struct.unpack("<II", f.read(8))
+        version, n_workers = struct.unpack("<II", read_exact(f, 8, path))
         if version != PLAN_VERSION:
             raise ValueError(f"{path}: unsupported plan version {version}")
         per_worker = []
         for _ in range(n_workers):
-            (n,) = struct.unpack("<I", f.read(4))
-            worker = [struct.unpack("<II", f.read(8)) for _ in range(n)]
-            per_worker.append([(s, c) for s, c in worker])
+            (n,) = struct.unpack("<I", read_exact(f, 4, path))
+            pairs = struct.unpack(f"<{2 * n}I", read_exact(f, 8 * n, path))
+            per_worker.append(list(zip(pairs[0::2], pairs[1::2])))
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     seed = 0
     if manifest_path.exists():

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
 from .genome import NT_STATES, NT_STATE_INDEX, NtMutation
-from .pipeline import write_atomic
+from .pipeline import read_exact, write_atomic
 from .tree import PartialDate, Trajectory
 
 LAYOUT_HEADER = "evotraj-tokenizer-layout v1"
@@ -289,16 +289,17 @@ def write_token_stream(samples: Iterable[TokenizedSample], path: Path | str) -> 
 
 def read_token_stream(path: Path | str) -> list[TokenizedSample]:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, 4, path)
         if magic != STREAM_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        version, n_samples = struct.unpack("<II", f.read(8))
+        version, n_samples = struct.unpack("<II", read_exact(f, 8, path))
         if version != STREAM_VERSION:
             raise ValueError(f"{path}: unsupported stream version {version}")
         out = []
         for _ in range(n_samples):
-            n_prefix, split_index, n_traj = struct.unpack("<III", f.read(12))
-            ids = struct.unpack(f"<{n_prefix + n_traj}I", f.read(4 * (n_prefix + n_traj)))
+            n_prefix, split_index, n_traj = struct.unpack("<III", read_exact(f, 12, path))
+            n = n_prefix + n_traj
+            ids = struct.unpack(f"<{n}I", read_exact(f, 4 * n, path))
             out.append(
                 TokenizedSample(
                     prefix_tokens=ids[:n_prefix],

@@ -15,9 +15,9 @@ from evotraj.evaluation import (
     write_report_csv,
 )
 from evotraj.genome import AaMutation, GENETIC_CODE, NtMutation, SpikeMap, load_annotation
-from evotraj.model import ModelConfig, Transformer
+from evotraj.model import ModelConfig, Transformer, ranking
 from evotraj.tokenizer import LayoutSpec, TokenizedSample, Tokenizer
-from evotraj.tree import PartialDate, SequenceMeta, Trajectory
+from evotraj.tree import PartialDate, SequenceMeta, Trajectory, spike_aa_steps
 
 TOK = Tokenizer(LayoutSpec(genome_length=120))
 
@@ -330,3 +330,86 @@ class TestSpikeTaskSplit:
         assert len(res.eval) == 1
         assert res.eval[0] is missense
         assert res.n_excluded_no_signal == 1
+
+
+def mixed_sequences(n=9, seed=0):
+    """Trajectories of mixed lengths with repeated sites, collected over two
+    months."""
+    rng = np.random.default_rng(seed)
+    TOK.register_location("Xanadu")
+    trajs, samples = [], []
+    for i in range(n):
+        variant = [(int(s), "T") for s in rng.integers(1, 121, size=rng.integers(0, 4))]
+        private = [(int(s), "ATCG-"[int(b)]) for s, b in zip(
+            rng.integers(31, 61, size=rng.integers(1, 7)), rng.integers(0, 5, size=7))]
+        t, smp = sample_for(variant, private, date=f"2025-0{3 + i % 2}-01",
+                            country="Xanadu" if i % 3 else None)
+        trajs.append(t)
+        samples.append(smp)
+    return trajs, samples
+
+
+class TestBatchedRanking:
+    def model(self):
+        cfg = ModelConfig(vocab_size=TOK.vocab_size, layers=2, hidden=32, heads=4, max_seq=64)
+        return Transformer(cfg, seed=11)
+
+    @pytest.mark.parametrize("use_location", [True, False])
+    @pytest.mark.parametrize("batch_contexts, batch_rows", [(64, 128), (3, 128), (64, 5)])
+    def test_batch_equals_each_context_alone(
+        self, monkeypatch, use_location, batch_contexts, batch_rows
+    ):
+        monkeypatch.setattr(ranking, "BATCH_CONTEXTS", batch_contexts)
+        monkeypatch.setattr(ranking, "BATCH_ROWS", batch_rows)
+        predictor = ModelPredictor(self.model(), TOK, use_location=use_location)
+        _, samples = mixed_sequences()
+        contexts = [list(s.tokens[:-1]) for s in samples]
+        positions = [list(range(4, len(c))) for c in contexts]
+        batched = predictor.rank_batch(contexts, positions, 30)
+        lo, hi = TOK.mutation_block
+        for context, pos, ranked in zip(contexts, positions, batched):
+            assert ranked == predictor.rank_at_positions(context, pos, 30)
+            for p, candidates in zip(pos, ranked):
+                seen = {t for t in context[5 : p + 1] if lo <= t < hi}
+                assert not seen & set(candidates)
+                assert len(candidates) == min(30, hi - lo - len(seen))
+
+    def test_forward_count_follows_batches(self, monkeypatch):
+        monkeypatch.setattr(ranking, "BATCH_CONTEXTS", 4)
+        model = self.model()
+        calls = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+        trajs, samples = mixed_sequences(n=9)
+        evaluate_sequences(trajs, samples, ModelPredictor(model, TOK), ks=(1, 10, 100))
+        assert len(calls) == 3
+
+
+class TestRankOnceAtMaxK:
+    def check_equal_to_separate_ks(self, predictor, task="nucleotide", **kw):
+        trajs, samples = mixed_sequences(n=12, seed=3)
+        if task == "spike":
+            keep = [i for i, t in enumerate(trajs) if spike_aa_steps(t, kw["spike_map"])]
+            trajs, samples = [trajs[i] for i in keep], [samples[i] for i in keep]
+            assert len(trajs) >= 3
+        together = evaluate_sequences(trajs, samples, predictor, ks=(1, 10, 100), task=task, **kw)
+        for k in (1, 10, 100):
+            alone = evaluate_sequences(trajs, samples, predictor, ks=(k,), task=task, **kw)
+            assert together.per_k[k] == alone.per_k[k]
+            assert [r for r in together.reports if r.k == k] == alone.reports
+        assert together.per_k[1] != together.per_k[100]
+
+    def test_model_predictor(self):
+        cfg = ModelConfig(vocab_size=TOK.vocab_size, layers=1, hidden=32, heads=4, max_seq=64)
+        self.check_equal_to_separate_ks(ModelPredictor(Transformer(cfg, seed=4), TOK))
+
+    def test_static_predictor(self):
+        ranked = [TOK.mutation_token(s, b) for s in range(31, 61) for b in "ATCG-"]
+        self.check_equal_to_separate_ks(StaticPredictor(ranked[::-1]))
+
+    def test_model_predictor_spike_task(self, tmp_path):
+        cfg = ModelConfig(vocab_size=TOK.vocab_size, layers=1, hidden=32, heads=4, max_seq=64)
+        self.check_equal_to_separate_ks(
+            ModelPredictor(Transformer(cfg, seed=4), TOK), task="spike",
+            tokenizer=TOK, spike_map=SpikeMap(mini_spike_annotation(tmp_path)),
+        )

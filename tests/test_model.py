@@ -1,4 +1,6 @@
+import io
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from evotraj.model import (
     Transformer,
     batch_arrays,
     load_checkpoint,
+    load_model,
     masked_cross_entropy,
     rank_next_mutations,
     rank_without_location,
@@ -16,9 +19,10 @@ from evotraj.model import (
     train,
     trajectory_loss,
 )
+from evotraj.model.ranking import top_k_unseen
 from evotraj.model.nn import CausalSelfAttention, rope_angles, rope_rotate
-from evotraj.model.training import TrainingDiverged
-from evotraj.tokenizer import LayoutSpec, TokenizedSample, Tokenizer
+from evotraj.model.training import TrainingDiverged, plan_batch
+from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, TokenizedSample, Tokenizer
 
 VOCAB = 97
 DESK = ModelConfig(vocab_size=VOCAB, layers=2, hidden=64, heads=4, max_seq=64)
@@ -58,6 +62,17 @@ class TestForward:
         a = Transformer(DESK, seed=7).logits(ids)
         b = Transformer(DESK, seed=7).logits(ids)
         assert np.array_equal(a, b)
+
+    def test_rows_gather_prediction_positions(self):
+        model = Transformer(DESK, seed=3)
+        ids, _, _ = small_batch(seed=4, b=3, t=12)
+        b_idx, t_idx = np.array([0, 2, 2, 1]), np.array([11, 0, 5, 7])
+        full = model.logits(ids)
+        gathered = model.logits(ids, rows=(b_idx, t_idx))
+        assert np.allclose(gathered, full[b_idx, t_idx], rtol=1e-12, atol=1e-12)
+        probs = model.forward(ids, rows=(b_idx, t_idx))
+        assert probs.shape == (4, VOCAB)
+        assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_too_long_rejected(self):
         model = Transformer(DESK, seed=0)
@@ -253,6 +268,10 @@ class TestTraining:
         resumed_losses = [loss for _, _, loss in resumed.log]
         assert full_losses == resumed_losses
 
+    def test_empty_plan_rejected(self):
+        with pytest.raises(ValueError, match="plan is empty"):
+            plan_batch([], batch_size=4, step=0)
+
     def test_divergence_detected(self):
         tok = self.make_tok()
         samples = toy_dataset(tok, n=8)
@@ -285,6 +304,116 @@ class TestCheckpoint:
             zf.writestr("meta.json", '{"format": "other"}')
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(p)
+
+
+def rewrite_checkpoint(src, dst, drop=(), replace=None):
+    """Copy a checkpoint, dropping entries and replacing or adding arrays."""
+    replace = replace or {}
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for name in zin.namelist():
+            if name not in drop and name not in replace:
+                zout.writestr(name, zin.read(name))
+        for name, arr in replace.items():
+            buf = io.BytesIO()
+            np.save(buf, arr)
+            zout.writestr(name, buf.getvalue())
+
+
+class TestStrictCheckpoint:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        tok = Tokenizer(LayoutSpec(genome_length=30))
+        cfg = ModelConfig(vocab_size=tok.vocab_size, layers=1, hidden=32, heads=4, max_seq=16)
+        tcfg = TrainConfig(steps=2, batch_size=4)
+        state = train(toy_dataset(tok, n=8), list(range(8)), cfg, tcfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        return path, state
+
+    @pytest.mark.parametrize("loader", [load_checkpoint, load_model])
+    def test_missing_head_rejected(self, ckpt, tmp_path, loader):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(ckpt[0], bad, drop={"param/head.weight.npy"})
+        with pytest.raises(ValueError, match="param/head.weight.npy is missing") as err:
+            loader(bad)
+        assert str(bad) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "loader, entry",
+        [
+            (load_checkpoint, "param/embed.weight.npy"),
+            (load_model, "param/embed.weight.npy"),
+            (load_checkpoint, "adam_m/embed.weight.npy"),
+        ],
+    )
+    def test_misshapen_array_rejected(self, ckpt, tmp_path, loader, entry):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(ckpt[0], bad, replace={entry: np.zeros((3, 32))})
+        with pytest.raises(ValueError, match=f"{entry} has shape \\(3, 32\\)") as err:
+            loader(bad)
+        assert str(bad) in str(err.value)
+
+    def test_load_model_does_not_read_moments(self, ckpt, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(ckpt[0], bad, replace={"adam_v/head.weight.npy": np.zeros((3, 32))})
+        model, _ = load_model(bad)
+        for name, p in ckpt[1].model.parameters().items():
+            assert np.array_equal(model.parameters()[name].value, p.value)
+
+    @pytest.mark.parametrize("loader", [load_checkpoint, load_model])
+    def test_extra_array_rejected(self, ckpt, tmp_path, loader):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(ckpt[0], bad, replace={"param/extra.weight.npy": np.zeros(4)})
+        with pytest.raises(ValueError, match="unexpected checkpoint entry param/extra") as err:
+            loader(bad)
+        assert str(bad) in str(err.value)
+
+    def test_full_load_restores_moments(self, ckpt):
+        path, state = ckpt
+        resumed, meta = load_checkpoint(path)
+        assert meta["step"] == resumed.step == 2
+        for name in state.optimizer.m:
+            assert np.array_equal(resumed.optimizer.m[name], state.optimizer.m[name])
+            assert np.array_equal(resumed.optimizer.v[name], state.optimizer.v[name])
+
+
+def reference_top_k(row: np.ndarray, seen, k: int) -> tuple[list[int], list[float]]:
+    """The per-row ranking rule, written out one row at a time."""
+    row = row.copy()
+    for c in seen:
+        if 0 <= c < row.size:
+            row[c] = -1.0
+    k_eff = min(k, row.size)
+    top = np.argpartition(row, -k_eff)[-k_eff:]
+    top = top[np.argsort(row[top])[::-1]]
+    top = top[row[top] >= 0.0]
+    return [int(t) for t in top], [float(row[t]) for t in top]
+
+
+class TestTopKUnseen:
+    @pytest.mark.parametrize("k", [1, 3, 10, 40, 60])
+    def test_matches_row_by_row_rule_with_ties(self, k):
+        rng = np.random.default_rng(k)
+        # coarse values force many ties, at and across the k boundary
+        probs = rng.integers(0, 6, size=(25, 40)) / 10.0
+        seen = np.where(rng.random((25, 9)) < 0.7, rng.integers(-3, 45, size=(25, 9)), -1)
+        ranked = top_k_unseen(probs, seen, k)
+        for row, row_seen, (cols, scores) in zip(probs, seen, ranked):
+            ref_cols, ref_scores = reference_top_k(row, row_seen, k)
+            assert cols.tolist() == ref_cols
+            assert scores.tolist() == ref_scores
+
+    def test_seen_columns_dropped_and_input_untouched(self):
+        probs = np.array([[0.1, 0.5, 0.4], [0.3, 0.3, 0.4]])
+        before = probs.copy()
+        ranked = top_k_unseen(probs, np.array([[1, -1], [2, 0]]), k=3)
+        assert ranked[0][0].tolist() == [2, 0]
+        assert ranked[1][0].tolist() == [1]
+        assert np.array_equal(probs, before)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            top_k_unseen(np.ones((1, 3)), np.zeros((1, 0), dtype=int), 0)
 
 
 class TestRanking:
@@ -320,6 +449,19 @@ class TestRanking:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             rank_next_mutations(self.model, self.tok, self.context, k=0)
+
+    @pytest.mark.parametrize("k", [1, 10, 20, 50, 150])
+    def test_same_tokens_and_scores_as_full_forward_rule(self, k):
+        """The ranking over the full (T, V) forward, the rule's earlier
+        form, gives the same candidates and scores."""
+        lo, hi = self.tok.mutation_block
+        for context in (self.context, self.context + [self.tok.mutation_token(7, "G")]):
+            probs = self.model.forward(np.asarray(context))[0, -1, lo:hi]
+            seen = [t - lo for t in context[PREFIX_LENGTH:]]
+            tokens, scores = reference_top_k(probs, seen, k)
+            pred = rank_next_mutations(self.model, self.tok, context, k=k)
+            assert list(pred.tokens) == [t + lo for t in tokens]
+            assert pred.scores == pytest.approx(scores, rel=1e-12, abs=0)
 
     def test_without_location_ignores_location_fields(self):
         t = self.tok

@@ -303,3 +303,30 @@ class TestUpstreamVerification:
         assert err.startswith("error: ")
         assert str(ds) in err and "no manifest.json" in err
         assert not (tmp_path / "out").exists()
+
+    def test_train_refuses_tampered_plans(self, pipeline_run, tmp_path, capsys):
+        plans = tmp_path / "plans"
+        shutil.copytree(pipeline_run["plans"], plans)
+        plan = plans / "epoch_001.plan"
+        data = bytearray(plan.read_bytes())
+        data[-1] ^= 0x01
+        plan.write_bytes(bytes(data))
+        code = main([
+            "train", "--dataset", str(pipeline_run["dataset"]), "--plans", str(plans),
+            "--out", str(tmp_path / "t"), *SMALL_SETTINGS,
+        ])
+        assert code == 2
+        assert "artifact 'epoch_001'" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
+
+    def test_train_reads_only_plans_named_by_the_manifest(self, pipeline_run, tmp_path):
+        plans = tmp_path / "plans"
+        shutil.copytree(pipeline_run["plans"], plans)
+        # a stray plan file the manifest does not name is not trained on
+        (plans / "epoch_999.plan").write_bytes(b"not a plan")
+        assert main([
+            "train", "--dataset", str(pipeline_run["dataset"]), "--plans", str(plans),
+            "--out", str(tmp_path / "t"), *SMALL_SETTINGS,
+        ]) == 0
+        expected = (pipeline_run["train"] / "train_log.csv").read_text()
+        assert (tmp_path / "t" / "train_log.csv").read_text() == expected

@@ -131,3 +131,19 @@ class TestPlanIO:
         p.write_bytes(b"nope")
         with pytest.raises(ValueError):
             load_plan(p)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(st.floats(0.05, 2.5), min_size=1, max_size=12),
+        st.integers(1, 3),
+    )
+    def test_truncation_at_every_offset_names_path_and_offset(self, tmp_path_factory, ps, workers):
+        path = tmp_path_factory.mktemp("plan") / "epoch_000.plan"
+        save_plan(run_epoch(ps, seed=1, n_workers=workers), path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError) as err:
+                load_plan(path)
+            assert str(path) in str(err.value)
+            assert f"file ends at byte {cut}" in str(err.value)

@@ -256,6 +256,25 @@ class TestTokenStream:
         with pytest.raises(ValueError, match="bad magic"):
             read_token_stream(p)
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=3
+        )
+    )
+    def test_truncation_at_every_offset_names_path_and_offset(self, tmp_path_factory, shapes):
+        tok = Tokenizer()
+        samples = [tok.tokenize(mk_trajectory(variant=v, private=p)) for v, p in shapes]
+        path = tmp_path_factory.mktemp("stream") / "tokens.bin"
+        write_token_stream(samples, path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError) as err:
+                read_token_stream(path)
+            assert str(path) in str(err.value)
+            assert f"file ends at byte {cut}" in str(err.value)
+
     def test_deterministic_bytes(self, tmp_path, tok):
         samples = [tok.tokenize(mk_trajectory())]
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .genome import AaMutation, NtMutation
+from .pipeline import write_csv
 from .tokenizer import Tokenizer
 
 MODES = ("count", "fitness", "mixed")
@@ -123,8 +124,8 @@ class BloomTableSet:
 
 
 def write_bloom_table(records: Iterable[BloomRecord], path: Path | str) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["mutation", "expected_count", "fitness"])
-        for r in records:
-            writer.writerow([r.mutation, f"{r.expected_count:.10g}", f"{r.fitness:.10g}"])
+    write_csv(
+        path,
+        ["mutation", "expected_count", "fitness"],
+        ([r.mutation, f"{r.expected_count:.10g}", f"{r.fitness:.10g}"] for r in records),
+    )

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import datetime
-import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import baseline as baseline_mod
 from . import evaluation, sampler, synth, variants, weighting
@@ -23,6 +20,7 @@ from .genome import NtMutation, SpikeMap, load_annotation, DEFAULT_ANNOTATION, D
 from .model import (
     ModelConfig,
     TrainConfig,
+    Transformer,
     load_model,
     rank_next_mutations,
     rank_without_location,
@@ -37,34 +35,67 @@ from .pipeline import (
     sha256_file,
     verify_against_manifest,
     write_atomic,
+    write_csv,
+    write_json,
     write_manifest,
 )
 from .tokenizer import LayoutSpec, Tokenizer, read_token_stream, write_token_stream
 from .tree import PartialDate, extract_all_trajectories, parse_tree, serialize_tree, split_train_eval
 
 
-def _load_config(args) -> PipelineConfig:
-    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    for item in args.set or []:
-        key, _, value = item.partition("=")
-        if not value:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
-        config.set(key, value)
-    if args.seed is not None:
-        config.seed = args.seed
-    return config
+# inputs a stage records in its manifest whenever they are given
+OPTIONAL_INPUTS = ("population", "definitions", "nextstrain", "freq")
 
 
-def _weight_config(config: PipelineConfig, t0_month: int) -> weighting.WeightConfig:
-    return weighting.WeightConfig(
-        d0=config.d0,
-        d1=config.d1,
-        d2=config.d2,
-        m=config.m,
-        r0=config.r0,
-        lam=config.lam,
-        t0_month=t0_month,
+class _Stage:
+    """One stage run: its config (``--config``, then ``--set`` and ``--seed``),
+    the outputs named so far in the output directory (created on first use),
+    and the manifest recording them."""
+
+    def __init__(self, args, name: str):
+        self.args = args
+        self.name = name
+        self.config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        for item in args.set or []:
+            key, _, value = item.partition("=")
+            if not value:
+                raise SystemExit(f"--set expects key=value, got {item!r}")
+            self.config.set(key, value)
+        if args.seed is not None:
+            self.config.seed = args.seed
+        self.outputs: dict[str, Path] = {}
+
+    def output(self, key: str, filename: str) -> Path:
+        out_dir = Path(self.args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs[key] = out_dir / filename
+        return self.outputs[key]
+
+    def finish(self, inputs: dict[str, Path | str]) -> None:
+        """Write the manifest, recording ``inputs`` and every optional input
+        given on the command line."""
+        for name in OPTIONAL_INPUTS:
+            if getattr(self.args, name, None):
+                inputs[name] = getattr(self.args, name)
+        write_manifest(self.args.out, self.name, self.config, inputs, self.outputs)
+
+
+def _from_config(cls, config: PipelineConfig, **overrides):
+    """A ``cls`` whose fields named like PipelineConfig fields take the
+    config's values; ``overrides`` set the rest."""
+    shared = {f.name for f in fields(PipelineConfig)}
+    values = {f.name: getattr(config, f.name) for f in fields(cls) if f.name in shared}
+    return cls(**{**values, **overrides})
+
+
+def _weight_config(config: PipelineConfig, **overrides) -> weighting.WeightConfig:
+    """Sample ages count to the month of the training cutoff."""
+    return _from_config(
+        weighting.WeightConfig,
+        config,
+        t0_month=PartialDate.parse(config.train_cutoff).month_index(config.base_year),
         subnational_countries=tuple(s for s in config.subnational.split(",") if s),
+        **overrides,
     )
 
 
@@ -84,8 +115,24 @@ def _synth_config(config: PipelineConfig) -> synth.SynthConfig:
     return cfg
 
 
-def _load_definitions(path: str | None):
-    return variants.load_definitions(path) if path else None
+def _split(args, config: PipelineConfig, **kwargs):
+    """The trajectories of ``--tree``, with variants from ``--definitions``
+    when given, split at the config's train and eval cutoffs."""
+    definitions = variants.load_definitions(args.definitions) if args.definitions else None
+    return split_train_eval(
+        extract_all_trajectories(parse_tree(args.tree), definitions),
+        datetime.date.fromisoformat(config.train_cutoff),
+        datetime.date.fromisoformat(config.eval_cutoff),
+        **kwargs,
+    )
+
+
+def _checked_model(args) -> Transformer:
+    """The ``--checkpoint`` model, refused unless it was trained on the
+    ``--layout`` tokenizer layout."""
+    model, meta = load_model(args.checkpoint)
+    require_hash_match("tokenizer layout", meta["layout_hash"], sha256_file(args.layout))
+    return model
 
 
 def _parse_mut_list(text: str) -> list[NtMutation]:
@@ -93,44 +140,33 @@ def _parse_mut_list(text: str) -> list[NtMutation]:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    out = synth.generate(_synth_config(config))
-    paths = synth.write_outputs(out, args.out)
-    write_manifest(args.out, "simulate", config, inputs={}, outputs=paths)
+    stage = _Stage(args, "simulate")
+    out = synth.generate(_synth_config(stage.config))
+    stage.outputs.update(synth.write_outputs(out, args.out))
+    stage.finish({})
     print(f"simulate: {out.n_leaves} leaves, {len(out.tree)} nodes -> {args.out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    config = _load_config(args)
+    stage = _Stage(args, "ingest")
     tree = parse_tree(args.tree)
-    n_leaves = sum(1 for _ in tree.leaves())
-    variants_tagged = sorted(
-        {n.variant_name for n in tree.nodes.values() if n.variant_name}
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tree_out = out_dir / "tree.jsonl"
-    write_atomic(tree_out, serialize_tree(tree))
+    variants_tagged = {n.variant_name for n in tree.nodes.values() if n.variant_name}
     stats = {
         "n_nodes": len(tree),
-        "n_leaves": n_leaves,
+        "n_leaves": sum(1 for _ in tree.leaves()),
         "n_variants": len(variants_tagged),
     }
-    stats_out = out_dir / "stats.json"
-    write_atomic(stats_out, json.dumps(stats, indent=1, sort_keys=True) + "\n")
-    write_manifest(
-        args.out, "ingest", config,
-        inputs={"tree": args.tree},
-        outputs={"tree": tree_out, "stats": stats_out},
-    )
+    write_atomic(stage.output("tree", "tree.jsonl"), serialize_tree(tree))
+    write_json(stage.output("stats", "stats.json"), stats)
+    stage.finish({"tree": args.tree})
     print(f"ingest: {stats['n_nodes']} nodes, {stats['n_leaves']} leaves, "
           f"{stats['n_variants']} variants -> {args.out}")
     return 0
 
 
 def cmd_refine_variants(args) -> int:
-    config = _load_config(args)
+    stage = _Stage(args, "refine-variants")
     tree = parse_tree(args.tree)
     nextstrain = (
         variants.load_nextstrain_definitions(args.nextstrain) if args.nextstrain else {}
@@ -144,110 +180,54 @@ def cmd_refine_variants(args) -> int:
         )
         for name in names
     ]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    defs_out = out_dir / "definitions.json"
+    defs_out = stage.output("definitions", "definitions.json")
     variants.save_definitions(refined, defs_out)
-    inputs = {"tree": args.tree}
-    if args.nextstrain:
-        inputs["nextstrain"] = args.nextstrain
-    if args.freq:
-        inputs["freq"] = args.freq
-    write_manifest(args.out, "refine-variants", config, inputs, {"definitions": defs_out})
+    stage.finish({"tree": args.tree})
     print(f"refine-variants: {len(refined)} definitions -> {defs_out}")
     return 0
 
 
 def cmd_build_dataset(args) -> int:
-    config = _load_config(args)
-    tree = parse_tree(args.tree)
-    definitions = _load_definitions(args.definitions)
-    trajectories = extract_all_trajectories(tree, definitions)
-    train_cutoff = datetime.date.fromisoformat(config.train_cutoff)
-    eval_cutoff = datetime.date.fromisoformat(config.eval_cutoff)
-    split = split_train_eval(trajectories, train_cutoff, eval_cutoff)
-
+    stage = _Stage(args, "build-dataset")
+    config = stage.config
+    split = _split(args, config)
     if args.layout:
         tok = Tokenizer.load(args.layout)
     else:
-        tok = Tokenizer(LayoutSpec(genome_length=config.genome_length, base_year=config.base_year))
+        tok = Tokenizer(_from_config(LayoutSpec, config))
     for traj in split.train:
         if traj.meta.country:
             tok.register_location(traj.meta.country)
         if traj.meta.region:
             tok.register_location(traj.meta.region)
-
-    t0_month = (train_cutoff.year - config.base_year) * 12 + train_cutoff.month - 1
-    wcfg = _weight_config(config, t0_month)
+    samples = [tok.tokenize(traj) for traj in split.train]
+    wcfg = _weight_config(config)
     populations = weighting.load_population_table(args.population) if args.population else {}
-    densities = weighting.aggregate_densities(split.train, populations, wcfg, config.base_year)
-
-    samples = []
-    rows = []
-    for traj in split.train:
-        sample = tok.tokenize(traj)
-        samples.append(sample)
-        month = traj.meta.collected.month_index(config.base_year) if traj.meta.collected else None
-        key = weighting.density_key(traj.meta.country, traj.meta.region, wcfg)
-        if config.representative_weighting and month is not None:
-            d = densities[(key, month)].density
-            r = weighting.representative_weight(d, wcfg)
-        else:
-            r = wcfg.r0
-        p = weighting.sampling_probability(r, wcfg)
-        if config.temporal_weighting and month is not None:
-            # ages below one month clamp to one
-            p_adj = weighting.temporal_adjust(p, min(month, t0_month - 1), wcfg)
-        else:
-            p_adj = p
-        rows.append((traj.meta.name, key, month if month is not None else "", r, p, p_adj))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    layout_out = out_dir / "layout.txt"
-    tok.save(layout_out)
-    tokens_out = out_dir / "tokens.bin"
-    write_token_stream(samples, tokens_out)
-    weights_out = out_dir / "weights.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["name", "region_key", "month", "r", "p", "p_adjusted"])
-    for row in rows:
-        writer.writerow(row)
-    write_atomic(weights_out, buf.getvalue())
-    density_out = out_dir / "density.csv"
-    weighting.write_density_report(densities, density_out, wcfg)
-    stats_out = out_dir / "stats.json"
-    write_atomic(
-        stats_out,
-        json.dumps(
-            {
-                "n_train": len(split.train),
-                "n_eval_candidates": len(split.eval),
-                "n_excluded_partial_dates": split.n_excluded_partial_dates,
-                "vocab_size": tok.vocab_size,
-                "t0_month": t0_month,
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n",
+    weights, densities = weighting.sequence_weights(
+        split.train, populations, wcfg, config.base_year
     )
-    inputs = {"tree": args.tree}
-    if args.population:
-        inputs["population"] = args.population
-    if args.definitions:
-        inputs["definitions"] = args.definitions
-    write_manifest(
-        args.out, "build-dataset", config, inputs,
-        {
-            "layout": layout_out,
-            "tokens": tokens_out,
-            "weights": weights_out,
-            "density": density_out,
-            "stats": stats_out,
-        },
+
+    tok.save(stage.output("layout", "layout.txt"))
+    write_token_stream(samples, stage.output("tokens", "tokens.bin"))
+    write_csv(
+        stage.output("weights", "weights.csv"),
+        ["name", "region_key", "month", "r", "p", "p_adjusted"],
+        (
+            [traj.meta.name, w.region_key, "" if w.month is None else w.month,
+             w.r, w.p, w.p_adjusted]
+            for traj, w in zip(split.train, weights)
+        ),
     )
+    weighting.write_density_report(densities, stage.output("density", "density.csv"), wcfg)
+    stats = {
+        "n_train": len(split.train),
+        "n_eval_candidates": len(split.eval),
+        "n_excluded_partial_dates": split.n_excluded_partial_dates,
+        "vocab_size": tok.vocab_size,
+        "t0_month": wcfg.t0_month,
+    }
+    write_json(stage.output("stats", "stats.json"), stats)
+    stage.finish({"tree": args.tree})
     print(f"build-dataset: {len(split.train)} training sequences, vocab {tok.vocab_size} -> {args.out}")
     return 0
 
@@ -258,31 +238,26 @@ def _read_weights(path: Path) -> list[float]:
 
 
 def cmd_sample_plan(args) -> int:
-    config = _load_config(args)
+    stage = _Stage(args, "sample-plan")
+    config = stage.config
     dataset = Path(args.dataset)
     verify_against_manifest(dataset)
     probs = _read_weights(dataset / "weights.csv")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {}
     total = 0
     for epoch in range(config.epochs):
         selection = sampler.run_epoch(probs, seed=config.seed + epoch, n_workers=config.workers)
-        plan_path = out_dir / f"epoch_{epoch:03d}.plan"
+        name = f"epoch_{epoch:03d}"
+        plan_path = stage.output(name, f"{name}.plan")
         sampler.save_plan(selection, plan_path, config_hash=config.config_hash())
-        outputs[f"epoch_{epoch:03d}"] = plan_path
         total += selection.total_copies
-    write_manifest(
-        args.out, "sample-plan", config,
-        inputs={"weights": dataset / "weights.csv"},
-        outputs=outputs,
-    )
+    stage.finish({"weights": dataset / "weights.csv"})
     print(f"sample-plan: {config.epochs} epochs, {total} total selections -> {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    stage = _Stage(args, "train")
+    config = stage.config
     dataset = Path(args.dataset)
     verify_against_manifest(dataset)
     samples = read_token_stream(dataset / "tokens.bin")
@@ -299,39 +274,17 @@ def cmd_train(args) -> int:
     for path in plan_paths:
         plan.extend(sampler.load_plan(path).flatten())
 
-    model_config = ModelConfig(
-        vocab_size=tok.vocab_size,
-        layers=config.layers,
-        hidden=config.hidden,
-        heads=config.heads,
-        max_seq=config.max_seq,
-    )
-    train_config = TrainConfig(
-        steps=config.steps,
-        batch_size=config.batch_size,
-        lr_start=config.lr_start,
-        lr_end=config.lr_end,
-        schedule=config.schedule,
-        seed=config.seed,
-    )
-    state = train(samples, plan, model_config, train_config)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_out = out_dir / "checkpoint.ckpt"
+    model_config = _from_config(ModelConfig, config, vocab_size=tok.vocab_size)
+    state = train(samples, plan, model_config, _from_config(TrainConfig, config))
+    ckpt_out = stage.output("checkpoint", "checkpoint.ckpt")
     save_checkpoint(
         state,
         ckpt_out,
         layout_hash=sha256_file(dataset / "layout.txt"),
         config_hash=config.config_hash(),
     )
-    log_out = out_dir / "train_log.csv"
-    write_training_log(state, log_out)
-    write_manifest(
-        args.out, "train", config,
-        inputs={"tokens": dataset / "tokens.bin", "layout": dataset / "layout.txt"},
-        outputs={"checkpoint": ckpt_out, "log": log_out},
-    )
+    write_training_log(state, stage.output("log", "train_log.csv"))
+    stage.finish({"tokens": dataset / "tokens.bin", "layout": dataset / "layout.txt"})
     print(f"train: {state.step} steps, final loss {state.final_loss:.4f} -> {ckpt_out}")
     return 0
 
@@ -341,92 +294,70 @@ def _context_tokens(tok: Tokenizer, args) -> list[int]:
     country_tok, region_tok = tok.location_tokens(args.country, args.region)
     year_tok, month_tok, day_tok = tok.time_tokens(date)
     context = [country_tok, region_tok, year_tok, month_tok, day_tok]
-    for m in _parse_mut_list(args.variant_muts or ""):
-        context.append(tok.mutation_token(m.site, m.to))
-    for m in _parse_mut_list(args.observed or ""):
+    for m in _parse_mut_list(args.variant_muts or "") + _parse_mut_list(args.observed or ""):
         context.append(tok.mutation_token(m.site, m.to))
     return context
 
 
 def cmd_predict(args) -> int:
-    config = _load_config(args)
-    model, meta = load_model(args.checkpoint)
+    stage = _Stage(args, "predict")
+    model = _checked_model(args)
     tok = Tokenizer.load(args.layout)
-    require_hash_match("tokenizer layout", meta["layout_hash"], sha256_file(args.layout))
-    context = _context_tokens(tok, args)
     rank_fn = rank_without_location if args.no_location else rank_next_mutations
-    pred = rank_fn(model, tok, context, k=args.k)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ranked_out = out_dir / "ranked.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["rank", "mutation", "token", "score"])
-    for i, (token, score) in enumerate(zip(pred.tokens, pred.scores), start=1):
-        writer.writerow([i, tok.mutation_of_token(token).fmt(), token, f"{score:.8g}"])
-    write_atomic(ranked_out, buf.getvalue())
-    write_manifest(
-        args.out, "predict", config,
-        inputs={"checkpoint": args.checkpoint, "layout": args.layout},
-        outputs={"ranked": ranked_out},
+    pred = rank_fn(model, tok, _context_tokens(tok, args), k=args.k)
+    ranked_out = stage.output("ranked", "ranked.csv")
+    write_csv(
+        ranked_out,
+        ["rank", "mutation", "token", "score"],
+        (
+            [i, tok.mutation_of_token(token).fmt(), token, f"{score:.8g}"]
+            for i, (token, score) in enumerate(zip(pred.tokens, pred.scores), start=1)
+        ),
     )
+    stage.finish({"checkpoint": args.checkpoint, "layout": args.layout})
     print(f"predict: top {len(pred.tokens)} -> {ranked_out}")
     return 0
 
 
 def cmd_baseline_rank(args) -> int:
-    config = _load_config(args)
+    stage = _Stage(args, "baseline-rank")
+    config = stage.config
     table = baseline_mod.load_bloom_table(args.table)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ranked_out = out_dir / "ranked.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["rank", "mutation", "score"])
     if table.kind == "nt":
-        tok = Tokenizer(LayoutSpec(genome_length=config.genome_length, base_year=config.base_year))
+        tok = Tokenizer(_from_config(LayoutSpec, config))
         ranked = baseline_mod.rank_nt_table(table, config.baseline_mode, args.k, tok, config.alpha)
-        for i, (token, score) in enumerate(ranked, start=1):
-            writer.writerow([i, tok.mutation_of_token(token).fmt(), f"{score:.8g}"])
+        ranked = [(tok.mutation_of_token(token), score) for token, score in ranked]
     else:
-        ranked_aa = baseline_mod.rank_aa_table(table, config.baseline_mode, args.k, config.alpha)
-        for i, (mut, score) in enumerate(ranked_aa, start=1):
-            writer.writerow([i, mut.fmt(), f"{score:.8g}"])
-    write_atomic(ranked_out, buf.getvalue())
-    write_manifest(
-        args.out, "baseline-rank", config,
-        inputs={"table": args.table}, outputs={"ranked": ranked_out},
+        ranked = baseline_mod.rank_aa_table(table, config.baseline_mode, args.k, config.alpha)
+    ranked_out = stage.output("ranked", "ranked.csv")
+    write_csv(
+        ranked_out,
+        ["rank", "mutation", "score"],
+        ([i, mut.fmt(), f"{score:.8g}"] for i, (mut, score) in enumerate(ranked, start=1)),
     )
+    stage.finish({"table": args.table})
     print(f"baseline-rank: {config.baseline_mode} top {args.k} -> {ranked_out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args)
+    stage = _Stage(args, "evaluate")
+    config = stage.config
     tok = Tokenizer.load(args.layout)
-    tree = parse_tree(args.tree)
-    definitions = _load_definitions(args.definitions)
-    trajectories = extract_all_trajectories(tree, definitions)
-    train_cutoff = datetime.date.fromisoformat(config.train_cutoff)
-    eval_cutoff = datetime.date.fromisoformat(config.eval_cutoff)
-
     spike_map = None
     if config.task == "spike":
         annotation = load_annotation(
             args.annotation or DEFAULT_ANNOTATION, args.reference or DEFAULT_REFERENCE
         )
         spike_map = SpikeMap(annotation)
-    split = split_train_eval(
-        trajectories, train_cutoff, eval_cutoff, task=config.task, spike_map=spike_map
-    )
+    split = _split(args, config, task=config.task, spike_map=spike_map)
     eval_trajs = split.eval
     if not eval_trajs:
         raise SystemExit("evaluation set is empty for the configured cutoffs")
 
     inputs = {"tree": args.tree, "layout": args.layout}
     if args.checkpoint:
-        model, meta = load_model(args.checkpoint)
-        require_hash_match("tokenizer layout", meta["layout_hash"], sha256_file(args.layout))
+        model = _checked_model(args)
         predictor = evaluation.ModelPredictor(model, tok, use_location=not args.no_location)
         inputs["checkpoint"] = args.checkpoint
     elif args.baseline:
@@ -442,15 +373,11 @@ def cmd_evaluate(args) -> int:
     else:
         raise SystemExit("evaluate needs --checkpoint or --baseline")
 
-    t0_month = (train_cutoff.year - config.base_year) * 12 + train_cutoff.month - 1
-    wcfg = _weight_config(config, t0_month)
+    # recall is weighted by each sequence's representativeness r alone,
+    # whatever the training switches
+    wcfg = _weight_config(config, representative_weighting=True, temporal_weighting=False)
     populations = weighting.load_population_table(args.population) if args.population else {}
-    densities = weighting.aggregate_densities(eval_trajs, populations, wcfg, config.base_year)
-    weights = []
-    for traj in eval_trajs:
-        month = traj.meta.collected.month_index(config.base_year)
-        key = weighting.density_key(traj.meta.country, traj.meta.region, wcfg)
-        weights.append(weighting.representative_weight(densities[(key, month)].density, wcfg))
+    weights, _ = weighting.sequence_weights(eval_trajs, populations, wcfg, config.base_year)
 
     samples = [tok.tokenize(t) for t in eval_trajs]
     result = evaluation.evaluate_sequences(
@@ -461,43 +388,22 @@ def cmd_evaluate(args) -> int:
         task=config.task,
         tokenizer=tok,
         spike_map=spike_map,
-        weights=weights,
+        weights=[w.r for w in weights],
         base_year=config.base_year,
         max_context=config.max_seq,
     )
     reports = result.reports
     if args.no_location:
-        reports = [
-            evaluation.RecallReport(
-                r.task, r.k, f"no-location:{r.slice_label}",
-                r.macro_recall, r.weighted_recall, r.n_sequences,
-            )
-            for r in reports
-        ]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_out = out_dir / "report.csv"
-    evaluation.write_report_csv(reports, report_out)
-    stats_out = out_dir / "eval_stats.json"
-    write_atomic(
-        stats_out,
-        json.dumps(
-            {
-                "n_evaluated": len(result.weights),
-                "n_excluded_too_long": result.n_excluded_too_long,
-                "n_excluded_partial_dates": split.n_excluded_partial_dates,
-                "n_excluded_no_signal": split.n_excluded_no_signal,
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n",
-    )
-    if args.population:
-        inputs["population"] = args.population
-    if args.definitions:
-        inputs["definitions"] = args.definitions
-    write_manifest(args.out, "evaluate", config, inputs, {"report": report_out, "stats": stats_out})
+        reports = [replace(r, slice_label=f"no-location:{r.slice_label}") for r in reports]
+    evaluation.write_report_csv(reports, stage.output("report", "report.csv"))
+    stats = {
+        "n_evaluated": len(result.weights),
+        "n_excluded_too_long": result.n_excluded_too_long,
+        "n_excluded_partial_dates": split.n_excluded_partial_dates,
+        "n_excluded_no_signal": split.n_excluded_no_signal,
+    }
+    write_json(stage.output("stats", "eval_stats.json"), stats)
+    stage.finish(inputs)
     for r in reports:
         if r.slice_label.endswith("all"):
             print(

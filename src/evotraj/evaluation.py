@@ -9,8 +9,6 @@ weighted by representativeness.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +20,7 @@ from .genome import AaMutation, SpikeMap, SpikeState
 from .tokenizer import PREFIX_LENGTH, TokenizedSample, Tokenizer
 from .tree import Trajectory, spike_aa_steps
 from .model.ranking import rank_contexts, strip_location
-from .pipeline import write_atomic
+from .pipeline import write_csv
 from .model.transformer import Transformer
 
 
@@ -345,12 +343,12 @@ def slice_by_month(result: EvalResult) -> list[RecallReport]:
 
 
 def write_report_csv(reports: Iterable[RecallReport], path: Path | str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["task", "k", "slice", "macro_recall", "weighted_recall", "n_sequences"])
-    for r in reports:
-        writer.writerow(
+    write_csv(
+        path,
+        ["task", "k", "slice", "macro_recall", "weighted_recall", "n_sequences"],
+        (
             [r.task, r.k, r.slice_label, f"{r.macro_recall:.6f}",
              f"{r.weighted_recall:.6f}", r.n_sequences]
-        )
-    write_atomic(path, buf.getvalue())
+            for r in reports
+        ),
+    )

@@ -1,5 +1,4 @@
 from .transformer import (
-    FULL_SCALE,
     ModelConfig,
     Transformer,
     batch_arrays,
@@ -21,7 +20,6 @@ from .ranking import RankedPrediction, rank_next_mutations, rank_without_locatio
 
 __all__ = [
     "Adam",
-    "FULL_SCALE",
     "ModelConfig",
     "RankedPrediction",
     "TrainConfig",

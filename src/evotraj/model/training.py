@@ -10,7 +10,7 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -164,10 +164,8 @@ def save_checkpoint(
     """Self-describing zip of float64 parameter/optimizer arrays plus metadata."""
     meta = {
         "format": CHECKPOINT_MAGIC,
-        "model_config": state.model.config.to_dict(),
-        "train_config": vars(state.optimizer.config)
-        if not hasattr(state.optimizer.config, "__dataclass_fields__")
-        else {k: getattr(state.optimizer.config, k) for k in state.optimizer.config.__dataclass_fields__},
+        "model_config": asdict(state.model.config),
+        "train_config": asdict(state.optimizer.config),
         "step": state.step,
         "adam_step_count": state.optimizer.step_count,
         "final_loss": state.final_loss,

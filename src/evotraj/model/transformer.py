@@ -7,19 +7,12 @@ rotationally inside attention, so there is no absolute position table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .nn import DTYPE, Block, Embedding, LayerNorm, Linear, Module, softmax
-
-# reference values for the production-scale run; the desk config is what this
-# implementation targets
-FULL_SCALE = {
-    "layers": 12, "hidden": 512, "heads": 8, "max_seq": 2048,
-    "steps": 80_000, "batch_size": 256,
-}
+from .nn import Block, Embedding, LayerNorm, Linear, Module, softmax
 
 
 @dataclass(frozen=True)
@@ -35,15 +28,6 @@ class ModelConfig:
             raise ValueError("hidden must be divisible by heads")
         if self.vocab_size < 2:
             raise ValueError("vocab_size too small")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "layers": self.layers,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "max_seq": self.max_seq,
-        }
 
 
 class Transformer(Module):

@@ -10,14 +10,16 @@ the stale artifact.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable, Sequence
 
 CONFIG_HEADER = "evotraj-config v1"
 
@@ -116,11 +118,7 @@ class PipelineConfig:
         return tuple(int(k) for k in str(self.ks).split(",") if k)
 
     def config_hash(self) -> str:
-        return sha256_bytes(self.to_text().encode())
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+        return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
 def sha256_file(path: Path | str) -> str:
@@ -131,19 +129,40 @@ def sha256_file(path: Path | str) -> str:
     return h.hexdigest()
 
 
-def write_atomic(path: Path | str, data: bytes | str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+@contextmanager
+def atomic_output(path: Path | str):
+    """Yield a temp path in the same directory as ``path`` for a writer; on
+    success it is renamed onto ``path``, on failure removed."""
     path = Path(path)
-    mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.close(fd)
     try:
-        with os.fdopen(fd, mode) as f:
-            f.write(data)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path: Path | str, data: bytes | str) -> None:
+    """Write via a temp file in the same directory plus rename."""
+    with atomic_output(path) as tmp, open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
+        f.write(data)
+
+
+def write_csv(path: Path | str, header: Sequence[object], rows: Iterable[Sequence[object]]) -> None:
+    """Atomically write a header row and rows as CSV (excel dialect)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
+
+
+def write_json(path: Path | str, obj: object) -> None:
+    """Atomically write ``obj`` as indented, key-sorted JSON plus a newline."""
+    write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def read_exact(f: BinaryIO, n: int, path: Path | str) -> bytes:
@@ -158,20 +177,6 @@ def read_exact(f: BinaryIO, n: int, path: Path | str) -> bytes:
             f"file ends at byte {size}"
         )
     return f.read(n)
-
-
-@contextmanager
-def atomic_output(path: Path | str):
-    """Yield a temp path for a writer, renaming onto ``path`` on success."""
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        if tmp.exists():
-            tmp.unlink()
-        raise
 
 
 def write_manifest(
@@ -201,7 +206,7 @@ def write_manifest(
         },
     }
     path = out_dir / "manifest.json"
-    write_atomic(path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    write_json(path, manifest)
     return path
 
 
@@ -212,17 +217,13 @@ def _relative_to_stage(path: Path | str, out_dir: Path) -> str:
         raise ValueError(f"output {path} is outside the stage directory {out_dir}") from None
 
 
-def load_manifest(out_dir: Path | str) -> dict:
-    return json.loads((Path(out_dir) / "manifest.json").read_text())
-
-
 def verify_against_manifest(out_dir: Path | str) -> dict:
     """Re-hash the outputs in ``out_dir`` named by its manifest; raise
     ``StaleArtifactError`` naming a missing manifest or any stale artifact."""
     out_dir = Path(out_dir)
     if not (out_dir / "manifest.json").exists():
         raise StaleArtifactError(f"stage directory {out_dir} has no manifest.json")
-    manifest = load_manifest(out_dir)
+    manifest = json.loads((out_dir / "manifest.json").read_text())
     for name, entry in manifest["outputs"].items():
         path = out_dir / entry["path"]
         if not path.exists():

@@ -12,7 +12,6 @@ Everything is a pure function of the seed.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 from collections import Counter
@@ -22,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .genome import NT_STATES, NtMutation
-from .tree import PartialDate, PhyloTree, SequenceMeta, TreeNode, parse_tree, serialize_tree
+from .pipeline import write_atomic, write_csv
+from .tree import PartialDate, PhyloTree, SequenceMeta, TreeNode, serialize_tree
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.genome_length % self.n_buckets != 0:
-            raise ValueError("genome_length must divide evenly into buckets")
+        if self.genome_length < self.n_buckets:
+            raise ValueError("genome_length must be at least n_buckets")
         if abs(sum(self.branching_probs) - 1.0) > 1e-9:
             raise ValueError("branching_probs must sum to 1")
         if self.ramp_months < 1:
@@ -141,7 +141,9 @@ def build_spectra(config: SynthConfig) -> GroundTruth:
     for b in range(config.n_buckets):
         target = (b + config.bucket_hop) % config.n_buckets
         lo = target * config.bucket_width + 1
-        pool_sites = np.arange(lo, lo + config.bucket_width)
+        # the last bucket also holds the sites past n_buckets * bucket_width
+        hi = config.genome_length + 1 if target == config.n_buckets - 1 else lo + config.bucket_width
+        pool_sites = np.arange(lo, hi)
         # pairs over the 4 substitution states; deletions are left to noise
         pairs = [(s, st) for s in pool_sites for st in range(4)]
         for col, idx in enumerate(rng.choice(len(pairs), size=k, replace=False)):
@@ -322,16 +324,16 @@ def write_outputs(out: SynthOutput, out_dir: Path | str) -> dict[str, Path]:
         "population": out_dir / "population.csv",
         "density": out_dir / "density.csv",
     }
-    paths["tree"].write_text(serialize_tree(out.tree))
-    paths["spectrum"].write_text(json.dumps(spectrum_to_json(out.truth), sort_keys=True))
-    with open(paths["population"], "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["region_key", "population"])
-        for name, pop in sorted(out.populations.items()):
-            writer.writerow([name, f"{pop:g}"])
-    with open(paths["density"], "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["region_key", "month", "n"])
-        for (region, month), n in sorted(out.density_counts.items()):
-            writer.writerow([region, month, n])
+    write_atomic(paths["tree"], serialize_tree(out.tree))
+    write_atomic(paths["spectrum"], json.dumps(spectrum_to_json(out.truth), sort_keys=True))
+    write_csv(
+        paths["population"],
+        ["region_key", "population"],
+        ([name, f"{pop:g}"] for name, pop in sorted(out.populations.items())),
+    )
+    write_csv(
+        paths["density"],
+        ["region_key", "month", "n"],
+        ([region, month, n] for (region, month), n in sorted(out.density_counts.items())),
+    )
     return paths

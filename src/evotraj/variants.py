@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .genome import NT_STATES, NtMutation
-from .pipeline import write_atomic
+from .pipeline import write_json
 from .tree import PhyloTree
 
 
@@ -242,7 +242,7 @@ def save_definitions(definitions: Iterable[VariantDefinition], path: Path | str)
         }
         for d in definitions
     }
-    write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    write_json(path, obj)
 
 
 def load_definitions(path: Path | str) -> dict[str, list[NtMutation]]:

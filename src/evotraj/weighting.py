@@ -10,14 +10,13 @@ use their region as the density key.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .pipeline import write_atomic
+from .pipeline import write_csv
 from .tree import Trajectory
 
 PER_MILLION = 1e6
@@ -37,6 +36,8 @@ class WeightConfig:
     lam: float = 0.1
     t0_month: int = 0  # training-set release month, as a month index
     subnational_countries: tuple[str, ...] = DEFAULT_SUBNATIONAL
+    representative_weighting: bool = True  # off: every sequence represents r0
+    temporal_weighting: bool = True  # off: p is not adjusted for sample age
 
     def __post_init__(self):
         if not 0 < self.d0 < self.d1 < self.d2:
@@ -58,13 +59,6 @@ class DensityRecord:
         if self.population <= 0:
             raise ValueError(f"{self.region_key}: population must be positive")
         return self.n / (self.population / PER_MILLION)
-
-
-@dataclass(frozen=True, slots=True)
-class SequenceWeight:
-    r: float  # persons represented
-    p: float  # epoch sampling probability (may exceed 1)
-    p_adjusted: float
 
 
 def representative_weight(d: float, config: WeightConfig = WeightConfig()) -> float:
@@ -106,15 +100,6 @@ def temporal_adjust(p: float, sample_month: int, config: WeightConfig) -> float:
     return p * age**config.lam
 
 
-def weight_for(
-    density: float, sample_month: int, config: WeightConfig, temporal: bool = True
-) -> SequenceWeight:
-    r = representative_weight(density, config)
-    p = sampling_probability(r, config)
-    p_adj = temporal_adjust(p, sample_month, config) if temporal else p
-    return SequenceWeight(r=r, p=p, p_adjusted=p_adj)
-
-
 def density_key(country: str | None, region: str | None, config: WeightConfig) -> str:
     """Country name, or 'country/region' for configured sub-national countries."""
     if country is None:
@@ -122,6 +107,17 @@ def density_key(country: str | None, region: str | None, config: WeightConfig) -
     if country in config.subnational_countries and region:
         return f"{country}/{region}"
     return country
+
+
+def _keys_and_months(
+    trajectories: Iterable[Trajectory], config: WeightConfig, base_year: int
+) -> Iterator[tuple[str, int | None]]:
+    """Each trajectory's density key and collection month index (None when
+    the month is unknown)."""
+    for traj in trajectories:
+        collected = traj.meta.collected
+        month = None if collected is None else collected.month_index(base_year)
+        yield density_key(traj.meta.country, traj.meta.region, config), month
 
 
 def aggregate_densities(
@@ -136,14 +132,11 @@ def aggregate_densities(
     Sequences lacking a collection month are skipped (they can never be
     weighted by recency anyway).
     """
-    counts: Counter[tuple[str, int]] = Counter()
-    for traj in trajectories:
-        collected = traj.meta.collected
-        month = None if collected is None else collected.month_index(base_year)
-        if month is None:
-            continue
-        key = density_key(traj.meta.country, traj.meta.region, config)
-        counts[(key, month)] += 1
+    counts = Counter(
+        (key, month)
+        for key, month in _keys_and_months(trajectories, config, base_year)
+        if month is not None
+    )
     return {
         (key, month): DensityRecord(
             region_key=key,
@@ -153,6 +146,44 @@ def aggregate_densities(
         )
         for (key, month), n in counts.items()
     }
+
+
+@dataclass(frozen=True, slots=True)
+class SequenceWeight:
+    region_key: str
+    month: int | None  # collection month index; None when the month is unknown
+    r: float  # persons represented
+    p: float  # epoch sampling probability (may exceed 1)
+    p_adjusted: float
+
+
+def sequence_weights(
+    trajectories: Sequence[Trajectory],
+    populations: Mapping[str, float],
+    config: WeightConfig,
+    base_year: int = 2019,
+) -> tuple[list[SequenceWeight], dict[tuple[str, int], DensityRecord]]:
+    """The sequence-weight rule, applied to each trajectory in order, and the
+    density records it read.
+
+    r follows the density of the sequence's region key in its collection
+    month, p follows r, and p_adjusted is p scaled for sample age, with ages
+    below one month (the cutoff month or later) clamped to one. Without a
+    collection month, r is r0 and p_adjusted is p. With
+    ``representative_weighting`` off every r is r0; with
+    ``temporal_weighting`` off every p_adjusted is p.
+    """
+    densities = aggregate_densities(trajectories, populations, config, base_year)
+    weights = []
+    for key, month in _keys_and_months(trajectories, config, base_year):
+        r = config.r0
+        if config.representative_weighting and month is not None:
+            r = representative_weight(densities[(key, month)].density, config)
+        p = p_adjusted = sampling_probability(r, config)
+        if config.temporal_weighting and month is not None:
+            p_adjusted = temporal_adjust(p, min(month, config.t0_month - 1), config)
+        weights.append(SequenceWeight(key, month, r, p, p_adjusted))
+    return weights, densities
 
 
 def load_population_table(path: Path | str) -> dict[str, float]:
@@ -165,13 +196,12 @@ def write_density_report(
     path: Path | str,
     config: WeightConfig = WeightConfig(),
 ) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["region_key", "month", "n", "P", "d", "r"])
-    for (key, month), rec in sorted(records.items()):
-        d = rec.density
-        writer.writerow(
-            [key, month, rec.n, f"{rec.population:g}", f"{d:.6g}",
-             f"{representative_weight(d, config):.6g}"]
-        )
-    write_atomic(path, buf.getvalue())
+    write_csv(
+        path,
+        ["region_key", "month", "n", "P", "d", "r"],
+        (
+            [key, month, rec.n, f"{rec.population:g}", f"{rec.density:.6g}",
+             f"{representative_weight(rec.density, config):.6g}"]
+            for (key, month), rec in sorted(records.items())
+        ),
+    )

@@ -45,6 +45,7 @@ from evotraj.weighting import (
     WeightConfig,
     representative_weight,
     sampling_probability,
+    sequence_weights,
     temporal_adjust,
 )
 
@@ -128,25 +129,12 @@ SYNTH_FAMILY = dict(
 )
 
 
-def full_weighting_probs(wcfg: WeightConfig, base_year=2019, temporal=True, representative=True):
+def full_weighting_probs(wcfg: WeightConfig, base_year=2019):
     """Representative + temporal weighting over the training split."""
-    from evotraj.weighting import aggregate_densities
 
     def fn(train_trajs, out):
-        densities = aggregate_densities(train_trajs, out.populations, wcfg, base_year)
-        probs = []
-        for t in train_trajs:
-            month = t.meta.collected.month_index(base_year)
-            key = t.meta.country
-            if representative:
-                r = representative_weight(densities[(key, month)].density, wcfg)
-            else:
-                r = wcfg.r0
-            p = sampling_probability(r, wcfg)
-            if temporal:
-                p = temporal_adjust(p, min(month, wcfg.t0_month - 1), wcfg)
-            probs.append(p)
-        return probs
+        weights, _ = sequence_weights(train_trajs, out.populations, wcfg, base_year)
+        return [w.p_adjusted for w in weights]
 
     return fn
 

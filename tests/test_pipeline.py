@@ -120,6 +120,21 @@ SMALL_SETTINGS = [
 ]
 
 
+# sha256 of the data-stage files ``pipeline_run`` writes. These stages are
+# pure Python plus seeded numpy, so the digests do not depend on the BLAS
+# library; a refactor that changes any byte of them fails here.
+DATA_STAGE_DIGESTS = {
+    ("ingest", "tree.jsonl"): "d1026b9e4e5c898aeb36e16b9aca70b9a02cbc4ce53f7f206f99f56b66431525",
+    ("dataset", "layout.txt"): "af3364dde7375f48577d8878b87648c9cdccfd7d2bfc113245f573ff3f70c1c5",
+    ("dataset", "tokens.bin"): "c488f6bb73265eeacd317814689e7075b65bc7d3dc77ef62bd38db56242f4121",
+    ("dataset", "weights.csv"): "1c0646bc9811f26f7c4407d26177e42085d2969524c5b690a77d6695dc33b5c7",
+    ("dataset", "density.csv"): "99bf78cafc9523e80e773cc082a0cd15056907508968a74c8e0157b09b31a6b9",
+    ("dataset", "stats.json"): "82e6ad358dcdf6730648e75ba201c70e1b41bf4f975cb47c93dcf5974aeb1342",
+    ("plans", "epoch_000.plan"): "38d5ba8f82fbe4d0643347a4aee3213cdf66059a750514ba5ccbf4eb1fdd76c7",
+    ("plans", "epoch_001.plan"): "2184f3a0cad1b797d2560a1e5ac53d453034ae59e5656ca8021e452b6c5136b6",
+}
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     """One full simulate -> ... -> evaluate chain shared by the CLI tests."""
@@ -178,6 +193,12 @@ class TestEndToEnd:
         last = lines[-1].split(",")
         assert float(first[1]) == pytest.approx(1e-4)
         assert float(last[1]) == pytest.approx(1e-5)
+
+    def test_data_stage_bytes_are_pinned(self, pipeline_run):
+        plans = sorted(p.name for p in pipeline_run["plans"].glob("epoch_*.plan"))
+        assert plans == [name for stage, name in DATA_STAGE_DIGESTS if stage == "plans"]
+        for (stage, name), digest in DATA_STAGE_DIGESTS.items():
+            assert sha256_file(pipeline_run[stage] / name) == digest, f"{stage}/{name}"
 
     def test_build_dataset_is_deterministic(self, pipeline_run, tmp_path):
         out2 = tmp_path / "dataset2"

@@ -189,8 +189,18 @@ class TestOutputs:
         assert spec["genome_length"] == SMALL.genome_length
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SynthConfig(genome_length=1001)
+        # 19 sites in 10 buckets: the last bucket's pool also covers sites 11-19
+        cfg = SynthConfig(genome_length=19, support_per_bucket=4, depth=4, seed=3)
+        out = generate(cfg)
+        for table in (out.truth.base, out.truth.alt):
+            assert 1 <= table.sites.min() and table.sites.max() <= 19
+            # bucket 6 hops into the last bucket, sites 10-19
+            assert table.sites[6].min() >= 10
+        for node in out.tree.nodes.values():
+            assert all(1 <= m.site <= 19 for m in node.branch_mutations)
+        assert generate(SynthConfig(genome_length=1001, depth=3)).n_leaves > 0
+        with pytest.raises(ValueError, match="at least n_buckets"):
+            SynthConfig(genome_length=9)
         with pytest.raises(ValueError):
             SynthConfig(branching_probs=(0.5, 0.2, 0.1))
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,11 +12,22 @@ from evotraj.weighting import (
     density_key,
     representative_weight,
     sampling_probability,
+    sequence_weights,
     temporal_adjust,
-    weight_for,
 )
 
 CFG = WeightConfig(t0_month=75)
+
+
+def sample(country, date, region=None):
+    return Trajectory(
+        meta=SequenceMeta(
+            name="s", collected=date and PartialDate.parse(date), country=country, region=region
+        ),
+        variant_name="root",
+        variant_mutations=(),
+        sequence_mutations=(),
+    )
 
 
 class TestRepresentativeWeight:
@@ -98,16 +110,70 @@ class TestTemporalAdjust:
         assert old > recent
 
 
-class TestWeightFor:
+class TestSequenceWeights:
+    # one sample in a month among 100,000 people is density 10: r = 1e5
+    POP = {"X": 1e5}
+
     def test_combined(self):
-        w = weight_for(10.0, 74, CFG)
+        [w], _ = sequence_weights([sample("X", "2025-03-09")], self.POP, CFG)
+        assert (w.region_key, w.month) == ("X", 74)
         assert w.r == pytest.approx(100_000)
         assert w.p == pytest.approx((math.log(1000) + 1) / 10)
         assert w.p_adjusted == pytest.approx(w.p)
 
     def test_temporal_disabled(self):
-        w = weight_for(10.0, 40, CFG, temporal=False)
+        cfg = replace(CFG, temporal_weighting=False)
+        [w], _ = sequence_weights([sample("X", "2022-05-01")], self.POP, cfg)
+        assert w.month == 40
         assert w.p_adjusted == w.p
+
+    def test_equals_explicit_composition(self):
+        cfg = WeightConfig(lam=-0.3, t0_month=75)
+        trajs = [
+            sample("X", "2025-03-09"),
+            sample("X", "2025-03-20"),
+            sample("X", "2023-11-02"),
+            sample("Y", "2024-01-30"),
+            sample("China", "2024-06-01", region="Sichuan"),
+        ]
+        pops = {"X": 1e5, "Y": 3e7, "China/Sichuan": 8e7}
+        weights, densities = sequence_weights(trajs, pops, cfg)
+        assert densities == aggregate_densities(trajs, pops, cfg)
+        for traj, w in zip(trajs, weights):
+            month = traj.meta.collected.month_index(2019)
+            key = density_key(traj.meta.country, traj.meta.region, cfg)
+            r = representative_weight(densities[(key, month)].density, cfg)
+            p = sampling_probability(r, cfg)
+            assert (w.region_key, w.month) == (key, month)
+            assert (w.r, w.p, w.p_adjusted) == (r, p, temporal_adjust(p, month, cfg))
+
+    def test_cutoff_month_or_later_clamps_to_age_one(self):
+        cfg = WeightConfig(lam=-0.5, t0_month=75)
+        trajs = [sample("X", d) for d in ("2025-02-28", "2025-04-01", "2025-09-15")]
+        weights, _ = sequence_weights(trajs, self.POP, cfg)
+        assert [w.month for w in weights] == [73, 75, 80]
+        assert weights[0].p_adjusted == temporal_adjust(weights[0].p, 73, cfg) != weights[0].p
+        for w in weights[1:]:
+            assert w.p_adjusted == temporal_adjust(w.p, 74, cfg) == w.p
+
+    def test_representative_disabled_gives_r0(self):
+        cfg = replace(CFG, representative_weighting=False)
+        weights, _ = sequence_weights(
+            [sample("X", "2025-03-09"), sample("Y", "2023-01-01")], self.POP, cfg
+        )
+        for w in weights:
+            assert w.r == cfg.r0
+            assert w.p == sampling_probability(cfg.r0, cfg)
+            assert w.p_adjusted == temporal_adjust(w.p, w.month, cfg)
+
+    def test_no_collection_month_gets_r0_without_adjustment(self):
+        cfg = WeightConfig(lam=-0.5, t0_month=75)
+        for date in ("2024", None):
+            [w], densities = sequence_weights([sample("X", date)], self.POP, cfg)
+            assert densities == {}
+            assert (w.region_key, w.month) == ("X", None)
+            assert w.r == cfg.r0
+            assert w.p_adjusted == w.p == sampling_probability(cfg.r0, cfg)
 
 
 class TestDensities:

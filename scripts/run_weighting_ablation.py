@@ -22,6 +22,14 @@ from evotraj.weighting import WeightConfig, temporal_adjust
 
 
 def build_plan(probs, n_needed, seed):
+    """Concatenate epochs until the plan holds ``n_needed`` selections. An
+    epoch selects floor(sum(probs)) sequences, since the accumulator starts
+    at zero, so probabilities summing below 1 would never fill it."""
+    total = float(sum(probs))
+    if total < 1.0:
+        raise ValueError(
+            f"sampling probabilities sum to {total:.4g} < 1: an epoch selects nothing"
+        )
     plan = []
     epoch = 0
     while len(plan) < n_needed:

@@ -39,7 +39,7 @@ from .pipeline import (
     write_json,
     write_manifest,
 )
-from .tokenizer import LayoutSpec, Tokenizer, read_token_stream, write_token_stream
+from .tokenizer import LayoutSpec, Tokenizer, check_token_ids, read_token_stream, write_token_stream
 from .tree import PartialDate, extract_all_trajectories, parse_tree, serialize_tree, split_train_eval
 
 
@@ -260,8 +260,9 @@ def cmd_train(args) -> int:
     config = stage.config
     dataset = Path(args.dataset)
     verify_against_manifest(dataset)
-    samples = read_token_stream(dataset / "tokens.bin")
     tok = Tokenizer.load(dataset / "layout.txt")
+    samples = read_token_stream(dataset / "tokens.bin")
+    check_token_ids(samples, tok.vocab_size, dataset / "tokens.bin")
     plans = Path(args.plans)
     # only the plan files the verified manifest names are read
     outputs = verify_against_manifest(plans)["outputs"]

@@ -65,11 +65,12 @@ class Linear(Module):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """x is (..., d_in); all leading axes go through one 2-D GEMM."""
         self._x = x
-        y = x @ self.weight.value
+        y = x.reshape(-1, x.shape[-1]) @ self.weight.value
         if self.bias is not None:
             y += self.bias.value
-        return y
+        return y.reshape(*x.shape[:-1], y.shape[-1])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x2 = self._x.reshape(-1, self._x.shape[-1])
@@ -77,7 +78,7 @@ class Linear(Module):
         self.weight.grad += x2.T @ g2
         if self.bias is not None:
             self.bias.grad += g2.sum(axis=0)
-        return grad_out @ self.weight.value.T
+        return (g2 @ self.weight.value.T).reshape(self._x.shape)
 
 
 class LayerNorm(Module):
@@ -107,18 +108,19 @@ class LayerNorm(Module):
 
 
 class Gelu(Module):
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU. Powers are written as products: in numpy,
+    float ``x**3`` goes through ``pow`` and is far slower than two multiplies."""
 
     _C = math.sqrt(2.0 / math.pi)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        self._tanh = np.tanh(self._C * (x + 0.044715 * x**3))
+        self._tanh = np.tanh(self._C * (x + 0.044715 * (x * x * x)))
         return 0.5 * x * (1.0 + self._tanh)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x, t = self._x, self._tanh
-        du = self._C * (1.0 + 3 * 0.044715 * x**2)
+        du = self._C * (1.0 + 3 * 0.044715 * (x * x))
         return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
 
 
@@ -138,8 +140,10 @@ def rope_rotate(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along ``axis``, written to ``out`` when given (``out=x``
+    computes it in place)."""
+    shifted = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
     return shifted

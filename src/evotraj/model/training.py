@@ -58,12 +58,22 @@ class TrainConfig:
 
 
 class Adam:
+    """Adam with bias correction. A step updates each parameter block by
+    block through two reused scratch buffers, with the same operations in
+    the same order as the textbook formula, so the results are the same to
+    the bit; it allocates nothing of parameter size."""
+
+    # elements per block: the six blocks one pass touches (parameter,
+    # gradient, both moments, two scratch) take 1.5 MB, within a 2 MB L2
+    BLOCK = 1 << 15
+
     def __init__(self, params: dict[str, Parameter], config: TrainConfig):
         self.params = params
         self.config = config
         self.step_count = 0
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self._scratch = np.empty((2, self.BLOCK), dtype=DTYPE)
 
     def step(self, lr: float) -> None:
         c = self.config
@@ -71,12 +81,22 @@ class Adam:
         bc1 = 1.0 - c.beta1**self.step_count
         bc2 = 1.0 - c.beta2**self.step_count
         for k, p in self.params.items():
-            m, v = self.m[k], self.v[k]
-            m *= c.beta1
-            m += (1 - c.beta1) * p.grad
-            v *= c.beta2
-            v += (1 - c.beta2) * p.grad**2
-            p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            flat = [a.reshape(-1, copy=False) for a in (p.value, p.grad, self.m[k], self.v[k])]
+            for lo in range(0, p.value.size, self.BLOCK):
+                w, g, m, v = (a[lo : lo + self.BLOCK] for a in flat)
+                a, b = (buf[: len(w)] for buf in self._scratch)
+                # m = beta1 * m + (1 - beta1) * g
+                m *= c.beta1
+                m += np.multiply(g, 1 - c.beta1, out=a)
+                # v = beta2 * v + (1 - beta2) * g**2
+                v *= c.beta2
+                np.square(g, out=a)
+                v += np.multiply(a, 1 - c.beta2, out=a)
+                # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+                np.sqrt(np.divide(v, bc2, out=a), out=a)
+                a += c.eps
+                np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+                w -= np.divide(b, a, out=b)
 
 
 def plan_batch(flat_plan: Sequence[int], batch_size: int, step: int) -> list[int]:
@@ -185,6 +205,16 @@ def save_checkpoint(
                 zf.writestr(f"{kind}/{name}.npy", buf.getvalue())
 
 
+class _NoDraw(np.random.Generator):
+    """A generator whose draws are uninitialised arrays: it builds a model
+    of the right shapes for a reader that then fills every parameter."""
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return np.empty(size, dtype=DTYPE)
+
+    uniform = normal
+
+
 def _read_checkpoint(path: Path | str, optimizer: bool) -> tuple[dict, Transformer, Adam | None]:
     """The one checkpoint reader: metadata, the model and, when ``optimizer``
     is set, Adam with its moments; otherwise the moments are not read.
@@ -200,7 +230,8 @@ def _read_checkpoint(path: Path | str, optimizer: bool) -> tuple[dict, Transform
         meta = json.loads(zf.read("meta.json"))
         if meta.get("format") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        model = Transformer(ModelConfig(**meta["model_config"]))
+        # every parameter is read below, so none is drawn
+        model = Transformer(ModelConfig(**meta["model_config"]), seed=_NoDraw(np.random.PCG64(0)))
         params = {k: p.value for k, p in model.parameters().items()}
         expected = {"meta.json"} | {
             f"{kind}/{name}.npy" for kind in ("param", "adam_m", "adam_v") for name in params

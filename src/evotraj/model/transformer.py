@@ -31,7 +31,9 @@ class ModelConfig:
 
 
 class Transformer(Module):
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | np.random.Generator = 0):
+        """Parameters are drawn from ``np.random.default_rng(seed)``; a
+        Generator is used as given."""
         rng = np.random.default_rng(seed)
         self.config = config
         self.embed = Embedding(config.vocab_size, config.hidden, rng)
@@ -54,13 +56,15 @@ class Transformer(Module):
     def logits(self, ids: np.ndarray, rows=None) -> np.ndarray:
         """(B, T, V) next-token logits. ``rows`` indexes the (B, T) positions,
         e.g. a (batch indices, positions) pair; then only those positions go
-        through the head and the result is (rows, V). Only a full forward can
-        be followed by ``backward``."""
+        through the head and the result is (rows, V). ``backward`` follows
+        either form; for a gathered forward the rows must be distinct, as
+        ``np.nonzero`` of a mask gives them."""
         ids = self._check_input(ids)
         x = self.embed.forward(ids)
         for block in self.blocks:
             x = block.forward(x)
         x = self.ln_f.forward(x)
+        self._rows, self._hidden_shape = rows, x.shape
         if rows is not None:
             x = x[rows]
         return self.head.forward(x)
@@ -71,7 +75,14 @@ class Transformer(Module):
         return softmax(self.logits(ids, rows))
 
     def backward(self, grad_logits: np.ndarray) -> None:
+        """Backpropagate the gradient of the last ``logits`` call's output:
+        (B, T, V), or (rows, V) for a gathered forward."""
         dx = self.head.backward(grad_logits)
+        if self._rows is not None:
+            # positions outside the rows had no head output, so no gradient
+            full = np.zeros(self._hidden_shape)
+            full[self._rows] = dx
+            dx = full
         dx = self.ln_f.backward(dx)
         for block in reversed(self.blocks):
             dx = block.backward(dx)
@@ -99,21 +110,44 @@ def masked_cross_entropy(
     targets[i, t] is the token to predict from position t; target_mask selects
     trajectory-token targets only, so prefix and padding positions contribute
     nothing.
+
+    ``logits`` is either the full (B, T, V) array, left untouched, with a
+    (B, T, V) gradient that is zero outside the mask; or the (n, V) logits of
+    the mask's rows in ``np.nonzero(target_mask)`` order, as
+    ``Transformer.logits(ids, rows=np.nonzero(target_mask))`` returns them.
+    Those are overwritten: the gradient, (n, V), is computed in place.
     """
     if not target_mask.any():
         raise ValueError("batch has no trajectory-token targets")
-    probs = softmax(logits)
-    b_idx, t_idx = np.nonzero(target_mask)
-    n = len(b_idx)
-    picked = probs[b_idx, t_idx, targets[b_idx, t_idx]]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-    grad = None
+    rows = np.nonzero(target_mask)
+    if logits.ndim == 2:
+        if len(logits) != len(rows[0]):
+            raise ValueError(
+                f"{len(logits)} logit rows for {len(rows[0])} mask-true targets"
+            )
+        return _row_cross_entropy(logits, targets[rows], compute_grad)
+    result = _row_cross_entropy(logits[rows], targets[rows], compute_grad)
     if compute_grad:
         grad = np.zeros_like(logits)
-        grad[b_idx, t_idx] = probs[b_idx, t_idx]
-        grad[b_idx, t_idx, targets[b_idx, t_idx]] -= 1.0
-        grad /= n
-    return LossResult(loss=loss, n_targets=n, grad_logits=grad)
+        grad[rows] = result.grad_logits
+        result.grad_logits = grad
+    return result
+
+
+def _row_cross_entropy(z: np.ndarray, targets: np.ndarray, compute_grad: bool) -> LossResult:
+    """Mean cross-entropy of (n, V) logits ``z`` against n target ids.
+
+    ``z`` becomes the softmax and then, with ``compute_grad``, the gradient
+    (p - onehot) / n: one (n, V) array in all."""
+    n = len(targets)
+    softmax(z, out=z)
+    at_target = (np.arange(n), targets)
+    loss = float(-np.log(np.maximum(z[at_target], 1e-300)).mean())
+    if not compute_grad:
+        return LossResult(loss=loss, n_targets=n)
+    z[at_target] -= 1.0
+    z /= n
+    return LossResult(loss=loss, n_targets=n, grad_logits=z)
 
 
 def trajectory_loss(
@@ -123,7 +157,11 @@ def trajectory_loss(
     target_mask: np.ndarray,
     compute_grad: bool = True,
 ) -> LossResult:
-    return masked_cross_entropy(model.logits(inputs), targets, target_mask, compute_grad)
+    """``masked_cross_entropy`` of the model on a batch. Only the loss rows go
+    through the head, so ``grad_logits`` is (n_targets, V); pass it to
+    ``model.backward``."""
+    logits = model.logits(inputs, rows=np.nonzero(target_mask))
+    return masked_cross_entropy(logits, targets, target_mask, compute_grad)
 
 
 def batch_arrays(

@@ -308,3 +308,15 @@ def read_token_stream(path: Path | str) -> list[TokenizedSample]:
                 )
             )
         return out
+
+
+def check_token_ids(samples: Sequence[TokenizedSample], vocab_size: int, path: Path | str) -> None:
+    """Raise ValueError naming ``path`` and the sample index for the first
+    sample of a stream read from ``path`` that holds a token id outside the
+    vocabulary."""
+    for i, s in enumerate(samples):
+        top = max(s.tokens, default=0)
+        if top >= vocab_size:
+            raise ValueError(
+                f"{path}: sample {i} has token id {top}, outside the vocabulary of {vocab_size}"
+            )

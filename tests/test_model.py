@@ -20,8 +20,8 @@ from evotraj.model import (
     trajectory_loss,
 )
 from evotraj.model.ranking import top_k_unseen
-from evotraj.model.nn import CausalSelfAttention, rope_angles, rope_rotate
-from evotraj.model.training import TrainingDiverged, plan_batch
+from evotraj.model.nn import CausalSelfAttention, Gelu, Linear, Parameter, rope_angles, rope_rotate
+from evotraj.model.training import Adam, TrainingDiverged, plan_batch
 from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, TokenizedSample, Tokenizer
 
 VOCAB = 97
@@ -209,6 +209,150 @@ class TestGradients:
                 worst = max(worst, rel)
                 assert rel < 1e-4, f"{name}[{i}]: analytic {gflat[i]:.3e} vs fd {fd:.3e}"
         assert worst < 1e-4
+
+
+def prefixed_batch(seed=0, vocab=VOCAB):
+    """A training batch with prefix rows and, from uneven lengths, padding."""
+    rng = np.random.default_rng(seed)
+    samples = [
+        (rng.integers(0, vocab, size=n), prefix) for n, prefix in [(12, 5), (7, 5), (9, 3), (6, 1)]
+    ]
+    return batch_arrays(samples)
+
+
+class TestLossRows:
+    """The training step runs the head and the loss on the loss rows only."""
+
+    def test_grad_logits_are_loss_rows(self):
+        model = Transformer(DESK, seed=5)
+        inputs, targets, mask = prefixed_batch()
+        assert not mask.all()
+        res = trajectory_loss(model, inputs, targets, mask)
+        assert res.grad_logits.shape == (mask.sum(), VOCAB) == (res.n_targets, VOCAB)
+
+    def test_equals_full_logits_path(self):
+        inputs, targets, mask = prefixed_batch(seed=1)
+        rows_model, full_model = Transformer(DESK, seed=6), Transformer(DESK, seed=6)
+        rows_model.zero_grad()
+        rows = trajectory_loss(rows_model, inputs, targets, mask)
+        rows_model.backward(rows.grad_logits)
+        full_model.zero_grad()
+        full = masked_cross_entropy(full_model.logits(inputs), targets, mask)
+        assert full.grad_logits.shape == inputs.shape + (VOCAB,)
+        full_model.backward(full.grad_logits)
+        assert rows.loss == pytest.approx(full.loss, rel=1e-12)
+        full_params = full_model.parameters()
+        for name, p in rows_model.parameters().items():
+            assert np.allclose(p.grad, full_params[name].grad, rtol=0, atol=1e-12), name
+
+    def test_row_logits_form_matches_full_form(self):
+        logits = np.random.default_rng(2).normal(size=(3, 6, VOCAB))
+        targets = np.random.default_rng(3).integers(0, VOCAB, size=(3, 6))
+        mask = np.random.default_rng(4).random((3, 6)) < 0.5
+        mask[1, 2] = True
+        full = masked_cross_entropy(logits.copy(), targets, mask)
+        rows = masked_cross_entropy(logits[np.nonzero(mask)], targets, mask)
+        assert rows.loss == full.loss
+        assert np.array_equal(rows.grad_logits, full.grad_logits[mask])
+        with pytest.raises(ValueError, match="logit rows for"):
+            masked_cross_entropy(logits[np.nonzero(mask)][:-1], targets, mask)
+
+    def test_finite_difference_through_gathered_rows(self):
+        # any distinct rows, not just a loss mask, and an arbitrary linear
+        # function of the gathered logits
+        model = Transformer(ModelConfig(vocab_size=VOCAB, layers=1, hidden=32, heads=4), seed=7)
+        ids, _, _ = small_batch(seed=8, b=3, t=9)
+        rows = (np.array([0, 2, 2, 1]), np.array([8, 0, 4, 6]))
+        weights = np.random.default_rng(9).normal(size=(4, VOCAB))
+
+        def f():
+            return float((weights * model.logits(ids, rows=rows)).sum())
+
+        model.zero_grad()
+        f()
+        model.backward(weights)
+        rng = np.random.default_rng(10)
+        for name, p in model.parameters().items():
+            flat, gflat = p.value.reshape(-1), p.grad.reshape(-1)
+            if name == "embed.weight":
+                cols = p.value.shape[1]
+                idxs = [r * cols + rng.integers(0, cols) for r in np.unique(ids)[:4]]
+            else:
+                idxs = rng.choice(flat.size, size=min(4, flat.size), replace=False)
+            for i in idxs:
+                h = 1e-5 * max(1.0, abs(flat[i]))
+                orig = flat[i]
+                flat[i] = orig + h
+                up = f()
+                flat[i] = orig - h
+                down = f()
+                flat[i] = orig
+                fd = (up - down) / (2 * h)
+                rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
+                assert rel < 1e-4, f"{name}[{i}]: analytic {gflat[i]:.3e} vs fd {fd:.3e}"
+
+
+class TestLayers:
+    def test_gelu_matches_closed_form(self):
+        x = np.concatenate([np.linspace(-12.0, 12.0, 2401), [-40.0, -10.0, 10.0, 40.0]])
+        c = math.sqrt(2.0 / math.pi)
+        tanh = np.tanh(c * (x + 0.044715 * np.power(x, 3)))
+        expected = 0.5 * x * (1.0 + tanh)
+        d_expected = 0.5 * (1.0 + tanh) + 0.5 * x * (1.0 - tanh**2) * c * (
+            1.0 + 3 * 0.044715 * np.power(x, 2)
+        )
+        gelu = Gelu()
+        y = gelu.forward(x.copy())
+        assert np.allclose(y, expected, rtol=1e-13, atol=1e-300)
+        assert np.allclose(gelu.backward(np.ones_like(x)), d_expected, rtol=1e-13, atol=1e-300)
+        big = np.abs(x) >= 10
+        assert np.array_equal(y[big & (x > 0)], x[big & (x > 0)])
+        assert np.all(np.abs(y[big & (x < 0)]) < 1e-30)
+
+    def test_linear_equals_row_by_row(self):
+        rng = np.random.default_rng(11)
+        layer = Linear(8, 5, rng)
+        layer.bias.value[...] = rng.normal(size=5)
+        x = rng.normal(size=(3, 4, 8))
+        g = rng.normal(size=(3, 4, 5))
+        y = layer.forward(x)
+        dx = layer.backward(g)
+        w, b = layer.weight.value, layer.bias.value
+        assert y.shape == (3, 4, 5) and dx.shape == x.shape
+        w_grad, b_grad = np.zeros_like(w), np.zeros_like(b)
+        for i in range(3):
+            for t in range(4):
+                assert np.allclose(y[i, t], x[i, t] @ w + b, rtol=0, atol=1e-12)
+                assert np.allclose(dx[i, t], w @ g[i, t], rtol=0, atol=1e-12)
+                w_grad += np.outer(x[i, t], g[i, t])
+                b_grad += g[i, t]
+        assert np.allclose(layer.weight.grad, w_grad, rtol=0, atol=1e-12)
+        assert np.allclose(layer.bias.grad, b_grad, rtol=0, atol=1e-12)
+
+
+class TestAdam:
+    def test_bit_identical_to_reference_formula(self):
+        rng = np.random.default_rng(12)
+        # one parameter spans several update blocks, with a partial last one
+        shapes = {"small": (3, 5), "blocks": (2 * Adam.BLOCK + 7,), "matrix": (40, 30)}
+        params = {k: Parameter(rng.normal(size=s)) for k, s in shapes.items()}
+        ref = {k: p.value.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        c = TrainConfig()
+        opt = Adam(params, c)
+        for step in range(1, 6):
+            lr = 0.01 / step
+            bc1, bc2 = 1.0 - c.beta1**step, 1.0 - c.beta2**step
+            for k, p in params.items():
+                p.grad[...] = rng.normal(size=shapes[k]) * 10.0 ** rng.uniform(-6, 2)
+                m[k] = c.beta1 * m[k] + (1 - c.beta1) * p.grad
+                v[k] = c.beta2 * v[k] + (1 - c.beta2) * p.grad**2
+                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + c.eps)
+            opt.step(lr)
+            for k, p in params.items():
+                assert np.array_equal(p.value, ref[k]), (step, k)
+                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), (step, k)
 
 
 def toy_dataset(tok: Tokenizer, n=64, seed=0):

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -338,6 +339,31 @@ class TestUpstreamVerification:
         ])
         assert code == 2
         assert "artifact 'epoch_001'" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
+
+    def test_train_rejects_token_id_outside_vocabulary(self, pipeline_run, tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline_run["dataset"], ds)
+        vocab_size = int(json.loads((ds / "stats.json").read_text())["vocab_size"])
+        data = bytearray((ds / "tokens.bin").read_bytes())
+        # walk the stream to sample 2 and give its first token an id one
+        # past the vocabulary; the manifest is rewritten to match, so only
+        # the id check can catch it
+        offset = 12
+        for _ in range(2):
+            n_prefix, _, n_traj = struct.unpack_from("<III", data, offset)
+            offset += 12 + 4 * (n_prefix + n_traj)
+        struct.pack_into("<I", data, offset + 12, vocab_size)
+        (ds / "tokens.bin").write_bytes(bytes(data))
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["outputs"]["tokens"]["sha256"] = sha256_file(ds / "tokens.bin")
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        verify_against_manifest(ds)
+        with pytest.raises(ValueError, match=r"tokens\.bin: sample 2 has token id \d+, outside"):
+            main([
+                "train", "--dataset", str(ds), "--plans", str(pipeline_run["plans"]),
+                "--out", str(tmp_path / "t"), *SMALL_SETTINGS,
+            ])
         assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
 
     def test_train_reads_only_plans_named_by_the_manifest(self, pipeline_run, tmp_path):

@@ -30,3 +30,13 @@ def test_drift_scripts(name, capsys):
     assert load_script(name).run(["--depth", "5", "--steps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any(line.split()[:1] == ["all"] for line in lines)
+
+
+def test_ablation_rejects_a_split_that_selects_nothing():
+    # at depth 3 the temporally adjusted probabilities sum below 1, so no
+    # epoch selects a sequence; the plan builder must say so, not loop
+    script = load_script("run_weighting_ablation")
+    with pytest.raises(ValueError, match=r"sum to 0\.\d+ < 1"):
+        script.run(["--depth", "3", "--steps", "1"])
+    with pytest.raises(ValueError, match="sum to 0 < 1"):
+        script.build_plan([], 32, seed=0)

@@ -1,8 +1,9 @@
 """Pipeline command-line interface.
 
 Stages write into an output directory with a config snapshot and a hash
-manifest; later stages verify the hashes of what they consume. Run
-``evotraj <stage> --help`` for per-stage flags.
+manifest; later stages check each file they read from an earlier stage
+against that stage's manifest. Run ``evotraj <stage> --help`` for per-stage
+flags.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .model import (
 from .pipeline import (
     PipelineConfig,
     StaleArtifactError,
-    require_hash_match,
     sha256_file,
     verify_against_manifest,
     write_atomic,
@@ -43,16 +43,25 @@ from .tokenizer import LayoutSpec, Tokenizer, check_token_ids, read_token_stream
 from .tree import PartialDate, extract_all_trajectories, parse_tree, serialize_tree, split_train_eval
 
 
-# inputs a stage records in its manifest whenever they are given
-OPTIONAL_INPUTS = ("population", "definitions", "nextstrain", "freq")
+# inputs that earlier stages write; every other input comes from outside
+UPSTREAM_INPUTS = ("tokens", "layout", "weights", "checkpoint", "definitions")
+
+
+def _input_hash(key: str, path: Path) -> str:
+    """The sha256 of an input; an upstream one must be listed with it in the
+    manifest of the directory holding it."""
+    if key in UPSTREAM_INPUTS:
+        return verify_against_manifest(path.parent, only=path.name).popitem()[1]["sha256"]
+    return sha256_file(path)
 
 
 class _Stage:
     """One stage run: its config (``--config``, then ``--set`` and ``--seed``),
-    the outputs named so far in the output directory (created on first use),
-    and the manifest recording them."""
+    its input files (``None`` for one not given), each hashed once before any
+    work, the outputs named so far in the output directory (created on first
+    use), and the manifest recording them all."""
 
-    def __init__(self, args, name: str):
+    def __init__(self, args, name: str, **inputs: Path | str | None):
         self.args = args
         self.name = name
         self.config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
@@ -63,6 +72,10 @@ class _Stage:
             self.config.set(key, value)
         if args.seed is not None:
             self.config.seed = args.seed
+        self.inputs = {
+            key: {"path": str(path), "sha256": _input_hash(key, Path(path))}
+            for key, path in inputs.items() if path
+        }
         self.outputs: dict[str, Path] = {}
 
     def output(self, key: str, filename: str) -> Path:
@@ -71,13 +84,8 @@ class _Stage:
         self.outputs[key] = out_dir / filename
         return self.outputs[key]
 
-    def finish(self, inputs: dict[str, Path | str]) -> None:
-        """Write the manifest, recording ``inputs`` and every optional input
-        given on the command line."""
-        for name in OPTIONAL_INPUTS:
-            if getattr(self.args, name, None):
-                inputs[name] = getattr(self.args, name)
-        write_manifest(self.args.out, self.name, self.config, inputs, self.outputs)
+    def finish(self) -> None:
+        write_manifest(self.args.out, self.name, self.config, self.inputs, self.outputs)
 
 
 def _from_config(cls, config: PipelineConfig, **overrides):
@@ -127,12 +135,25 @@ def _split(args, config: PipelineConfig, **kwargs):
     )
 
 
-def _checked_model(args) -> Transformer:
-    """The ``--checkpoint`` model, refused unless it was trained on the
-    ``--layout`` tokenizer layout."""
-    model, meta = load_model(args.checkpoint)
-    require_hash_match("tokenizer layout", meta["layout_hash"], sha256_file(args.layout))
+def _checked_model(stage: _Stage) -> Transformer:
+    """The ``checkpoint`` input's model, refused unless it was trained on the
+    ``layout`` input's tokenizer layout."""
+    model, meta = load_model(stage.args.checkpoint)
+    expected, actual = meta["layout_hash"], stage.inputs["layout"]["sha256"]
+    if expected and expected != actual:
+        raise StaleArtifactError(
+            f"hash mismatch for tokenizer layout: expected {expected[:12]}, found {actual[:12]}"
+        )
     return model
+
+
+def _ranked_table(path: str, config: PipelineConfig, k: int, tok: Tokenizer) -> tuple[str, list]:
+    """An estimator table's kind and its ``k`` best entries with their scores:
+    token ids for a nucleotide table, amino-acid mutations otherwise."""
+    table = baseline_mod.load_bloom_table(path)
+    if table.kind == "nt":
+        return table.kind, baseline_mod.rank_nt_table(table, config.baseline_mode, k, tok, config.alpha)
+    return table.kind, baseline_mod.rank_aa_table(table, config.baseline_mode, k, config.alpha)
 
 
 def _parse_mut_list(text: str) -> list[NtMutation]:
@@ -143,37 +164,34 @@ def cmd_simulate(args) -> int:
     stage = _Stage(args, "simulate")
     out = synth.generate(_synth_config(stage.config))
     stage.outputs.update(synth.write_outputs(out, args.out))
-    stage.finish({})
+    stage.finish()
     print(f"simulate: {out.n_leaves} leaves, {len(out.tree)} nodes -> {args.out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    stage = _Stage(args, "ingest")
+    stage = _Stage(args, "ingest", tree=args.tree)
     tree = parse_tree(args.tree)
-    variants_tagged = {n.variant_name for n in tree.nodes.values() if n.variant_name}
     stats = {
         "n_nodes": len(tree),
         "n_leaves": sum(1 for _ in tree.leaves()),
-        "n_variants": len(variants_tagged),
+        "n_variants": len(tree.variant_roots),
     }
     write_atomic(stage.output("tree", "tree.jsonl"), serialize_tree(tree))
     write_json(stage.output("stats", "stats.json"), stats)
-    stage.finish({"tree": args.tree})
+    stage.finish()
     print(f"ingest: {stats['n_nodes']} nodes, {stats['n_leaves']} leaves, "
           f"{stats['n_variants']} variants -> {args.out}")
     return 0
 
 
 def cmd_refine_variants(args) -> int:
-    stage = _Stage(args, "refine-variants")
+    stage = _Stage(args, "refine-variants", tree=args.tree, nextstrain=args.nextstrain, freq=args.freq)
     tree = parse_tree(args.tree)
-    nextstrain = (
-        variants.load_nextstrain_definitions(args.nextstrain) if args.nextstrain else {}
-    )
+    nextstrain = variants.load_nextstrain_definitions(args.nextstrain) if args.nextstrain else {}
     freq = variants.FrequencyTable.load_csv(args.freq) if args.freq else None
     recombinants = set((args.recombinants or "").split(",")) - {""}
-    names = sorted({n.variant_name for n in tree.nodes.values() if n.variant_name})
+    names = sorted(tree.variant_roots)
     refined = [
         variants.refine_definition(
             tree, name, nextstrain.get(name), freq, is_recombinant=name in recombinants
@@ -182,13 +200,14 @@ def cmd_refine_variants(args) -> int:
     ]
     defs_out = stage.output("definitions", "definitions.json")
     variants.save_definitions(refined, defs_out)
-    stage.finish({"tree": args.tree})
+    stage.finish()
     print(f"refine-variants: {len(refined)} definitions -> {defs_out}")
     return 0
 
 
 def cmd_build_dataset(args) -> int:
-    stage = _Stage(args, "build-dataset")
+    stage = _Stage(args, "build-dataset", tree=args.tree, population=args.population,
+                   definitions=args.definitions, layout=args.layout)
     config = stage.config
     split = _split(args, config)
     if args.layout:
@@ -227,45 +246,39 @@ def cmd_build_dataset(args) -> int:
         "t0_month": wcfg.t0_month,
     }
     write_json(stage.output("stats", "stats.json"), stats)
-    stage.finish({"tree": args.tree})
+    stage.finish()
     print(f"build-dataset: {len(split.train)} training sequences, vocab {tok.vocab_size} -> {args.out}")
     return 0
 
 
-def _read_weights(path: Path) -> list[float]:
-    with open(path, newline="") as f:
-        return [float(row["p_adjusted"]) for row in csv.DictReader(f)]
-
-
 def cmd_sample_plan(args) -> int:
-    stage = _Stage(args, "sample-plan")
+    weights = Path(args.dataset) / "weights.csv"
+    stage = _Stage(args, "sample-plan", weights=weights)
     config = stage.config
-    dataset = Path(args.dataset)
-    verify_against_manifest(dataset)
-    probs = _read_weights(dataset / "weights.csv")
+    with open(weights, newline="") as f:
+        probs = [float(row["p_adjusted"]) for row in csv.DictReader(f)]
     total = 0
     for epoch in range(config.epochs):
         selection = sampler.run_epoch(probs, seed=config.seed + epoch, n_workers=config.workers)
         name = f"epoch_{epoch:03d}"
         plan_path = stage.output(name, f"{name}.plan")
-        sampler.save_plan(selection, plan_path, config_hash=config.config_hash())
+        sampler.save_plan(selection, plan_path)
         total += selection.total_copies
-    stage.finish({"weights": dataset / "weights.csv"})
+    stage.finish()
     print(f"sample-plan: {config.epochs} epochs, {total} total selections -> {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    stage = _Stage(args, "train")
-    config = stage.config
     dataset = Path(args.dataset)
-    verify_against_manifest(dataset)
+    stage = _Stage(args, "train", tokens=dataset / "tokens.bin", layout=dataset / "layout.txt")
+    config = stage.config
     tok = Tokenizer.load(dataset / "layout.txt")
     samples = read_token_stream(dataset / "tokens.bin")
     check_token_ids(samples, tok.vocab_size, dataset / "tokens.bin")
     plans = Path(args.plans)
     # only the plan files the verified manifest names are read
-    outputs = verify_against_manifest(plans)["outputs"]
+    outputs = verify_against_manifest(plans)
     plan_paths = [
         plans / outputs[name]["path"] for name in sorted(outputs) if name.startswith("epoch_")
     ]
@@ -281,11 +294,11 @@ def cmd_train(args) -> int:
     save_checkpoint(
         state,
         ckpt_out,
-        layout_hash=sha256_file(dataset / "layout.txt"),
+        layout_hash=stage.inputs["layout"]["sha256"],
         config_hash=config.config_hash(),
     )
     write_training_log(state, stage.output("log", "train_log.csv"))
-    stage.finish({"tokens": dataset / "tokens.bin", "layout": dataset / "layout.txt"})
+    stage.finish()
     print(f"train: {state.step} steps, final loss {state.final_loss:.4f} -> {ckpt_out}")
     return 0
 
@@ -301,8 +314,8 @@ def _context_tokens(tok: Tokenizer, args) -> list[int]:
 
 
 def cmd_predict(args) -> int:
-    stage = _Stage(args, "predict")
-    model = _checked_model(args)
+    stage = _Stage(args, "predict", checkpoint=args.checkpoint, layout=args.layout)
+    model = _checked_model(stage)
     tok = Tokenizer.load(args.layout)
     rank_fn = rank_without_location if args.no_location else rank_next_mutations
     pred = rank_fn(model, tok, _context_tokens(tok, args), k=args.k)
@@ -315,34 +328,33 @@ def cmd_predict(args) -> int:
             for i, (token, score) in enumerate(zip(pred.tokens, pred.scores), start=1)
         ),
     )
-    stage.finish({"checkpoint": args.checkpoint, "layout": args.layout})
+    stage.finish()
     print(f"predict: top {len(pred.tokens)} -> {ranked_out}")
     return 0
 
 
 def cmd_baseline_rank(args) -> int:
-    stage = _Stage(args, "baseline-rank")
+    stage = _Stage(args, "baseline-rank", table=args.table)
     config = stage.config
-    table = baseline_mod.load_bloom_table(args.table)
-    if table.kind == "nt":
-        tok = Tokenizer(_from_config(LayoutSpec, config))
-        ranked = baseline_mod.rank_nt_table(table, config.baseline_mode, args.k, tok, config.alpha)
+    tok = Tokenizer(_from_config(LayoutSpec, config))
+    kind, ranked = _ranked_table(args.table, config, args.k, tok)
+    if kind == "nt":
         ranked = [(tok.mutation_of_token(token), score) for token, score in ranked]
-    else:
-        ranked = baseline_mod.rank_aa_table(table, config.baseline_mode, args.k, config.alpha)
     ranked_out = stage.output("ranked", "ranked.csv")
     write_csv(
         ranked_out,
         ["rank", "mutation", "score"],
         ([i, mut.fmt(), f"{score:.8g}"] for i, (mut, score) in enumerate(ranked, start=1)),
     )
-    stage.finish({"table": args.table})
+    stage.finish()
     print(f"baseline-rank: {config.baseline_mode} top {args.k} -> {ranked_out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    stage = _Stage(args, "evaluate")
+    stage = _Stage(args, "evaluate", tree=args.tree, layout=args.layout, checkpoint=args.checkpoint,
+                   baseline=args.baseline, population=args.population, definitions=args.definitions,
+                   annotation=args.annotation, reference=args.reference)
     config = stage.config
     tok = Tokenizer.load(args.layout)
     spike_map = None
@@ -356,23 +368,13 @@ def cmd_evaluate(args) -> int:
     if not eval_trajs:
         raise SystemExit("evaluation set is empty for the configured cutoffs")
 
-    inputs = {"tree": args.tree, "layout": args.layout}
     if args.checkpoint:
-        model = _checked_model(args)
+        model = _checked_model(stage)
         predictor = evaluation.ModelPredictor(model, tok, use_location=not args.no_location)
-        inputs["checkpoint"] = args.checkpoint
-    elif args.baseline:
-        table = baseline_mod.load_bloom_table(args.baseline)
-        k_max = max(config.k_list)
-        if table.kind == "nt":
-            ranked = baseline_mod.rank_nt_table(table, config.baseline_mode, k_max, tok, config.alpha)
-            predictor = evaluation.StaticPredictor([t for t, _ in ranked])
-        else:
-            ranked_aa = baseline_mod.rank_aa_table(table, config.baseline_mode, k_max, config.alpha)
-            predictor = evaluation.StaticAaPredictor([m for m, _ in ranked_aa])
-        inputs["baseline"] = args.baseline
     else:
-        raise SystemExit("evaluate needs --checkpoint or --baseline")
+        kind, ranked = _ranked_table(args.baseline, config, max(config.k_list), tok)
+        static = evaluation.StaticPredictor if kind == "nt" else evaluation.StaticAaPredictor
+        predictor = static([entry for entry, _ in ranked])
 
     # recall is weighted by each sequence's representativeness r alone,
     # whatever the training switches
@@ -404,7 +406,7 @@ def cmd_evaluate(args) -> int:
         "n_excluded_no_signal": split.n_excluded_no_signal,
     }
     write_json(stage.output("stats", "eval_stats.json"), stats)
-    stage.finish(inputs)
+    stage.finish()
     for r in reports:
         if r.slice_label.endswith("all"):
             print(
@@ -483,8 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--tree", required=True)
     p.add_argument("--layout", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--baseline", help="estimator table to evaluate instead of a checkpoint")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--baseline", help="estimator table to evaluate instead of a checkpoint")
     p.add_argument("--population")
     p.add_argument("--definitions")
     p.add_argument("--annotation")

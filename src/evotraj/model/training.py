@@ -6,7 +6,6 @@ so resuming from a checkpoint replays the exact remaining stream.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import zipfile
@@ -22,6 +21,7 @@ from .nn import DTYPE, Parameter
 from .transformer import ModelConfig, Transformer, batch_arrays, trajectory_loss
 
 CHECKPOINT_MAGIC = "evotraj-checkpoint-v1"
+ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # every checkpoint entry's timestamp
 
 
 class TrainingDiverged(RuntimeError):
@@ -181,7 +181,8 @@ def save_checkpoint(
     layout_hash: str = "",
     config_hash: str = "",
 ) -> None:
-    """Self-describing zip of float64 parameter/optimizer arrays plus metadata."""
+    """Self-describing zip of float64 parameter/optimizer arrays plus metadata;
+    entries carry a fixed timestamp, so equal states give identical bytes."""
     meta = {
         "format": CHECKPOINT_MAGIC,
         "model_config": asdict(state.model.config),
@@ -193,16 +194,17 @@ def save_checkpoint(
         "config_hash": config_hash,
     }
     with atomic_output(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zf:
-        zf.writestr("meta.json", json.dumps(meta, sort_keys=True, indent=1))
+        meta_entry = zipfile.ZipInfo("meta.json", ZIP_EPOCH)
+        zf.writestr(meta_entry, json.dumps(meta, sort_keys=True, indent=1))
         for kind, arrays in (
             ("param", {k: p.value for k, p in state.model.parameters().items()}),
             ("adam_m", state.optimizer.m),
             ("adam_v", state.optimizer.v),
         ):
             for name, arr in arrays.items():
-                buf = io.BytesIO()
-                np.save(buf, arr.astype(DTYPE))
-                zf.writestr(f"{kind}/{name}.npy", buf.getvalue())
+                entry = zipfile.ZipInfo(f"{kind}/{name}.npy", ZIP_EPOCH)
+                with zf.open(entry, "w", force_zip64=True) as f:
+                    np.lib.format.write_array(f, np.asarray(arr, dtype=DTYPE))
 
 
 class _NoDraw(np.random.Generator):

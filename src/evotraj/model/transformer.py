@@ -88,9 +88,6 @@ class Transformer(Module):
             dx = block.backward(dx)
         self.embed.backward(dx)
 
-    def n_parameters(self) -> int:
-        return sum(p.value.size for p in self.parameters().values())
-
 
 @dataclass
 class LossResult:

@@ -4,8 +4,8 @@ Every pipeline stage writes its outputs atomically together with a config
 snapshot and a manifest recording the sha256 of each input and output file.
 Output paths are stored relative to the stage directory, so a moved or copied
 stage directory is verified against its own files. Downstream stages refuse
-to run when a recorded output hash no longer matches the file on disk, naming
-the stale artifact.
+to read a file an earlier stage wrote unless that stage's manifest lists it
+with the hash it has on disk, naming the stale artifact.
 """
 
 from __future__ import annotations
@@ -183,14 +183,14 @@ def write_manifest(
     out_dir: Path | str,
     stage: str,
     config: PipelineConfig,
-    inputs: dict[str, Path | str],
+    inputs: dict[str, dict[str, str]],
     outputs: dict[str, Path | str],
 ) -> Path:
-    """Record input/output hashes and snapshot the config next to the outputs.
+    """Hash the outputs and record them, with the already hashed ``inputs``
+    (name -> {"path", "sha256"}), next to a snapshot of the config.
 
     Output paths are recorded relative to ``out_dir`` as POSIX strings; an
-    output outside ``out_dir`` raises ``ValueError``. Input paths are recorded
-    as given.
+    output outside ``out_dir`` raises ``ValueError``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,7 +199,7 @@ def write_manifest(
     manifest = {
         "stage": stage,
         "config_hash": config.config_hash(),
-        "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in inputs.items()},
+        "inputs": inputs,
         "outputs": {
             name: {"path": _relative_to_stage(p, out_dir), "sha256": sha256_file(p)}
             for name, p in outputs.items()
@@ -217,14 +217,19 @@ def _relative_to_stage(path: Path | str, out_dir: Path) -> str:
         raise ValueError(f"output {path} is outside the stage directory {out_dir}") from None
 
 
-def verify_against_manifest(out_dir: Path | str) -> dict:
-    """Re-hash the outputs in ``out_dir`` named by its manifest; raise
-    ``StaleArtifactError`` naming a missing manifest or any stale artifact."""
+def verify_against_manifest(out_dir: Path | str, only: str | None = None) -> dict[str, dict]:
+    """Re-hash the outputs in ``out_dir`` named by its manifest, or only the
+    one stored at file name ``only``, and return their entries by name; raise
+    ``StaleArtifactError`` naming a missing manifest, an unlisted ``only`` or
+    any stale artifact."""
     out_dir = Path(out_dir)
     if not (out_dir / "manifest.json").exists():
         raise StaleArtifactError(f"stage directory {out_dir} has no manifest.json")
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    for name, entry in manifest["outputs"].items():
+    outputs = {n: e for n, e in manifest["outputs"].items() if only in (None, e["path"])}
+    if only is not None and not outputs:
+        raise StaleArtifactError(f"artifact {out_dir / only} is not listed in its manifest.json")
+    for name, entry in outputs.items():
         path = out_dir / entry["path"]
         if not path.exists():
             raise StaleArtifactError(f"artifact {name!r} at {path} is missing")
@@ -234,11 +239,4 @@ def verify_against_manifest(out_dir: Path | str) -> dict:
                 f"artifact {name!r} at {path} is stale: "
                 f"recorded {entry['sha256'][:12]}, found {actual[:12]}"
             )
-    return manifest
-
-
-def require_hash_match(label: str, expected: str, actual: str) -> None:
-    if expected and expected != actual:
-        raise StaleArtifactError(
-            f"hash mismatch for {label}: expected {expected[:12]}, found {actual[:12]}"
-        )
+    return outputs

@@ -9,10 +9,9 @@ selection is reproducible for any worker count.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,7 +41,6 @@ class WorkerState:
 class EpochSelection:
     """Ordered (sequence id, copies) per worker; copies >= 1."""
 
-    seed: int
     per_worker: list[list[tuple[int, int]]]
 
     def flatten(self) -> list[int]:
@@ -88,30 +86,20 @@ def run_epoch(
     """Deterministic epoch selection over the whole pool."""
     pool = shuffle_pool(len(probabilities), seed)
     shards = shard(pool, n_workers)
-    return EpochSelection(
-        seed=seed,
-        per_worker=[run_worker(s, probabilities, w) for w, s in enumerate(shards)],
-    )
+    return EpochSelection([run_worker(s, probabilities, w) for w, s in enumerate(shards)])
 
 
-def save_plan(selection: EpochSelection, path: Path | str, config_hash: str = "") -> None:
+def save_plan(selection: EpochSelection, path: Path | str) -> None:
     """Binary plan: per worker, a list of (sequence id, copy count) pairs."""
-    path = Path(path)
     chunks = [PLAN_MAGIC, struct.pack("<II", PLAN_VERSION, len(selection.per_worker))]
     for worker in selection.per_worker:
         chunks.append(struct.pack("<I", len(worker)))
         for seq_id, copies in worker:
             chunks.append(struct.pack("<II", seq_id, copies))
     write_atomic(path, b"".join(chunks))
-    manifest = {"seed": selection.seed, "config_hash": config_hash}
-    write_atomic(
-        path.with_suffix(path.suffix + ".manifest.json"),
-        json.dumps(manifest, sort_keys=True) + "\n",
-    )
 
 
 def load_plan(path: Path | str) -> EpochSelection:
-    path = Path(path)
     with open(path, "rb") as f:
         if read_exact(f, 4, path) != PLAN_MAGIC:
             raise ValueError(f"{path}: not a sample-plan file")
@@ -123,8 +111,4 @@ def load_plan(path: Path | str) -> EpochSelection:
             (n,) = struct.unpack("<I", read_exact(f, 4, path))
             pairs = struct.unpack(f"<{2 * n}I", read_exact(f, 8 * n, path))
             per_worker.append(list(zip(pairs[0::2], pairs[1::2])))
-    manifest_path = path.with_suffix(path.suffix + ".manifest.json")
-    seed = 0
-    if manifest_path.exists():
-        seed = json.loads(manifest_path.read_text())["seed"]
-    return EpochSelection(seed=seed, per_worker=per_worker)
+    return EpochSelection(per_worker)

@@ -148,9 +148,6 @@ class Tokenizer:
         site, state_idx = divmod(token, len(NT_STATES))
         return NtMutation(site + 1, NT_STATES[state_idx])
 
-    def is_mutation_token(self, token: int) -> bool:
-        return self.mutation_block[0] <= token < self.mutation_block[1]
-
     # -- time ----------------------------------------------------------------
 
     def time_tokens(self, date: PartialDate | None) -> tuple[int, int, int]:

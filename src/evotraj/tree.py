@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -156,6 +157,23 @@ class PhyloTree:
 
     def depth(self, node_id: str) -> int:
         return len(self.path_from_root(node_id)) - 1
+
+    @cached_property
+    def variant_roots(self) -> dict[str, str]:
+        """Each variant name's shallowest tagged node id, from one pass over
+        the nodes; among equally shallow nodes the first in node order."""
+        depth = {self.root_id: 0}
+        order = [self.root_id]
+        for nid in order:  # breadth first; the loop visits what it appends
+            for child in self._children[nid]:
+                depth[child] = depth[nid] + 1
+                order.append(child)
+        roots: dict[str, str] = {}
+        for nid, node in self.nodes.items():
+            name = node.variant_name
+            if name and (name not in roots or depth[nid] < depth[roots[name]]):
+                roots[name] = nid
+        return roots
 
 
 def _parse_meta(obj: dict) -> SequenceMeta:

@@ -89,13 +89,13 @@ class FrequencyTable:
 def base_definition(tree: PhyloTree, variant_name: str) -> list[NtMutation]:
     """Mutations along the root-to-earliest-tagged-node path, in path order.
 
-    When several nodes carry the tag, the one closest to the root wins.
+    When several nodes carry the tag, the one closest to the root wins, and
+    among those the first in node order.
     """
-    tagged = [n for n in tree.nodes.values() if n.variant_name == variant_name]
-    if not tagged:
+    best = tree.variant_roots.get(variant_name)
+    if best is None:
         raise KeyError(f"variant {variant_name!r} not tagged anywhere in tree")
-    best = min(tagged, key=lambda n: tree.depth(n.node_id))
-    return [m for node in tree.path_from_root(best.node_id) for m in node.branch_mutations]
+    return [m for node in tree.path_from_root(best) for m in node.branch_mutations]
 
 
 def merge_indels(base: VariantDefinition, nextstrain: NextstrainDefinition) -> VariantDefinition:

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 import zipfile
 
 import numpy as np
@@ -439,6 +440,25 @@ class TestCheckpoint:
         assert meta["layout_hash"] == "lh"
         ids = np.arange(10) % cfg.vocab_size
         assert np.array_equal(state.model.logits(ids), loaded.model.logits(ids))
+
+    def test_same_state_gives_identical_bytes(self, tmp_path, monkeypatch):
+        tok = Tokenizer(LayoutSpec(genome_length=30))
+        samples = toy_dataset(tok, n=16)
+        cfg = ModelConfig(vocab_size=tok.vocab_size, layers=1, hidden=32, heads=4, max_seq=16)
+        state = train(samples, list(range(16)), cfg, TrainConfig(steps=3, batch_size=4, seed=2))
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(state, a, layout_hash="lh")
+        # a save an hour later: the wall clock must not reach the file
+        now = time.time
+        monkeypatch.setattr(time, "time", lambda: now() + 3600)
+        save_checkpoint(state, b, layout_hash="lh")
+        assert a.read_bytes() == b.read_bytes()
+        # each array entry holds exactly what np.save writes
+        with zipfile.ZipFile(a) as zf:
+            for name, param in state.model.parameters().items():
+                buf = io.BytesIO()
+                np.save(buf, param.value)
+                assert zf.read(f"param/{name}.npy") == buf.getvalue(), name
 
     def test_rejects_non_checkpoint(self, tmp_path):
         import zipfile

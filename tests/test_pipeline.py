@@ -1,11 +1,15 @@
+import collections
 import json
 import shutil
 import struct
+import zipfile
 from pathlib import Path
 
 import pytest
 
+from evotraj import cli, pipeline
 from evotraj.cli import main
+from evotraj.model import load_model
 from evotraj.pipeline import (
     PipelineConfig,
     StaleArtifactError,
@@ -296,7 +300,75 @@ class TestRefineVariantsCommand:
         assert defs["V"]["muts"] == ["100T", "150-", "151-", "152-"]
 
 
+def flip_head_weight_byte(src: Path, dst: Path) -> None:
+    """Re-zip a checkpoint with the last byte of ``param/head.weight.npy``
+    flipped: the copy is still a well-formed checkpoint."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for info in zin.infolist():
+            data = zin.read(info)
+            if info.filename == "param/head.weight.npy":
+                data = data[:-1] + bytes([data[-1] ^ 0x01])
+            zout.writestr(info, data)
+
+
 class TestUpstreamVerification:
+    @pytest.mark.parametrize("stage", ["predict", "evaluate"])
+    def test_refuses_checkpoint_with_a_flipped_byte(self, pipeline_run, tmp_path, capsys, stage):
+        train = tmp_path / "train"
+        shutil.copytree(pipeline_run["train"], train)
+        ckpt = train / "checkpoint.ckpt"
+        flip_head_weight_byte(pipeline_run["train"] / "checkpoint.ckpt", ckpt)
+        load_model(ckpt)  # well formed: only the train manifest can tell
+        argv = {
+            "predict": ["predict", "--date", "2024-06-05"],
+            "evaluate": ["evaluate", "--tree", str(pipeline_run["sim"] / "tree.jsonl")],
+        }[stage]
+        out = tmp_path / "out"
+        code = main([
+            *argv, "--checkpoint", str(ckpt),
+            "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+            "--out", str(out), *SMALL_SETTINGS,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "artifact 'checkpoint'" in err and str(ckpt) in err
+        assert not (out / "ranked.csv").exists() and not (out / "report.csv").exists()
+
+    def test_build_dataset_refuses_stale_definitions(self, pipeline_run, tmp_path, capsys):
+        defs = tmp_path / "defs"
+        assert main([
+            "refine-variants", "--tree", str(pipeline_run["ingest"] / "tree.jsonl"),
+            "--out", str(defs), *SMALL_SETTINGS,
+        ]) == 0
+        path = defs / "definitions.json"
+        path.write_text(path.read_text() + "\n")
+        out = tmp_path / "ds"
+        code = main([
+            "build-dataset", "--tree", str(pipeline_run["ingest"] / "tree.jsonl"),
+            "--definitions", str(path), "--out", str(out), *SMALL_SETTINGS,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "artifact 'definitions'" in err and str(path) in err and "stale" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["predict", "build-dataset"])
+    def test_refuses_layout_its_manifest_does_not_list(self, pipeline_run, tmp_path, capsys, stage):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline_run["dataset"], ds)
+        layout = ds / "layout_copy.txt"
+        shutil.copy(ds / "layout.txt", layout)
+        argv = {
+            "predict": ["predict", "--checkpoint", str(pipeline_run["train"] / "checkpoint.ckpt")],
+            "build-dataset": ["build-dataset", "--tree", str(pipeline_run["ingest"] / "tree.jsonl")],
+        }[stage]
+        out = tmp_path / "out"
+        code = main([*argv, "--layout", str(layout), "--out", str(out), *SMALL_SETTINGS])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(layout) in err and "not listed" in err
+        assert not out.exists()
+
     def test_train_refuses_tampered_dataset(self, pipeline_run, tmp_path, capsys):
         ds = tmp_path / "ds"
         shutil.copytree(pipeline_run["dataset"], ds)
@@ -377,3 +449,41 @@ class TestUpstreamVerification:
         ]) == 0
         expected = (pipeline_run["train"] / "train_log.csv").read_text()
         assert (tmp_path / "t" / "train_log.csv").read_text() == expected
+
+
+class TestOneHashPerInput:
+    def test_no_file_is_hashed_twice_within_a_stage(self, tmp_path, monkeypatch):
+        counts: collections.Counter = collections.Counter()
+        real = pipeline.sha256_file
+
+        def counting(path):
+            counts[Path(path).resolve()] += 1
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "sha256_file", counting)
+        monkeypatch.setattr(cli, "sha256_file", counting)
+        d = {name: tmp_path / name for name in
+             ("sim", "ingest", "defs", "dataset", "plans", "train", "pred", "eval")}
+        tree = str(d["ingest"] / "tree.jsonl")
+        population = ["--population", str(d["sim"] / "population.csv")]
+        definitions = ["--definitions", str(d["defs"] / "definitions.json")]
+        model = ["--checkpoint", str(d["train"] / "checkpoint.ckpt"),
+                 "--layout", str(d["dataset"] / "layout.txt")]
+        stages = [
+            ["simulate"],
+            ["ingest", "--tree", str(d["sim"] / "tree.jsonl")],
+            ["refine-variants", "--tree", tree],
+            ["build-dataset", "--tree", tree, *population, *definitions],
+            ["sample-plan", "--dataset", str(d["dataset"])],
+            ["train", "--dataset", str(d["dataset"]), "--plans", str(d["plans"])],
+            ["predict", *model, "--date", "2024-06-05"],
+            ["evaluate", "--tree", tree, *model, *population, *definitions],
+        ]
+        for argv, out in zip(stages, d.values()):
+            counts.clear()
+            assert main([*argv, "--out", str(out), *SMALL_SETTINGS]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            for name, entry in manifest["inputs"].items():
+                assert counts[Path(entry["path"]).resolve()] == 1, (argv[0], name)
+            path, n = counts.most_common(1)[0]
+            assert n == 1, (argv[0], path, n)

@@ -121,10 +121,9 @@ class TestPlanIO:
         ps = list(np.random.default_rng(2).uniform(0.2, 1.2, size=50))
         sel = run_epoch(ps, seed=7, n_workers=2)
         path = tmp_path / "epoch0.plan"
-        save_plan(sel, path, config_hash="abc")
+        save_plan(sel, path)
         loaded = load_plan(path)
         assert loaded.per_worker == sel.per_worker
-        assert loaded.seed == 7
 
     def test_bad_file_rejected(self, tmp_path):
         p = tmp_path / "x.plan"

@@ -61,6 +61,27 @@ class TestBaseDefinition:
         with pytest.raises(KeyError):
             base_definition(TREE, "nope")
 
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_first_in_node_order_wins_a_depth_tie(self, first):
+        # V is tagged at depth 3 (d, listed first), then at depth 1 twice
+        # (a and b); the first depth-1 node in node order wins
+        nodes = {
+            "a": '{"id":"a","parent":"root","muts":["100T"],"variant":"V"}',
+            "b": '{"id":"b","parent":"root","muts":["200G"],"variant":"V"}',
+        }
+        second = "b" if first == "a" else "a"
+        tree = parse_tree([
+            '{"id":"root","parent":null}',
+            '{"id":"c","parent":"root","muts":["300C"]}',
+            '{"id":"c2","parent":"c","muts":["350C"]}',
+            '{"id":"d","parent":"c2","muts":["400A"],"variant":"V"}',
+            nodes[first],
+            nodes[second],
+        ])
+        expected = {"a": [NtMutation(100, "T")], "b": [NtMutation(200, "G")]}[first]
+        assert base_definition(tree, "V") == expected
+        assert tree.variant_roots == {"V": first}
+
 
 class TestMergeIndels:
     def base(self):

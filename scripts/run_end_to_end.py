@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from evotraj.cli import main as cli
+from stages import run_stages
 
 
 def run(argv=None) -> int:
@@ -61,10 +61,9 @@ def run(argv=None) -> int:
             "--out", str(root / "eval"),
         ],
     ]
-    for stage in stages:
-        code = cli(stage + settings)
-        if code != 0:
-            return code
+    code = run_stages(stages, settings)
+    if code != 0:
+        return code
     print(f"\ndone; report at {root / 'eval/report.csv'}")
     return 0
 

@@ -3,65 +3,42 @@
 
 Training months precede the planted spectrum shift; the shift then ramps over
 the evaluation months, so recall should fall month by month. Prints the
-per-month recall table for a model trained on the pre-shift spectrum.
+per-month recall table for a model trained on the pre-shift spectrum. Every
+step is an ``evotraj`` stage call, written under an output root (default
+./runs/decay).
 """
 
 import argparse
-import datetime
 import sys
+from pathlib import Path
 
-from evotraj.evaluation import ModelPredictor, evaluate_sequences
-from evotraj.model import ModelConfig, TrainConfig, train
-from evotraj.sampler import run_epoch
-from evotraj.synth import SynthConfig, generate, plant_temporal_shift
-from evotraj.tokenizer import LayoutSpec, Tokenizer
-from evotraj.tree import extract_all_trajectories, split_train_eval
+from stages import DRIFT_SETTINGS, drift_data, drift_model, print_report, run_stages, set_flags
 
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="runs/decay")
     parser.add_argument("--seed", type=int, default=88)
     parser.add_argument("--depth", type=int, default=9)
     parser.add_argument("--steps", type=int, default=450)
     parser.add_argument("--k", type=int, default=10)
     args = parser.parse_args(argv)
 
-    cfg = plant_temporal_shift(
-        SynthConfig(
-            genome_length=500, depth=args.depth, month_advance=0.4,
-            collection_lag_months=1.0, variant_prob=0.6, private_mut_rate=2.0,
-            seed=args.seed,
-        ),
-        shift_month=7, ramp_months=6,
+    root = Path(args.out)
+    stages = [
+        ["simulate", "--seed", str(args.seed), "--out", str(root / "sim")],
+        *drift_data(root, root / "sim", args.steps, plan_seed=500),
+        *drift_model(root, root / "sim", train_seed=9),
+    ]
+    settings = set_flags(
+        *DRIFT_SETTINGS, f"synth_depth={args.depth}", "synth_shift_month=7", "synth_ramp_months=6",
+        f"steps={args.steps}", f"ks={args.k}", "temporal_weighting=false",
     )
-    out = generate(cfg)
-    trajs = extract_all_trajectories(out.tree)
-    split = split_train_eval(trajs, datetime.date(2024, 8, 15), datetime.date(2025, 1, 31))
-    print(f"{out.n_leaves} leaves; train {len(split.train)}, eval {len(split.eval)}")
-
-    tok = Tokenizer(LayoutSpec(genome_length=cfg.genome_length))
-    for t in split.train:
-        if t.meta.country:
-            tok.register_location(t.meta.country)
-    samples = [tok.tokenize(t) for t in split.train]
-
-    plan = []
-    epoch = 0
-    while len(plan) < args.steps * 32:
-        plan.extend(run_epoch([0.5] * len(samples), seed=500 + epoch).flatten())
-        epoch += 1
-    mcfg = ModelConfig(vocab_size=tok.vocab_size, layers=2, hidden=64, heads=4, max_seq=256)
-    state = train(samples, plan, mcfg,
-                  TrainConfig(steps=args.steps, batch_size=32,
-                              lr_start=3e-3, lr_end=3e-4, seed=9))
-
-    predictor = ModelPredictor(state.model, tok)
-    eval_samples = [tok.tokenize(t) for t in split.eval]
-    result = evaluate_sequences(split.eval, eval_samples, predictor, ks=(args.k,))
-    print(f"final loss {state.final_loss:.3f}\n")
-    print(f"{'slice':>12}  recall@{args.k}   n")
-    for r in result.reports:
-        print(f"{r.slice_label:>12}  {r.macro_recall:.3f}   {r.n_sequences}")
+    code = run_stages(stages, settings)
+    if code != 0:
+        return code
+    print()
+    print_report(root / "eval/report.csv")
     return 0
 
 

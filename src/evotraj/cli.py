@@ -1,9 +1,9 @@
 """Pipeline command-line interface.
 
 Stages write into an output directory with a config snapshot and a hash
-manifest; later stages check each file they read from an earlier stage
-against that stage's manifest. Run ``evotraj <stage> --help`` for per-stage
-flags.
+manifest; later stages check each file they read against the manifest beside
+it whenever that manifest lists it, and a file an earlier stage wrote must be
+listed there. Run ``evotraj <stage> --help`` for per-stage flags.
 """
 
 from __future__ import annotations
@@ -40,7 +40,15 @@ from .pipeline import (
     write_manifest,
 )
 from .tokenizer import LayoutSpec, Tokenizer, check_token_ids, read_token_stream, write_token_stream
-from .tree import PartialDate, extract_all_trajectories, parse_tree, serialize_tree, split_train_eval
+from .tree import (
+    PartialDate,
+    SequenceMeta,
+    Trajectory,
+    extract_all_trajectories,
+    parse_tree,
+    serialize_tree,
+    split_train_eval,
+)
 
 
 # inputs that earlier stages write; every other input comes from outside
@@ -48,11 +56,11 @@ UPSTREAM_INPUTS = ("tokens", "layout", "weights", "checkpoint", "definitions")
 
 
 def _input_hash(key: str, path: Path) -> str:
-    """The sha256 of an input; an upstream one must be listed with it in the
-    manifest of the directory holding it."""
-    if key in UPSTREAM_INPUTS:
-        return verify_against_manifest(path.parent, only=path.name).popitem()[1]["sha256"]
-    return sha256_file(path)
+    """The sha256 of an input, checked against the manifest of the directory
+    holding it whenever that lists it. An upstream input must be listed
+    there; an outside one that is not is only hashed."""
+    listed = verify_against_manifest(path.parent, only=path.name, required=key in UPSTREAM_INPUTS)
+    return listed.popitem()[1]["sha256"] if listed else sha256_file(path)
 
 
 class _Stage:
@@ -156,8 +164,8 @@ def _ranked_table(path: str, config: PipelineConfig, k: int, tok: Tokenizer) -> 
     return table.kind, baseline_mod.rank_aa_table(table, config.baseline_mode, k, config.alpha)
 
 
-def _parse_mut_list(text: str) -> list[NtMutation]:
-    return [NtMutation.parse(m) for m in text.split(",") if m.strip()]
+def _parse_mut_list(text: str | None) -> tuple[NtMutation, ...]:
+    return tuple(NtMutation.parse(m) for m in (text or "").split(",") if m.strip())
 
 
 def cmd_simulate(args) -> int:
@@ -257,6 +265,13 @@ def cmd_sample_plan(args) -> int:
     config = stage.config
     with open(weights, newline="") as f:
         probs = [float(row["p_adjusted"]) for row in csv.DictReader(f)]
+    # each worker's accumulator starts at zero, so an epoch selects at most
+    # floor(sum) sequences
+    p_sum = sum(probs)
+    if p_sum < 1:
+        raise SystemExit(
+            f"sampling probabilities in {weights} sum to {p_sum:.4g} < 1: an epoch selects nothing"
+        )
     total = 0
     for epoch in range(config.epochs):
         selection = sampler.run_epoch(probs, seed=config.seed + epoch, n_workers=config.workers)
@@ -277,16 +292,18 @@ def cmd_train(args) -> int:
     samples = read_token_stream(dataset / "tokens.bin")
     check_token_ids(samples, tok.vocab_size, dataset / "tokens.bin")
     plans = Path(args.plans)
-    # only the plan files the verified manifest names are read
+    # only the plan files the verified manifest names are read, and recorded
     outputs = verify_against_manifest(plans)
-    plan_paths = [
-        plans / outputs[name]["path"] for name in sorted(outputs) if name.startswith("epoch_")
-    ]
-    if not plan_paths:
+    plan_inputs = {
+        name: {"path": str(plans / outputs[name]["path"]), "sha256": outputs[name]["sha256"]}
+        for name in sorted(outputs) if name.startswith("epoch_")
+    }
+    if not plan_inputs:
         raise SystemExit(f"no epoch_*.plan files under {args.plans}")
+    stage.inputs.update(plan_inputs)
     plan: list[int] = []
-    for path in plan_paths:
-        plan.extend(sampler.load_plan(path).flatten())
+    for entry in plan_inputs.values():
+        plan.extend(sampler.load_plan(entry["path"]).flatten())
 
     model_config = _from_config(ModelConfig, config, vocab_size=tok.vocab_size)
     state = train(samples, plan, model_config, _from_config(TrainConfig, config))
@@ -303,22 +320,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _context_tokens(tok: Tokenizer, args) -> list[int]:
-    date = PartialDate.parse(args.date) if args.date else None
-    country_tok, region_tok = tok.location_tokens(args.country, args.region)
-    year_tok, month_tok, day_tok = tok.time_tokens(date)
-    context = [country_tok, region_tok, year_tok, month_tok, day_tok]
-    for m in _parse_mut_list(args.variant_muts or "") + _parse_mut_list(args.observed or ""):
-        context.append(tok.mutation_token(m.site, m.to))
-    return context
-
-
 def cmd_predict(args) -> int:
     stage = _Stage(args, "predict", checkpoint=args.checkpoint, layout=args.layout)
     model = _checked_model(stage)
     tok = Tokenizer.load(args.layout)
+    date = PartialDate.parse(args.date) if args.date else None
+    meta = SequenceMeta("", collected=date, country=args.country, region=args.region)
+    context = Trajectory(meta, "", _parse_mut_list(args.variant_muts), _parse_mut_list(args.observed))
     rank_fn = rank_without_location if args.no_location else rank_next_mutations
-    pred = rank_fn(model, tok, _context_tokens(tok, args), k=args.k)
+    pred = rank_fn(model, tok, list(tok.tokenize(context).tokens), k=args.k)
     ranked_out = stage.output("ranked", "ranked.csv")
     write_csv(
         ranked_out,

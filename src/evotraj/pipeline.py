@@ -217,17 +217,22 @@ def _relative_to_stage(path: Path | str, out_dir: Path) -> str:
         raise ValueError(f"output {path} is outside the stage directory {out_dir}") from None
 
 
-def verify_against_manifest(out_dir: Path | str, only: str | None = None) -> dict[str, dict]:
+def verify_against_manifest(
+    out_dir: Path | str, only: str | None = None, required: bool = True
+) -> dict[str, dict]:
     """Re-hash the outputs in ``out_dir`` named by its manifest, or only the
     one stored at file name ``only``, and return their entries by name; raise
-    ``StaleArtifactError`` naming a missing manifest, an unlisted ``only`` or
-    any stale artifact."""
+    ``StaleArtifactError`` naming any stale artifact, and, when ``required``,
+    a missing manifest or an unlisted ``only`` (otherwise those give no
+    entries)."""
     out_dir = Path(out_dir)
     if not (out_dir / "manifest.json").exists():
+        if not required:
+            return {}
         raise StaleArtifactError(f"stage directory {out_dir} has no manifest.json")
     manifest = json.loads((out_dir / "manifest.json").read_text())
     outputs = {n: e for n, e in manifest["outputs"].items() if only in (None, e["path"])}
-    if only is not None and not outputs:
+    if only is not None and not outputs and required:
         raise StaleArtifactError(f"artifact {out_dir / only} is not listed in its manifest.json")
     for name, entry in outputs.items():
         path = out_dir / entry["path"]

@@ -205,6 +205,15 @@ class TestEndToEnd:
         for (stage, name), digest in DATA_STAGE_DIGESTS.items():
             assert sha256_file(pipeline_run[stage] / name) == digest, f"{stage}/{name}"
 
+    def test_train_records_the_plans_it_read(self, pipeline_run):
+        plans = json.loads((pipeline_run["plans"] / "manifest.json").read_text())["outputs"]
+        inputs = json.loads((pipeline_run["train"] / "manifest.json").read_text())["inputs"]
+        recorded = {name: entry for name, entry in inputs.items() if name.startswith("epoch_")}
+        assert sorted(recorded) == sorted(plans) == ["epoch_000", "epoch_001"]
+        for name, entry in recorded.items():
+            assert entry["sha256"] == plans[name]["sha256"], name
+            assert Path(entry["path"]) == pipeline_run["plans"] / plans[name]["path"]
+
     def test_build_dataset_is_deterministic(self, pipeline_run, tmp_path):
         out2 = tmp_path / "dataset2"
         assert main([
@@ -352,6 +361,29 @@ class TestUpstreamVerification:
         assert "artifact 'definitions'" in err and str(path) in err and "stale" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", ["build-dataset", "evaluate"])
+    def test_refuses_tree_edited_after_ingest(self, pipeline_run, tmp_path, capsys, stage):
+        ingest = tmp_path / "ingest"
+        shutil.copytree(pipeline_run["ingest"], ingest)
+        tree = ingest / "tree.jsonl"
+        # drop the last node: still a well-formed tree, so only the ingest
+        # manifest can tell
+        lines = tree.read_text().splitlines(keepends=True)
+        tree.write_text("".join(lines[:-1]))
+        model = [
+            "--checkpoint", str(pipeline_run["train"] / "checkpoint.ckpt"),
+            "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+        ]
+        out = tmp_path / "out"
+        code = main([
+            stage, "--tree", str(tree), *(model if stage == "evaluate" else []),
+            "--out", str(out), *SMALL_SETTINGS,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "artifact 'tree'" in err and str(tree) in err and "stale" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage", ["predict", "build-dataset"])
     def test_refuses_layout_its_manifest_does_not_list(self, pipeline_run, tmp_path, capsys, stage):
         ds = tmp_path / "ds"
@@ -397,6 +429,17 @@ class TestUpstreamVerification:
         assert err.startswith("error: ")
         assert str(ds) in err and "no manifest.json" in err
         assert not (tmp_path / "out").exists()
+
+    def test_sample_plan_refuses_a_dataset_that_selects_nothing(self, tmp_path):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        weights = ds / "weights.csv"
+        weights.write_text("name,region_key,month,r,p,p_adjusted\n")
+        write_manifest(ds, "build-dataset", PipelineConfig(), {}, {"weights": weights})
+        out = tmp_path / "plans"
+        with pytest.raises(SystemExit, match=r"weights\.csv sum to 0 < 1: an epoch selects nothing"):
+            main(["sample-plan", "--dataset", str(ds), "--out", str(out)])
+        assert not out.exists()
 
     def test_train_refuses_tampered_plans(self, pipeline_run, tmp_path, capsys):
         plans = tmp_path / "plans"

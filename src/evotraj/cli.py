@@ -44,6 +44,7 @@ from .tree import (
     PartialDate,
     SequenceMeta,
     Trajectory,
+    TreeFormatError,
     extract_all_trajectories,
     parse_tree,
     serialize_tree,
@@ -272,13 +273,22 @@ def cmd_sample_plan(args) -> int:
         raise SystemExit(
             f"sampling probabilities in {weights} sum to {p_sum:.4g} < 1: an epoch selects nothing"
         )
-    total = 0
-    for epoch in range(config.epochs):
-        selection = sampler.run_epoch(probs, seed=config.seed + epoch, n_workers=config.workers)
+    # a sum of at least 1 can still leave every worker's shard below 1, so
+    # every epoch is checked before any plan is written
+    selections = [
+        sampler.run_epoch(probs, seed=config.seed + epoch, n_workers=config.workers)
+        for epoch in range(config.epochs)
+    ]
+    for epoch, selection in enumerate(selections):
+        if not selection.total_copies:
+            raise SystemExit(
+                f"epoch {epoch} selects nothing from {weights} with {config.workers} workers:"
+                " no worker's shard of the probabilities sums to 1"
+            )
+    for epoch, selection in enumerate(selections):
         name = f"epoch_{epoch:03d}"
-        plan_path = stage.output(name, f"{name}.plan")
-        sampler.save_plan(selection, plan_path)
-        total += selection.total_copies
+        sampler.save_plan(selection, stage.output(name, f"{name}.plan"))
+    total = sum(selection.total_copies for selection in selections)
     stage.finish()
     print(f"sample-plan: {config.epochs} epochs, {total} total selections -> {args.out}")
     return 0
@@ -514,6 +524,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except StaleArtifactError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except TreeFormatError as e:
+        print(f"error: {args.tree}: {e}", file=sys.stderr)
         return 2
 
 

@@ -91,7 +91,8 @@ class SequenceMeta:
             and self.released is not None
             and self.collected.is_full
             and self.released.is_full
-            and self.released.to_date() < self.collected.to_date()
+            and (self.released.year, self.released.month, self.released.day)
+            < (self.collected.year, self.collected.month, self.collected.day)
         ):
             raise ValueError(
                 f"{self.name}: released {self.released.fmt()} precedes collected {self.collected.fmt()}"
@@ -176,25 +177,46 @@ class PhyloTree:
         return roots
 
 
-def _parse_meta(obj: dict) -> SequenceMeta:
-    def opt_date(key):
-        v = obj.get(key)
-        return None if v is None else PartialDate.parse(str(v))
+class _ParsedOnce(dict):
+    """Each distinct string's ``parse(string)``, parsed on its first lookup.
+    Looking up a non-string raises ValueError, or TypeError if unhashable."""
 
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        if not isinstance(text, str):
+            raise ValueError(f"not a string: {text!r}")
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _parse_meta(obj, dates: _ParsedOnce) -> SequenceMeta:
+    if not isinstance(obj, dict):
+        raise ValueError(f"not an object: {obj!r}")
+    collected, released = obj.get("collected"), obj.get("released")
     return SequenceMeta(
         name=obj.get("name", ""),
-        collected=opt_date("collected"),
-        released=opt_date("released"),
+        collected=None if collected is None else dates[str(collected)],
+        released=None if released is None else dates[str(released)],
         country=obj.get("country"),
         region=obj.get("region"),
     )
 
 
+# json.loads(line) without its wrappers; a stripped line has no whitespace
+# for them to skip, so only the trailing-data check is left to the caller
+_decode_json = json.JSONDecoder().raw_decode
+
+
 def parse_tree(source: Path | str | Iterable[str]) -> PhyloTree:
     """Parse a JSONL tree file, validating structure.
 
-    Raises TreeFormatError naming the offending line for: duplicate ids,
-    multiple roots, dangling parents, cycles, and malformed mutation strings.
+    Raises TreeFormatError naming the offending line for: lines that are not
+    JSON objects, duplicate ids, multiple roots, dangling parents, cycles,
+    malformed mutation strings and bad metadata. Each distinct mutation and
+    date string is parsed once per call, and nodes share the result.
     """
     if isinstance(source, (str, Path)):
         lines: Iterable[str] = Path(source).read_text().splitlines()
@@ -204,14 +226,20 @@ def parse_tree(source: Path | str | Iterable[str]) -> PhyloTree:
     nodes: dict[str, TreeNode] = {}
     line_of: dict[str, int] = {}
     root_id: str | None = None
+    mutations = _ParsedOnce(NtMutation.parse)
+    dates = _ParsedOnce(PartialDate.parse)
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = _decode_json(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as e:
             raise TreeFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise TreeFormatError(f"line {lineno}: node is not a JSON object")
         if "id" not in obj:
             raise TreeFormatError(f"line {lineno}: node missing 'id'")
         nid = str(obj["id"])
@@ -224,26 +252,26 @@ def parse_tree(source: Path | str | Iterable[str]) -> PhyloTree:
                     f"line {lineno}: multiple roots ({root_id!r} and {nid!r})"
                 )
             root_id = nid
-        muts = []
-        for m in obj.get("muts", []):
+        muts = obj.get("muts", [])
+        if not isinstance(muts, list):
+            raise TreeFormatError(f"line {lineno}: 'muts' is not a list: {muts!r}")
+        branch = []
+        for m in muts:
             try:
-                muts.append(NtMutation.parse(m))
-            except ValueError:
+                branch.append(mutations[m])
+            except (ValueError, TypeError):
                 raise TreeFormatError(
                     f"line {lineno}: malformed mutation string {m!r}"
                 ) from None
         meta = None
         if obj.get("meta") is not None:
             try:
-                meta = _parse_meta(obj["meta"])
+                meta = _parse_meta(obj["meta"], dates)
             except ValueError as e:
                 raise TreeFormatError(f"line {lineno}: bad metadata: {e}") from None
+        # positional: keywords make a frozen dataclass's __init__ slower
         nodes[nid] = TreeNode(
-            node_id=nid,
-            parent_id=None if parent is None else str(parent),
-            branch_mutations=tuple(muts),
-            variant_name=obj.get("variant"),
-            leaf_meta=meta,
+            nid, None if parent is None else str(parent), tuple(branch), obj.get("variant"), meta
         )
         line_of[nid] = lineno
 

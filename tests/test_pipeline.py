@@ -274,6 +274,18 @@ class TestEndToEnd:
         assert (a / "ranked.csv").read_text() == (b / "ranked.csv").read_text()
 
 
+class TestMalformedTree:
+    @pytest.mark.parametrize("stage", ["ingest", "refine-variants", "build-dataset"])
+    def test_reports_the_file_and_line(self, tmp_path, capsys, stage):
+        tree = tmp_path / "tree.jsonl"
+        tree.write_text('{"id":"root","parent":null}\n{"id":"x","parent":"ghost"}\n')
+        out = tmp_path / "out"
+        assert main([stage, "--tree", str(tree), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tree}: line 2: node 'x' has dangling parent 'ghost'\n"
+        assert not out.exists()
+
+
 class TestBaselineRank:
     def test_nt_table(self, tmp_path):
         table = tmp_path / "table.csv"
@@ -440,6 +452,21 @@ class TestUpstreamVerification:
         with pytest.raises(SystemExit, match=r"weights\.csv sum to 0 < 1: an epoch selects nothing"):
             main(["sample-plan", "--dataset", str(ds), "--out", str(out)])
         assert not out.exists()
+
+    def test_sample_plan_refuses_an_epoch_no_worker_fills(self, tmp_path):
+        # the probabilities sum to 1.5, but four shards of at most two
+        # sequences each sum below 1
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        weights = ds / "weights.csv"
+        weights.write_text("name,region_key,month,r,p,p_adjusted\n"
+                           + "".join(f"s{i},X,0,1,0.3,0.3\n" for i in range(5)))
+        write_manifest(ds, "build-dataset", PipelineConfig(), {}, {"weights": weights})
+        out = tmp_path / "plans"
+        with pytest.raises(SystemExit, match=r"epoch 0 selects nothing from .*weights\.csv with 4 workers"):
+            main(["sample-plan", "--dataset", str(ds), "--out", str(out),
+                  "--set", "workers=4", "--set", "epochs=2"])
+        assert not list(out.glob("epoch_*.plan"))
 
     def test_train_refuses_tampered_plans(self, pipeline_run, tmp_path, capsys):
         plans = tmp_path / "plans"

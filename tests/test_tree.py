@@ -1,13 +1,17 @@
+import collections
 import datetime
+import json
 
 import pytest
 
 from evotraj.genome import NtMutation
+from evotraj.synth import SynthConfig, generate
 from evotraj.tree import (
     PartialDate,
     SequenceMeta,
     Trajectory,
     TreeFormatError,
+    TreeNode,
     extract_trajectory,
     parse_tree,
     replay_genome_state,
@@ -84,9 +88,99 @@ class TestParse:
         with pytest.raises(TreeFormatError, match="line 1.*precedes"):
             parse_tree(bad)
 
+    @pytest.mark.parametrize("line, message", [
+        ("5", "node is not a JSON object"),
+        ('["id"]', "node is not a JSON object"),
+        ('{"id":"a","parent":"root","muts":null}', "'muts' is not a list: None"),
+        ('{"id":"a","parent":"root","muts":[123]}', "malformed mutation string 123"),
+        ('{"id":"a","parent":"root","muts":[["100T"]]}', r"malformed mutation string \[\'100T\'\]"),
+        ('{"id":"a","parent":"root","meta":"x"}', "bad metadata: not an object: 'x'"),
+    ], ids=["number", "list", "null-muts", "int-mutation", "list-mutation", "string-meta"])
+    def test_malformed_node_names_its_line(self, line, message):
+        with pytest.raises(TreeFormatError, match=f"^line 2: {message}$"):
+            parse_tree(lines('{"id":"root","parent":null}', line))
+
+    def test_release_on_collection_day_accepted(self):
+        tree = parse_tree(lines(
+            '{"id":"root","parent":null,"meta":{"name":"s","collected":"2025-03-05","released":"2025-03-05"}}'
+        ))
+        assert tree.nodes["root"].leaf_meta.released == PartialDate(2025, 3, 5)
+
     def test_forward_parent_reference_allowed(self):
         tree = parse_tree(lines('{"id":"child","parent":"root"}', '{"id":"root","parent":null}'))
         assert tree.depth("child") == 1
+
+
+class TestParseOnce:
+    """A parse validates each distinct mutation and date string once, and
+    keeps nothing from one call to the next."""
+
+    @pytest.fixture(scope="class")
+    def sim_lines(self):
+        config = SynthConfig(depth=6, branching=(2, 3), branching_probs=(0.5, 0.5), seed=4)
+        return serialize_tree(generate(config).tree).splitlines()
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        counts = {NtMutation: collections.Counter(), PartialDate: collections.Counter()}
+        for cls, counter in counts.items():
+            def counted(text, real=cls.parse, counter=counter):
+                counter[text] += 1
+                return real(text)
+            monkeypatch.setattr(cls, "parse", counted)
+        return counts
+
+    def test_each_distinct_string_parsed_once_per_call(self, sim_lines, monkeypatch):
+        objs = [json.loads(line) for line in sim_lines]
+        mutations = [m for obj in objs for m in obj.get("muts", [])]
+        dates = [obj["meta"][key] for obj in objs if "meta" in obj
+                 for key in ("collected", "released") if key in obj["meta"]]
+        assert len(set(mutations)) < len(mutations) and len(set(dates)) < len(dates)
+        counts = self.count_parses(monkeypatch)
+        first = parse_tree(sim_lines)
+        assert counts[NtMutation] == collections.Counter(set(mutations))
+        assert counts[PartialDate] == collections.Counter(set(dates))
+        for counter in counts.values():
+            counter.clear()
+        second = parse_tree(sim_lines)
+        assert counts[NtMutation] == collections.Counter(set(mutations))
+        assert counts[PartialDate] == collections.Counter(set(dates))
+        assert second.nodes == first.nodes
+
+    def test_nodes_equal_a_parse_of_each_string_alone(self, sim_lines):
+        tree = parse_tree(sim_lines)
+        assert len(tree) == len(sim_lines)
+        for line, node in zip(sim_lines, tree.nodes.values()):
+            obj = json.loads(line)
+            meta = obj.get("meta")
+            assert node == TreeNode(
+                obj["id"],
+                obj["parent"],
+                tuple(NtMutation.parse(m) for m in obj.get("muts", [])),
+                obj.get("variant"),
+                meta and SequenceMeta(
+                    meta["name"],
+                    PartialDate.parse(meta["collected"]),
+                    PartialDate.parse(meta["released"]),
+                    meta.get("country"),
+                    meta.get("region"),
+                ),
+            )
+        shared: dict[NtMutation, NtMutation] = {}
+        for node in tree.nodes.values():
+            for m in node.branch_mutations:
+                assert shared.setdefault(m, m) is m
+
+    def test_repeated_malformed_string_reports_its_first_line(self):
+        bad = lines(
+            '{"id":"root","parent":null}',
+            '{"id":"a","parent":"root","muts":["100T"]}',
+            '{"id":"b","parent":"a","muts":["100T","X9Z"]}',
+            '{"id":"c","parent":"b","muts":["100T"]}',
+            '{"id":"d","parent":"c","muts":["X9Z"]}',
+        )
+        with pytest.raises(TreeFormatError, match=r"^line 3: malformed mutation string 'X9Z'$"):
+            parse_tree(bad)
 
 
 class TestRoundTrip:

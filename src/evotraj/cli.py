@@ -22,6 +22,7 @@ from .model import (
     ModelConfig,
     TrainConfig,
     Transformer,
+    check_samples_fit,
     load_model,
     rank_next_mutations,
     rank_without_location,
@@ -39,7 +40,7 @@ from .pipeline import (
     write_json,
     write_manifest,
 )
-from .tokenizer import LayoutSpec, Tokenizer, check_token_ids, read_token_stream, write_token_stream
+from .tokenizer import LayoutSpec, Tokenizer, read_token_stream, write_token_stream
 from .tree import (
     PartialDate,
     SequenceMeta,
@@ -300,7 +301,8 @@ def cmd_train(args) -> int:
     config = stage.config
     tok = Tokenizer.load(dataset / "layout.txt")
     samples = read_token_stream(dataset / "tokens.bin")
-    check_token_ids(samples, tok.vocab_size, dataset / "tokens.bin")
+    model_config = _from_config(ModelConfig, config, vocab_size=tok.vocab_size)
+    check_samples_fit(samples, model_config, dataset / "tokens.bin")
     plans = Path(args.plans)
     # only the plan files the verified manifest names are read, and recorded
     outputs = verify_against_manifest(plans)
@@ -315,7 +317,6 @@ def cmd_train(args) -> int:
     for entry in plan_inputs.values():
         plan.extend(sampler.load_plan(entry["path"]).flatten())
 
-    model_config = _from_config(ModelConfig, config, vocab_size=tok.vocab_size)
     state = train(samples, plan, model_config, _from_config(TrainConfig, config))
     ckpt_out = stage.output("checkpoint", "checkpoint.ckpt")
     save_checkpoint(
@@ -393,8 +394,12 @@ def cmd_evaluate(args) -> int:
         predictor = evaluation.ModelPredictor(model, tok, use_location=not args.no_location)
     else:
         kind, ranked = _ranked_table(args.baseline, config, max(config.k_list), tok)
-        static = evaluation.StaticPredictor if kind == "nt" else evaluation.StaticAaPredictor
-        predictor = static([entry for entry, _ in ranked])
+        if kind == "aa" and config.task != "spike":
+            raise SystemExit(
+                f"{args.baseline} is an amino-acid table: it scores task=spike only,"
+                f" not task={config.task}"
+            )
+        predictor = evaluation.StaticPredictor([entry for entry, _ in ranked])
 
     # recall is weighted by each sequence's representativeness r alone,
     # whatever the training switches

@@ -18,22 +18,23 @@ import numpy as np
 
 from .genome import AaMutation, SpikeMap, SpikeState
 from .tokenizer import PREFIX_LENGTH, TokenizedSample, Tokenizer
-from .tree import Trajectory, spike_aa_steps
+from .tree import Trajectory, spike_aa_steps, spike_replay
 from .model.ranking import rank_contexts, strip_location
 from .pipeline import write_csv
 from .model.transformer import Transformer
 
 
 class NtPredictor(Protocol):
+    """What evaluation asks of every predictor, for either task: one ranking
+    call and the longest context it takes."""
+
+    max_context: int | None  # None: any length
+
     def rank_batch(
         self, contexts: Sequence[Sequence[int]], positions: Sequence[Sequence[int]], k: int
-    ) -> list[list[tuple[int, ...]]]:
-        """Top-k mutation tokens for each end position of each context."""
-
-    def rank_at_positions(
-        self, tokens: Sequence[int], positions: Sequence[int], k: int
-    ) -> list[tuple[int, ...]]:
-        """rank_batch for one context."""
+    ) -> list[list[tuple[int | AaMutation, ...]]]:
+        """Top-k candidates, mutation tokens or spike amino-acid mutations,
+        for each end position of each context."""
 
 
 class ModelPredictor:
@@ -60,14 +61,16 @@ class ModelPredictor:
 
 
 class StaticPredictor:
-    """Context-independent ranking (a baseline table): the same candidate list
-    answers every step."""
+    """Context-independent ranking (a baseline table): the same candidate list,
+    of mutation tokens or of spike amino-acid mutations, answers every step."""
 
-    def __init__(self, ranked_tokens: Sequence[int]):
-        self.ranked_tokens = tuple(ranked_tokens)
+    max_context = None
+
+    def __init__(self, ranked: Sequence[int | AaMutation]):
+        self.ranked = tuple(ranked)
 
     def rank_batch(self, contexts, positions, k):
-        return [[self.ranked_tokens[:k] for _ in p] for p in positions]
+        return [[self.ranked[:k] for _ in p] for p in positions]
 
     def rank_at_positions(self, tokens, positions, k):
         return self.rank_batch([tokens], [positions], k)[0]
@@ -75,6 +78,8 @@ class StaticPredictor:
 
 class RandomPredictor:
     """Uniform draws from a fixed candidate pool, without replacement."""
+
+    max_context = None
 
     def __init__(self, candidate_tokens: Sequence[int], seed: int = 0):
         self.candidates = np.asarray(candidate_tokens)
@@ -92,16 +97,6 @@ class RandomPredictor:
 
     def rank_at_positions(self, tokens, positions, k):
         return self.rank_batch([tokens], [positions], k)[0]
-
-
-class StaticAaPredictor:
-    """Context-independent spike amino-acid ranking from an aa-form table."""
-
-    def __init__(self, ranked_aa: Sequence[AaMutation]):
-        self.ranked_aa = tuple(ranked_aa)
-
-    def rank_aa_at_steps(self, n_steps: int, k: int) -> list[tuple[AaMutation, ...]]:
-        return [self.ranked_aa[:k] for _ in range(n_steps)]
 
 
 def nucleotide_candidate_count(genome_length: int) -> int:
@@ -126,41 +121,18 @@ def _recall(ranks: Sequence[float], k: int) -> SequenceRecall:
     return SequenceRecall(recall=sum(r < k for r in ranks) / len(ranks), n_steps=len(ranks))
 
 
-def _spike_hit_ranks(
-    trajectory: Trajectory,
-    steps: Sequence[tuple[int, AaMutation]],
-    ranked: Sequence[tuple[int, ...]],
-    tokenizer: Tokenizer,
-    spike_map: SpikeMap,
-) -> list[float]:
-    """Nucleotide candidates matched through the codon context in force at
-    each step."""
-    state = SpikeState(spike_map)
-    for m in trajectory.variant_mutations:
-        state.apply(m)
-    ranks = []
-    step_iter = iter(zip(steps, ranked))
-    pending = next(step_iter, None)
-    for i, mut in enumerate(trajectory.sequence_mutations):
-        if pending is not None and pending[0][0] == i:
-            (_, target), candidates = pending
-            rank = MISS
-            for j, token in enumerate(candidates):
-                cand = tokenizer.mutation_of_token(token)
-                ctx = state.context_for_site(cand.site)
-                if ctx is not None and spike_map.aa_mutation_of(cand, ctx) == target:
-                    rank = j
-                    break
-            ranks.append(rank)
-            pending = next(step_iter, None)
-        state.apply(mut)
-    return ranks
+def _aa_effect(candidate: int | AaMutation, state: SpikeState, tokenizer: Tokenizer):
+    """A spike candidate's amino-acid change at a step: an AaMutation as it
+    is, a token through the codon context in force at the step."""
+    if isinstance(candidate, AaMutation):
+        return candidate
+    return state.effect_of(tokenizer.mutation_of_token(candidate))
 
 
 def _hit_ranks(
     trajectories: Sequence[Trajectory | None],
     samples: Sequence[TokenizedSample],
-    predictor,
+    predictor: NtPredictor,
     k: int,
     task: str,
     tokenizer: Tokenizer | None = None,
@@ -168,44 +140,43 @@ def _hit_ranks(
     max_context: int | None = None,
 ) -> list[list[float] | None]:
     """Every sequence's step hit ranks from one batched ranking at k; None
-    for a sequence whose context exceeds max_context.
+    for a sequence whose context is longer than the bound, the smaller of
+    max_context and the predictor's own.
 
     A step is a private mutation (nucleotide task) or a private mutation that
     changes a spike residue (spike task); its context is the prefix, the
     variant mutations and all earlier private mutations.
     """
-    aa = hasattr(predictor, "rank_aa_at_steps")
-    pairs = list(zip(trajectories, samples))
-    out: list[list[float] | None] = [None] * len(pairs)
-    kept, contexts, positions, steps = [], [], [], []
-    for idx, (traj, sample) in enumerate(pairs):
+    bound = min((b for b in (max_context, predictor.max_context) if b is not None), default=None)
+    out: list[list[float] | None] = [None] * len(samples)
+    kept, contexts, positions = [], [], []
+    for idx, (traj, sample) in enumerate(zip(trajectories, samples)):
         base = PREFIX_LENGTH + sample.split_index
         if task == "nucleotide":
-            targets = sample.tokens[base:]
-            if not targets:
+            steps = range(len(sample.tokens) - base)
+            if not steps:
                 raise ValueError("sequence has no private mutations to predict")
-            seq_steps = list(enumerate(targets))
         else:
-            seq_steps = spike_aa_steps(traj, spike_map)
-            if not seq_steps:
+            steps = [i for i, _ in spike_aa_steps(traj, spike_map)]
+            if not steps:
                 raise ValueError("sequence has no private spike amino-acid mutations")
-        context = list(sample.tokens[:-1])
-        if max_context is not None and len(context) > max_context:
+        if bound is not None and len(sample.tokens) - 1 > bound:
             continue
         kept.append(idx)
-        contexts.append(context)
-        positions.append([base + i - 1 for i, _ in seq_steps])
-        steps.append(seq_steps)
+        contexts.append(list(sample.tokens[:-1]))
+        positions.append([base + i - 1 for i in steps])
 
-    if aa:
-        ranked_all = [predictor.rank_aa_at_steps(len(s), k) for s in steps]
-    else:
-        ranked_all = predictor.rank_batch(contexts, positions, k)
-    for idx, seq_steps, ranked in zip(kept, steps, ranked_all):
-        if task == "nucleotide" or aa:
-            out[idx] = [c.index(t) if t in c else MISS for (_, t), c in zip(seq_steps, ranked)]
+    for idx, ranked in zip(kept, predictor.rank_batch(contexts, positions, k)):
+        if task == "nucleotide":
+            sample = samples[idx]
+            targets = sample.tokens[PREFIX_LENGTH + sample.split_index :]
+            out[idx] = [c.index(t) if t in c else MISS for t, c in zip(targets, ranked)]
         else:
-            out[idx] = _spike_hit_ranks(trajectories[idx], seq_steps, ranked, tokenizer, spike_map)
+            replay = spike_replay(trajectories[idx], spike_map)
+            out[idx] = [
+                next((j for j, c in enumerate(cands) if _aa_effect(c, state, tokenizer) == target), MISS)
+                for (_, target, state), cands in zip(replay, ranked)
+            ]
     return out
 
 
@@ -214,8 +185,8 @@ def nucleotide_recall_at_k(
 ) -> SequenceRecall | None:
     """Teacher-forced recall over a tokenized sample's private mutations.
 
-    Returns None when the longest context would exceed max_context; the caller
-    counts and reports such exclusions.
+    Returns None when the longest context would exceed the context bound; the
+    caller counts and reports such exclusions.
     """
     [ranks] = _hit_ranks([None], [sample], predictor, k, "nucleotide", max_context=max_context)
     return None if ranks is None else _recall(ranks, k)
@@ -224,7 +195,7 @@ def nucleotide_recall_at_k(
 def spike_recall_at_k(
     trajectory: Trajectory,
     sample: TokenizedSample,
-    predictor,
+    predictor: NtPredictor,
     k: int,
     tokenizer: Tokenizer,
     spike_map: SpikeMap,
@@ -233,9 +204,8 @@ def spike_recall_at_k(
     """Teacher-forced spike recall: a step for each private mutation that
     changes a spike residue.
 
-    A nucleotide predictor's candidates are mapped through the codon context
-    in force at the step; an amino-acid predictor (rank_aa_at_steps) is
-    matched directly.
+    An amino-acid candidate is matched directly; a token candidate is mapped
+    through the codon context in force at the step.
     """
     [ranks] = _hit_ranks(
         [trajectory], [sample], predictor, k, "spike", tokenizer, spike_map, max_context
@@ -280,7 +250,7 @@ class EvalResult:
 def evaluate_sequences(
     trajectories: Sequence[Trajectory],
     samples: Sequence[TokenizedSample],
-    predictor,
+    predictor: NtPredictor,
     ks: Sequence[int],
     task: str = "nucleotide",
     tokenizer: Tokenizer | None = None,
@@ -292,9 +262,6 @@ def evaluate_sequences(
     """Recall@k for every sequence, plus aggregate and per-month reports."""
     if task == "spike" and (spike_map is None or tokenizer is None):
         raise ValueError("spike task needs tokenizer and spike_map")
-    if max_context is None and hasattr(predictor, "max_context"):
-        max_context = predictor.max_context
-
     if not ks:
         raise ValueError("no k to evaluate")
 

@@ -308,18 +308,23 @@ class SpikeState:
         rel = (codon_idx - 1) * 3
         return "".join(self._bases[rel : rel + 3])
 
-    def context_for_site(self, site: int) -> str | None:
-        loc = self.map.codon_of_site(site)
-        if loc is None:
-            return None
-        return self.codon_context(loc[0])
-
-    def apply(self, mut: NtMutation) -> AaMutation | Frameshift | None:
+    def effect_of(self, mut: NtMutation) -> AaMutation | Frameshift | None:
+        """The amino-acid effect of mut against the codon context in force,
+        without applying it."""
         loc = self.map.codon_of_site(mut.site)
         if loc is None:
             return None
-        effect = self.map.aa_mutation_of(mut, self.codon_context(loc[0]))
-        self._bases[mut.site - self.map.orf.nt_start] = mut.to
+        return self.map.aa_mutation_of(mut, self.codon_context(loc[0]))
+
+    def write(self, mut: NtMutation) -> None:
+        """Apply mut without computing its effect; a site outside the spike
+        span changes nothing."""
+        if self.map.codon_of_site(mut.site) is not None:
+            self._bases[mut.site - self.map.orf.nt_start] = mut.to
+
+    def apply(self, mut: NtMutation) -> AaMutation | Frameshift | None:
+        effect = self.effect_of(mut)
+        self.write(mut)
         return effect
 
 

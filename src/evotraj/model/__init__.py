@@ -10,6 +10,7 @@ from .training import (
     TrainConfig,
     TrainState,
     TrainingDiverged,
+    check_samples_fit,
     load_checkpoint,
     load_model,
     save_checkpoint,
@@ -27,6 +28,7 @@ __all__ = [
     "TrainingDiverged",
     "Transformer",
     "batch_arrays",
+    "check_samples_fit",
     "load_checkpoint",
     "load_model",
     "masked_cross_entropy",

@@ -152,14 +152,13 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
 class CausalSelfAttention(Module):
     """Multi-head causal self-attention with rotary position embeddings."""
 
-    def __init__(self, dim: int, n_heads: int, rng: np.random.Generator, rope_base: float = 10_000.0):
+    def __init__(self, dim: int, n_heads: int, rng: np.random.Generator):
         if dim % n_heads != 0:
             raise ValueError("hidden size must divide evenly into heads")
         self.n_heads = n_heads
         self.head_dim = dim // n_heads
         if self.head_dim % 2 != 0:
             raise ValueError("head dimension must be even for rotary embeddings")
-        self.rope_base = rope_base
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
@@ -177,7 +176,7 @@ class CausalSelfAttention(Module):
         b, t, _ = x.shape
         if positions is None:
             positions = np.arange(t)
-        self._angles = rope_angles(positions, self.head_dim, self.rope_base)
+        self._angles = rope_angles(positions, self.head_dim)
         q = self._split(self.wq.forward(x))
         k = self._split(self.wk.forward(x))
         v = self._split(self.wv.forward(x))

@@ -25,10 +25,8 @@ BATCH_ROWS = 128
 class RankedPrediction:
     """Candidate mutation tokens with scores, best first."""
 
-    context_id: str
     tokens: tuple[int, ...]
     scores: tuple[float, ...]
-    k: int
 
     def __post_init__(self):
         if len(self.tokens) != len(set(self.tokens)):
@@ -114,7 +112,6 @@ def rank_next_mutations(
     tokenizer: Tokenizer,
     context_tokens: list[int],
     k: int,
-    context_id: str = "",
 ) -> RankedPrediction:
     """Top-k mutation-block tokens by model probability at the end of the context.
 
@@ -124,12 +121,7 @@ def rank_next_mutations(
     [(tokens, scores)] = rank_contexts(
         model, tokenizer, [context_tokens], [[len(context_tokens) - 1]], k
     )[0]
-    return RankedPrediction(
-        context_id=context_id,
-        tokens=tuple(tokens.tolist()),
-        scores=tuple(scores.tolist()),
-        k=k,
-    )
+    return RankedPrediction(tokens=tuple(tokens.tolist()), scores=tuple(scores.tolist()))
 
 
 def strip_location(tokenizer: Tokenizer, context_tokens: list[int]) -> list[int]:
@@ -145,9 +137,6 @@ def rank_without_location(
     tokenizer: Tokenizer,
     context_tokens: list[int],
     k: int,
-    context_id: str = "",
 ) -> RankedPrediction:
     """As rank_next_mutations, with location information withheld."""
-    return rank_next_mutations(
-        model, tokenizer, strip_location(tokenizer, context_tokens), k, context_id
-    )
+    return rank_next_mutations(model, tokenizer, strip_location(tokenizer, context_tokens), k)

@@ -99,6 +99,26 @@ class Adam:
                 w -= np.divide(b, a, out=b)
 
 
+def check_samples_fit(
+    samples: Sequence[TokenizedSample], config: ModelConfig, path: Path | str
+) -> None:
+    """Raise ValueError naming ``path`` and the sample index for the first
+    sample of a stream read from ``path`` that the model cannot take: one
+    holding a token id outside the vocabulary, or one whose context (all
+    tokens but the last) is longer than max_seq."""
+    for i, s in enumerate(samples):
+        top = max(s.tokens, default=0)
+        if top >= config.vocab_size:
+            raise ValueError(
+                f"{path}: sample {i} has token id {top}, outside the vocabulary of {config.vocab_size}"
+            )
+        if len(s.tokens) - 1 > config.max_seq:
+            raise ValueError(
+                f"{path}: sample {i} has {len(s.tokens)} tokens, a context longer than"
+                f" max_seq {config.max_seq}"
+            )
+
+
 def plan_batch(flat_plan: Sequence[int], batch_size: int, step: int) -> list[int]:
     """Batch for a step, cycling through the flattened plan stream."""
     n = len(flat_plan)
@@ -259,9 +279,7 @@ def _read_checkpoint(path: Path | str, optimizer: bool) -> tuple[dict, Transform
         read("param", params)
         opt = None
         if optimizer:
-            tc = meta["train_config"]
-            tc.setdefault("schedule", "linear")
-            opt = Adam(model.parameters(), TrainConfig(**tc))
+            opt = Adam(model.parameters(), TrainConfig(**meta["train_config"]))
             read("adam_m", opt.m)
             read("adam_v", opt.v)
             opt.step_count = meta["adam_step_count"]

@@ -162,7 +162,7 @@ def trajectory_loss(
 
 
 def batch_arrays(
-    samples: list[tuple[np.ndarray, int]], pad_id: int = 0
+    samples: list[tuple[np.ndarray, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pack (token array, prefix length) samples into padded training arrays.
 
@@ -172,8 +172,8 @@ def batch_arrays(
     """
     if not any(len(tokens) >= 2 for tokens, _ in samples):
         raise ValueError("no sample in batch has at least two tokens")
-    inputs = pad_batch([tokens[:-1] for tokens, _ in samples], pad_id)
-    targets = pad_batch([tokens[1:] for tokens, _ in samples], pad_id)
+    inputs = pad_batch([tokens[:-1] for tokens, _ in samples])
+    targets = pad_batch([tokens[1:] for tokens, _ in samples])
     mask = np.zeros(inputs.shape, dtype=bool)
     for i, (tokens, prefix_len) in enumerate(samples):
         # the target at input position t is token t+1; trajectory tokens
@@ -183,10 +183,11 @@ def batch_arrays(
     return inputs, targets, mask
 
 
-def pad_batch(seqs: Sequence[Sequence[int]], pad_id: int = 0) -> np.ndarray:
-    """Stack token sequences into a (B, T) array, padded at the end to the
-    longest. Causality keeps the padding from influencing real positions."""
-    out = np.full((len(seqs), max(len(s) for s in seqs)), pad_id, dtype=np.int64)
+def pad_batch(seqs: Sequence[Sequence[int]]) -> np.ndarray:
+    """Stack token sequences into a (B, T) array, padded with id 0 at the end
+    to the longest. Causality keeps the padding from influencing real
+    positions."""
+    out = np.zeros((len(seqs), max(len(s) for s in seqs)), dtype=np.int64)
     for i, s in enumerate(seqs):
         out[i, : len(s)] = s
     return out

@@ -17,7 +17,7 @@ appended, spilling into the reserved block after the location block fills.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
@@ -34,10 +34,12 @@ PREFIX_LENGTH = 5  # country, region, year, year-month, day
 
 @dataclass(frozen=True)
 class LayoutSpec:
+    """The layout's sizes; ``layout.txt`` holds one line per field, in
+    field order."""
+
     genome_length: int = 29_903
     base_year: int = 2019
     year_count: int = 7
-    month_count: int = 84
     day_count: int = 31
     location_capacity: int = 366
     reserved_count: int = 206
@@ -45,8 +47,11 @@ class LayoutSpec:
     def __post_init__(self):
         if self.genome_length < 1:
             raise ValueError("genome_length must be positive")
-        if self.month_count != self.year_count * 12:
-            raise ValueError("month_count must cover every month of every year")
+
+    @property
+    def month_count(self) -> int:
+        """Every month of every year."""
+        return self.year_count * 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,41 +238,36 @@ class Tokenizer:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Path | str) -> None:
-        lines = [
-            LAYOUT_HEADER,
-            f"genome_length {self.spec.genome_length}",
-            f"base_year {self.spec.base_year}",
-            f"year_count {self.spec.year_count}",
-            f"day_count {self.spec.day_count}",
-            f"location_capacity {self.spec.location_capacity}",
-            f"reserved_count {self.spec.reserved_count}",
-        ]
+        lines = [LAYOUT_HEADER]
+        lines.extend(f"{f.name} {getattr(self.spec, f.name)}" for f in fields(LayoutSpec))
         lines.extend(f"location {name}" for name in self._locations)
         write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: Path | str) -> "Tokenizer":
+        """Refuses, with a ValueError naming the file, a layout that lacks a
+        LayoutSpec field, has an unknown key or a non-integer value."""
         lines = Path(path).read_text().splitlines()
         if not lines or lines[0] != LAYOUT_HEADER:
             raise ValueError(f"{path}: not a tokenizer layout file")
-        fields: dict[str, int] = {}
+        names = [f.name for f in fields(LayoutSpec)]
+        values: dict[str, int] = {}
         locations: list[str] = []
-        for line in lines[1:]:
+        for line in filter(None, lines[1:]):
             key, _, value = line.partition(" ")
             if key == "location":
                 locations.append(value)
-            elif key:
-                fields[key] = int(value)
-        spec = LayoutSpec(
-            genome_length=fields["genome_length"],
-            base_year=fields["base_year"],
-            year_count=fields["year_count"],
-            month_count=fields["year_count"] * 12,
-            day_count=fields["day_count"],
-            location_capacity=fields["location_capacity"],
-            reserved_count=fields["reserved_count"],
-        )
-        return cls(spec, locations)
+                continue
+            if key not in names:
+                raise ValueError(f"{path}: unknown layout key {key!r}")
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise ValueError(f"{path}: layout key {key} has non-integer value {value!r}") from None
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise ValueError(f"{path}: layout key {missing[0]} is missing")
+        return cls(LayoutSpec(**values), locations)
 
 
 # -- token stream files ---------------------------------------------------------
@@ -306,14 +306,3 @@ def read_token_stream(path: Path | str) -> list[TokenizedSample]:
             )
         return out
 
-
-def check_token_ids(samples: Sequence[TokenizedSample], vocab_size: int, path: Path | str) -> None:
-    """Raise ValueError naming ``path`` and the sample index for the first
-    sample of a stream read from ``path`` that holds a token id outside the
-    vocabulary."""
-    for i, s in enumerate(samples):
-        top = max(s.tokens, default=0)
-        if top >= vocab_size:
-            raise ValueError(
-                f"{path}: sample {i} has token id {top}, outside the vocabulary of {vocab_size}"
-            )

@@ -192,16 +192,23 @@ class _ParsedOnce(dict):
         return value
 
 
+def _str_or_none(key: str, value):
+    """A node's text field: a string or None; anything else raises ValueError."""
+    if value is None or isinstance(value, str):
+        return value
+    raise ValueError(f"{key!r} is not a string: {value!r}")
+
+
 def _parse_meta(obj, dates: _ParsedOnce) -> SequenceMeta:
     if not isinstance(obj, dict):
         raise ValueError(f"not an object: {obj!r}")
     collected, released = obj.get("collected"), obj.get("released")
     return SequenceMeta(
-        name=obj.get("name", ""),
+        name=_str_or_none("name", obj.get("name", "")),
         collected=None if collected is None else dates[str(collected)],
         released=None if released is None else dates[str(released)],
-        country=obj.get("country"),
-        region=obj.get("region"),
+        country=_str_or_none("country", obj.get("country")),
+        region=_str_or_none("region", obj.get("region")),
     )
 
 
@@ -215,7 +222,8 @@ def parse_tree(source: Path | str | Iterable[str]) -> PhyloTree:
 
     Raises TreeFormatError naming the offending line for: lines that are not
     JSON objects, duplicate ids, multiple roots, dangling parents, cycles,
-    malformed mutation strings and bad metadata. Each distinct mutation and
+    malformed mutation strings, a variant, name, country or region that is
+    neither a string nor null, and bad metadata. Each distinct mutation and
     date string is parsed once per call, and nodes share the result.
     """
     if isinstance(source, (str, Path)):
@@ -263,6 +271,10 @@ def parse_tree(source: Path | str | Iterable[str]) -> PhyloTree:
                 raise TreeFormatError(
                     f"line {lineno}: malformed mutation string {m!r}"
                 ) from None
+        try:
+            variant = _str_or_none("variant", obj.get("variant"))
+        except ValueError as e:
+            raise TreeFormatError(f"line {lineno}: {e}") from None
         meta = None
         if obj.get("meta") is not None:
             try:
@@ -271,7 +283,7 @@ def parse_tree(source: Path | str | Iterable[str]) -> PhyloTree:
                 raise TreeFormatError(f"line {lineno}: bad metadata: {e}") from None
         # positional: keywords make a frozen dataclass's __init__ slower
         nodes[nid] = TreeNode(
-            nid, None if parent is None else str(parent), tuple(branch), obj.get("variant"), meta
+            nid, None if parent is None else str(parent), tuple(branch), variant, meta
         )
         line_of[nid] = lineno
 
@@ -390,20 +402,28 @@ def replay_genome_state(mutations: Iterable[NtMutation]) -> dict[int, str]:
     return state
 
 
+def spike_replay(
+    trajectory: Trajectory, spike_map: SpikeMap
+) -> Iterator[tuple[int, AaMutation, SpikeState]]:
+    """Each private mutation that produces a spike amino-acid change, replayed
+    in path order: its index into sequence_mutations, the change, and the
+    spike state in force just before it, until the next item is drawn."""
+    state = SpikeState(spike_map)
+    for m in trajectory.variant_mutations:
+        state.write(m)
+    for i, m in enumerate(trajectory.sequence_mutations):
+        effect = state.effect_of(m)
+        if isinstance(effect, AaMutation):
+            yield i, effect, state
+        state.write(m)
+
+
 def spike_aa_steps(
     trajectory: Trajectory, spike_map: SpikeMap
 ) -> list[tuple[int, AaMutation]]:
     """(index into sequence_mutations, amino-acid mutation) for each private
     mutation that produces a spike amino-acid change, replayed in path order."""
-    state = SpikeState(spike_map)
-    for m in trajectory.variant_mutations:
-        state.apply(m)
-    steps = []
-    for i, m in enumerate(trajectory.sequence_mutations):
-        effect = state.apply(m)
-        if isinstance(effect, AaMutation):
-            steps.append((i, effect))
-    return steps
+    return [(i, effect) for i, effect, _ in spike_replay(trajectory, spike_map)]
 
 
 @dataclass

@@ -20,6 +20,8 @@ from .pipeline import write_csv
 from .tree import Trajectory
 
 PER_MILLION = 1e6
+# the population of a region key missing from the population table
+DEFAULT_POPULATION = 1e6
 
 # countries dense enough that country-level density would wash out regional
 # differences; density is tracked per sub-region for these
@@ -125,7 +127,6 @@ def aggregate_densities(
     populations: Mapping[str, float],
     config: WeightConfig,
     base_year: int = 2019,
-    default_population: float = 1e6,
 ) -> dict[tuple[str, int], DensityRecord]:
     """Count sequences per (region key, collection month) and attach populations.
 
@@ -142,7 +143,7 @@ def aggregate_densities(
             region_key=key,
             month=month,
             n=n,
-            population=populations.get(key, default_population),
+            population=populations.get(key, DEFAULT_POPULATION),
         )
         for (key, month), n in counts.items()
     }

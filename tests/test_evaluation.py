@@ -4,7 +4,6 @@ import pytest
 from evotraj.evaluation import (
     ModelPredictor,
     RandomPredictor,
-    StaticAaPredictor,
     StaticPredictor,
     aggregate,
     evaluate_sequences,
@@ -175,11 +174,21 @@ class TestSpikeRecall:
 
     def test_aa_predictor_direct_matching(self, tmp_path):
         self.setup_mini(tmp_path)
-        predictor = StaticAaPredictor([AaMutation("S", 3, "L", "V")])
+        predictor = StaticPredictor([AaMutation("S", 3, "L", "V")])
         r = spike_recall_at_k(
             self.traj, self.sample, predictor, k=1, tokenizer=TOK, spike_map=self.spike_map
         )
         assert r.recall == 0.5
+
+    def test_token_and_aa_candidates_in_one_list(self, tmp_path):
+        # a token candidate goes through the codon context in force at each
+        # step, an amino-acid one is matched directly
+        self.setup_mini(tmp_path)
+        predictor = StaticPredictor([TOK.mutation_token(37, "G"), AaMutation("S", 5, "G", "W")])
+        r = spike_recall_at_k(
+            self.traj, self.sample, predictor, k=2, tokenizer=TOK, spike_map=self.spike_map
+        )
+        assert r.recall == 1.0
 
     def test_no_spike_steps_rejected(self, tmp_path):
         spike_map = SpikeMap(mini_spike_annotation(tmp_path))
@@ -264,6 +273,18 @@ class TestEvaluateSequences:
         res = evaluate_sequences([traj], [sample], predictor, ks=(1,), max_context=10)
         assert res.n_excluded_too_long == 1
         assert res.per_k[1] == []
+
+    @pytest.mark.parametrize("max_context", [None, 256, 18])
+    def test_bound_is_the_smaller_of_caller_and_model(self, max_context):
+        # the model takes 20 tokens; the caller's larger bound cannot lift that
+        cfg = ModelConfig(vocab_size=TOK.vocab_size, layers=1, hidden=32, heads=4, max_seq=20)
+        predictor = ModelPredictor(Transformer(cfg, seed=0), TOK)
+        lengths = (11, 15, 17, 26)  # contexts of 15, 19, 21 and 30 tokens
+        trajs, samples = zip(*(sample_for([], [(i + 1, "T") for i in range(n)]) for n in lengths))
+        res = evaluate_sequences(trajs, samples, predictor, ks=(1,), max_context=max_context)
+        assert res.n_excluded_too_long == (3 if max_context == 18 else 2)
+        assert len(res.per_k[1]) == 4 - res.n_excluded_too_long
+        assert nucleotide_recall_at_k(samples[-1], predictor, k=1, max_context=max_context) is None
 
     def test_report_csv(self, tmp_path):
         trajs, samples = self.make_batch()

@@ -1,5 +1,6 @@
 import collections
 import json
+import re
 import shutil
 import struct
 import zipfile
@@ -244,6 +245,43 @@ class TestEndToEnd:
         assert code == 2
         assert "hash mismatch" in capsys.readouterr().err
 
+    def test_evaluate_bounds_contexts_by_the_checkpoint(self, pipeline_run, tmp_path):
+        # trained at max_seq=23, scored at the default config's 256: contexts
+        # the model cannot take are counted as too long, not passed to it
+        train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
+        assert main([
+            "train", "--dataset", str(pipeline_run["dataset"]), "--plans", str(pipeline_run["plans"]),
+            "--out", str(train_dir), *SMALL_SETTINGS, "--set", "max_seq=23",
+        ]) == 0
+        assert main([
+            "evaluate",
+            "--tree", str(pipeline_run["sim"] / "tree.jsonl"),
+            "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+            "--checkpoint", str(train_dir / "checkpoint.ckpt"),
+            "--population", str(pipeline_run["sim"] / "population.csv"),
+            "--out", str(eval_dir), *SMALL_SETTINGS,
+        ]) == 0
+        bounded = json.loads((eval_dir / "eval_stats.json").read_text())
+        full = json.loads((pipeline_run["eval"] / "eval_stats.json").read_text())
+        assert bounded["n_excluded_too_long"] > full["n_excluded_too_long"]
+        assert (bounded["n_evaluated"] + bounded["n_excluded_too_long"]
+                == full["n_evaluated"] + full["n_excluded_too_long"])
+
+    def test_evaluate_refuses_an_amino_acid_table_on_the_nucleotide_task(self, pipeline_run, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("mutation,expected_count,fitness\nS:D2G,5,0\n")
+        out = tmp_path / "eval"
+        with pytest.raises(SystemExit, match=rf"{re.escape(str(table))} is an amino-acid table: "
+                                             r"it scores task=spike only, not task=nucleotide"):
+            main([
+                "evaluate",
+                "--tree", str(pipeline_run["sim"] / "tree.jsonl"),
+                "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+                "--baseline", str(table),
+                "--out", str(out), *SMALL_SETTINGS,
+            ])
+        assert not out.exists()
+
     def test_predict_command(self, pipeline_run, tmp_path):
         out = tmp_path / "pred"
         assert main([
@@ -283,6 +321,16 @@ class TestMalformedTree:
         assert main([stage, "--tree", str(tree), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {tree}: line 2: node 'x' has dangling parent 'ghost'\n"
+        assert not out.exists()
+
+    def test_refine_variants_refuses_a_non_string_variant(self, tmp_path, capsys):
+        tree = tmp_path / "tree.jsonl"
+        tree.write_text('{"id":"root","parent":null,"variant":"V1"}\n'
+                        '{"id":"x","parent":"root","variant":5}\n')
+        out = tmp_path / "out"
+        assert main(["refine-variants", "--tree", str(tree), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tree}: line 2: 'variant' is not a string: 5\n"
         assert not out.exists()
 
 
@@ -507,6 +555,16 @@ class TestUpstreamVerification:
                 "--out", str(tmp_path / "t"), *SMALL_SETTINGS,
             ])
         assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
+
+    def test_train_refuses_a_sample_longer_than_the_context(self, pipeline_run, tmp_path):
+        with pytest.raises(
+            ValueError, match=r"tokens\.bin: sample \d+ has \d+ tokens, a context longer than max_seq 10$"
+        ):
+            main([
+                "train", "--dataset", str(pipeline_run["dataset"]), "--plans", str(pipeline_run["plans"]),
+                "--out", str(tmp_path / "t"), *SMALL_SETTINGS, "--set", "max_seq=10",
+            ])
+        assert not (tmp_path / "t").exists()
 
     def test_train_reads_only_plans_named_by_the_manifest(self, pipeline_run, tmp_path):
         plans = tmp_path / "plans"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -237,6 +239,19 @@ class TestPersistence:
         p = tmp_path / "x.txt"
         p.write_text("not a layout\n")
         with pytest.raises(ValueError, match="not a tokenizer layout"):
+            Tokenizer.load(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("day_count 31\n", ""), "layout key day_count is missing"),
+        (lambda text: text + "month_count 84\n", "unknown layout key 'month_count'"),
+        (lambda text: text.replace("year_count 7", "year_count seven"),
+         "layout key year_count has non-integer value 'seven'"),
+    ], ids=["missing", "unknown", "non-integer"])
+    def test_load_names_the_file_for_a_bad_key(self, tmp_path, edit, message):
+        p = tmp_path / "layout.txt"
+        Tokenizer(LayoutSpec(genome_length=10)).save(p)
+        p.write_text(edit(p.read_text()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}$"):
             Tokenizer.load(p)
 
 

@@ -95,10 +95,26 @@ class TestParse:
         ('{"id":"a","parent":"root","muts":[123]}', "malformed mutation string 123"),
         ('{"id":"a","parent":"root","muts":[["100T"]]}', r"malformed mutation string \[\'100T\'\]"),
         ('{"id":"a","parent":"root","meta":"x"}', "bad metadata: not an object: 'x'"),
-    ], ids=["number", "list", "null-muts", "int-mutation", "list-mutation", "string-meta"])
+        ('{"id":"a","parent":"root","variant":5}', "'variant' is not a string: 5"),
+        ('{"id":"a","parent":"root","meta":{"name":7}}', "bad metadata: 'name' is not a string: 7"),
+        ('{"id":"a","parent":"root","meta":{"name":"s","country":7}}',
+         "bad metadata: 'country' is not a string: 7"),
+        ('{"id":"a","parent":"root","meta":{"name":"s","region":["x"]}}',
+         r"bad metadata: 'region' is not a string: \[\'x\'\]"),
+    ], ids=["number", "list", "null-muts", "int-mutation", "list-mutation", "string-meta",
+            "int-variant", "int-name", "int-country", "list-region"])
     def test_malformed_node_names_its_line(self, line, message):
         with pytest.raises(TreeFormatError, match=f"^line 2: {message}$"):
             parse_tree(lines('{"id":"root","parent":null}', line))
+
+    def test_null_text_fields_accepted(self):
+        tree = parse_tree(lines(
+            '{"id":"root","parent":null,"variant":null,'
+            '"meta":{"name":null,"country":null,"region":null}}'
+        ))
+        node = tree.nodes["root"]
+        assert node.variant_name is None
+        assert node.leaf_meta == SequenceMeta(name=None)
 
     def test_release_on_collection_day_accepted(self):
         tree = parse_tree(lines(

@@ -2,8 +2,7 @@
 
 Each table row carries an expected count c and a fitness score f for one
 mutation; candidates are ranked by c, by f, or by the blend c * exp(alpha*f).
-Rankings are static per table: the same list serves every evaluated sequence,
-with per-clade table files selected by the sequence's variant when available.
+Rankings are static per table: the same list serves every evaluated sequence.
 """
 
 from __future__ import annotations
@@ -110,17 +109,6 @@ def rank_aa_table(
     scored = [(AaMutation.parse(r.mutation), record_score(r, mode, alpha)) for r in table.records]
     scored.sort(key=lambda ms: (-ms[1], ms[0].pos, ms[0].to_aa, ms[0].from_aa))
     return scored[:k]
-
-
-class BloomTableSet:
-    """Per-clade tables with a default fallback."""
-
-    def __init__(self, default: BloomTable, per_clade: dict[str, BloomTable] | None = None):
-        self.default = default
-        self.per_clade = per_clade or {}
-
-    def for_variant(self, variant_name: str) -> BloomTable:
-        return self.per_clade.get(variant_name, self.default)
 
 
 def write_bloom_table(records: Iterable[BloomRecord], path: Path | str) -> None:

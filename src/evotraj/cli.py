@@ -12,6 +12,7 @@ import argparse
 import csv
 import datetime
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -166,8 +167,13 @@ def _ranked_table(path: str, config: PipelineConfig, k: int, tok: Tokenizer) -> 
     return table.kind, baseline_mod.rank_aa_table(table, config.baseline_mode, k, config.alpha)
 
 
-def _parse_mut_list(text: str | None) -> tuple[NtMutation, ...]:
-    return tuple(NtMutation.parse(m) for m in (text or "").split(",") if m.strip())
+@contextmanager
+def _refusing(flag: str):
+    """Turns a ValueError raised on a flag's value into a refusal naming it."""
+    try:
+        yield
+    except ValueError as e:
+        raise SystemExit(f"{flag}: {e}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -225,10 +231,9 @@ def cmd_build_dataset(args) -> int:
     else:
         tok = Tokenizer(_from_config(LayoutSpec, config))
     for traj in split.train:
-        if traj.meta.country:
-            tok.register_location(traj.meta.country)
-        if traj.meta.region:
-            tok.register_location(traj.meta.region)
+        for name in (traj.meta.country, traj.meta.region):
+            if name:
+                tok.register_location(name)
     samples = [tok.tokenize(traj) for traj in split.train]
     wcfg = _weight_config(config)
     populations = weighting.load_population_table(args.population) if args.population else {}
@@ -335,11 +340,25 @@ def cmd_predict(args) -> int:
     stage = _Stage(args, "predict", checkpoint=args.checkpoint, layout=args.layout)
     model = _checked_model(stage)
     tok = Tokenizer.load(args.layout)
-    date = PartialDate.parse(args.date) if args.date else None
+    with _refusing("--date"):
+        date = PartialDate.parse(args.date) if args.date else None
+        tok.time_tokens(date)
+    muts = {}
+    for flag, text in (("--variant-muts", args.variant_muts), ("--observed", args.observed)):
+        with _refusing(flag):
+            muts[flag] = tuple(NtMutation.parse(m) for m in (text or "").split(",") if m.strip())
+            for m in muts[flag]:
+                tok.mutation_token(m.site, m.to)
     meta = SequenceMeta("", collected=date, country=args.country, region=args.region)
-    context = Trajectory(meta, "", _parse_mut_list(args.variant_muts), _parse_mut_list(args.observed))
+    context = Trajectory(meta, "", muts["--variant-muts"], muts["--observed"])
+    tokens = list(tok.tokenize(context).tokens)
+    if len(tokens) > model.config.max_seq:
+        raise SystemExit(
+            f"--variant-muts and --observed give a context of {len(tokens)} tokens,"
+            f" more than the checkpoint's max_seq {model.config.max_seq}"
+        )
     rank_fn = rank_without_location if args.no_location else rank_next_mutations
-    pred = rank_fn(model, tok, list(tok.tokenize(context).tokens), k=args.k)
+    pred = rank_fn(model, tok, tokens, k=args.k)
     ranked_out = stage.output("ranked", "ranked.csv")
     write_csv(
         ranked_out,

@@ -145,7 +145,8 @@ def _hit_ranks(
 
     A step is a private mutation (nucleotide task) or a private mutation that
     changes a spike residue (spike task); its context is the prefix, the
-    variant mutations and all earlier private mutations.
+    variant mutations and all earlier private mutations. Amino-acid
+    candidates are refused on the nucleotide task.
     """
     bound = min((b for b in (max_context, predictor.max_context) if b is not None), default=None)
     out: list[list[float] | None] = [None] * len(samples)
@@ -168,6 +169,8 @@ def _hit_ranks(
 
     for idx, ranked in zip(kept, predictor.rank_batch(contexts, positions, k)):
         if task == "nucleotide":
+            if any(isinstance(c, AaMutation) for cands in ranked for c in cands):
+                raise ValueError("amino-acid candidates score task=spike only, not task=nucleotide")
             sample = samples[idx]
             targets = sample.tokens[PREFIX_LENGTH + sample.split_index :]
             out[idx] = [c.index(t) if t in c else MISS for t, c in zip(targets, ranked)]

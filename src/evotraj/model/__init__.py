@@ -8,7 +8,6 @@ from .transformer import (
 from .training import (
     Adam,
     TrainConfig,
-    TrainState,
     TrainingDiverged,
     check_samples_fit,
     load_checkpoint,
@@ -17,14 +16,12 @@ from .training import (
     train,
     write_training_log,
 )
-from .ranking import RankedPrediction, rank_next_mutations, rank_without_location, strip_location
+from .ranking import rank_next_mutations, rank_without_location
 
 __all__ = [
     "Adam",
     "ModelConfig",
-    "RankedPrediction",
     "TrainConfig",
-    "TrainState",
     "TrainingDiverged",
     "Transformer",
     "batch_arrays",
@@ -35,7 +32,6 @@ __all__ = [
     "rank_next_mutations",
     "rank_without_location",
     "save_checkpoint",
-    "strip_location",
     "train",
     "trajectory_loss",
     "write_training_log",

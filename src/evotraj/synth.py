@@ -12,10 +12,11 @@ Everything is a pure function of the seed.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import json
-from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +84,11 @@ class SynthConfig:
     def bucket_of_site(self, site: int) -> int:
         return min((site - 1) // self.bucket_width, self.n_buckets - 1)
 
-    def month_index(self, offset: int) -> int:
-        """Calendar month index (months since 2019-01) for a synth month offset."""
-        return (self.start_year - 2019) * 12 + (self.start_month - 1) + offset
-
     def alt_fraction(self, month_offset: int) -> float:
         """Share of mutations drawn from the alternate spectrum in a month."""
         if self.shift_month is None:
             return 0.0
-        return float(np.clip((month_offset - self.shift_month) / self.ramp_months, 0.0, 1.0))
+        return min(max((month_offset - self.shift_month) / self.ramp_months, 0.0), 1.0)
 
 
 def plant_temporal_shift(config: SynthConfig, shift_month: int, ramp_months: int = 1) -> SynthConfig:
@@ -108,8 +105,21 @@ class SpectrumTable:
     states: np.ndarray  # (n_buckets, support) indices into NT_STATES
     probs: np.ndarray  # (n_buckets, support) rows sum to 1
 
+    @cached_property
+    def cdfs(self) -> list[list[float]]:
+        """Per bucket, the cumulative cell probabilities, for ``pick``."""
+        return np.cumsum(self.probs, axis=1).tolist()
+
+    @cached_property
+    def cells(self) -> list[list[NtMutation]]:
+        """Per bucket, each cell's mutation, shared by every draw of it."""
+        return [
+            [NtMutation(site, NT_STATES[state]) for site, state in zip(row_sites, row_states)]
+            for row_sites, row_states in zip(self.sites.tolist(), self.states.tolist())
+        ]
+
     def cell_mutation(self, bucket: int, cell: int) -> NtMutation:
-        return NtMutation(int(self.sites[bucket, cell]), NT_STATES[int(self.states[bucket, cell])])
+        return self.cells[bucket][cell]
 
 
 @dataclass
@@ -117,9 +127,6 @@ class GroundTruth:
     config: SynthConfig
     base: SpectrumTable
     alt: SpectrumTable
-
-    def table_for(self, use_alt: bool) -> SpectrumTable:
-        return self.alt if use_alt else self.base
 
 
 def build_spectra(config: SynthConfig) -> GroundTruth:
@@ -143,11 +150,10 @@ def build_spectra(config: SynthConfig) -> GroundTruth:
         lo = target * config.bucket_width + 1
         # the last bucket also holds the sites past n_buckets * bucket_width
         hi = config.genome_length + 1 if target == config.n_buckets - 1 else lo + config.bucket_width
-        pool_sites = np.arange(lo, hi)
-        # pairs over the 4 substitution states; deletions are left to noise
-        pairs = [(s, st) for s in pool_sites for st in range(4)]
-        for col, idx in enumerate(rng.choice(len(pairs), size=k, replace=False)):
-            sites[b, col], states[b, col] = pairs[idx]
+        # pool cell i is site lo + i // 4 in substitution state i % 4;
+        # deletions are left to noise
+        chosen = rng.choice(4 * (hi - lo), size=k, replace=False)
+        sites[b], states[b] = lo + chosen // 4, chosen % 4
 
     probs = np.tile(probs_row, (config.n_buckets, 1))
     return GroundTruth(
@@ -155,6 +161,12 @@ def build_spectra(config: SynthConfig) -> GroundTruth:
         base=SpectrumTable(sites, states, probs.copy()),
         alt=SpectrumTable(sites.copy(), states.copy(), probs[:, ::-1].copy()),
     )
+
+
+def pick(cdf: list[float], rng: np.random.Generator) -> int:
+    """One categorical draw: the index of the first cumulative weight above a
+    uniform, clamped to the last index for a CDF that rounds below 1."""
+    return min(bisect.bisect_right(cdf, rng.random()), len(cdf) - 1)
 
 
 def draw_mutation(
@@ -165,13 +177,21 @@ def draw_mutation(
     Consumes exactly two uniforms regardless of which table is used, so
     configs differing only in shift parameters share the rest of the stream.
     """
-    use_alt = rng.random() < truth.config.alt_fraction(month_offset)
-    table = truth.table_for(use_alt)
-    cdf = np.cumsum(table.probs[bucket])
-    cell = int(np.searchsorted(cdf, rng.random(), side="right"))
-    cell = min(cell, table.probs.shape[1] - 1)
-    mut = table.cell_mutation(bucket, cell)
+    table = truth.alt if rng.random() < truth.config.alt_fraction(month_offset) else truth.base
+    mut = table.cell_mutation(bucket, pick(table.cdfs[bucket], rng))
     return mut, truth.config.bucket_of_site(mut.site)
+
+
+def draw_chain(
+    truth: GroundTruth, bucket: int, month_offset: int, rate: float, rng: np.random.Generator
+) -> tuple[list[NtMutation], int]:
+    """1 + Poisson(rate) chained spectrum steps from ``bucket``; returns the
+    mutations and the bucket the chain ends in."""
+    muts = []
+    for _ in range(1 + rng.poisson(rate)):
+        mut, bucket = draw_mutation(truth, bucket, month_offset, rng)
+        muts.append(mut)
+    return muts, bucket
 
 
 @dataclass
@@ -179,7 +199,6 @@ class SynthOutput:
     tree: PhyloTree
     truth: GroundTruth
     populations: dict[str, float]
-    density_counts: dict[tuple[str, int], int]  # (region, calendar month index) -> n
 
     @property
     def n_leaves(self) -> int:
@@ -191,11 +210,12 @@ def generate(config: SynthConfig) -> SynthOutput:
     rng = np.random.default_rng([config.seed, 202])
     region_probs = np.array([r.sample_weight for r in config.regions], dtype=float)
     region_probs /= region_probs.sum()
+    branching_cdf = np.cumsum(config.branching_probs).tolist()
+    region_cdf = np.cumsum(region_probs).tolist()
 
     nodes: dict[str, TreeNode] = {
         "root": TreeNode(node_id="root", parent_id=None, branch_mutations=())
     }
-    density: Counter[tuple[str, int]] = Counter()
     n_internal = 0
     n_sample = 0
     variant_counter = 0
@@ -205,23 +225,13 @@ def generate(config: SynthConfig) -> SynthOutput:
     while frontier:
         node_id, depth, month, bucket = frontier.pop()
         if depth < config.depth:
-            n_children = int(
-                np.asarray(config.branching)[
-                    np.searchsorted(np.cumsum(config.branching_probs), rng.random(), side="right")
-                ]
-            )
-            for _ in range(n_children):
+            for _ in range(config.branching[pick(branching_cdf, rng)]):
                 n_internal += 1
                 child_id = f"n{n_internal}"
                 child_month = min(
                     month + int(rng.random() < config.month_advance), config.month_span - 1
                 )
-                n_muts = 1 + rng.poisson(config.internal_mut_rate)
-                muts = []
-                child_bucket = bucket
-                for _ in range(n_muts):
-                    mut, child_bucket = draw_mutation(truth, child_bucket, child_month, rng)
-                    muts.append(mut)
+                muts, child_bucket = draw_chain(truth, bucket, child_month, config.internal_mut_rate, rng)
                 child_depth = depth + 1
                 variant = None
                 if child_depth == config.variant_base_depth or (
@@ -245,20 +255,13 @@ def generate(config: SynthConfig) -> SynthOutput:
         for _ in range(n_leaves_here):
             n_sample += 1
             leaf_id = f"s{n_sample}"
-            region = config.regions[
-                int(np.searchsorted(np.cumsum(region_probs), rng.random(), side="right"))
-            ]
+            region = config.regions[pick(region_cdf, rng)]
             # private mutations accrue up to the collection month, so they are
             # drawn under that month's spectrum mixture
             leaf_month = min(
                 month + int(rng.poisson(config.collection_lag_months)), config.month_span - 1
             )
-            n_muts = 1 + rng.poisson(config.private_mut_rate)
-            muts = []
-            leaf_bucket = bucket
-            for _ in range(n_muts):
-                mut, leaf_bucket = draw_mutation(truth, leaf_bucket, leaf_month, rng)
-                muts.append(mut)
+            muts, _ = draw_chain(truth, bucket, leaf_month, config.private_mut_rate, rng)
             n_noise = rng.poisson(config.noise_rate)
             for _ in range(n_noise):
                 site = int(rng.integers(1, config.genome_length + 1))
@@ -270,7 +273,7 @@ def generate(config: SynthConfig) -> SynthOutput:
             collected = PartialDate(year, cal_month, day)
             lag = int(rng.integers(config.release_lag_days[0], config.release_lag_days[1] + 1))
             released_date = collected.to_date() + datetime.timedelta(days=lag)
-            released = PartialDate.from_date(released_date)
+            released = PartialDate(released_date.year, released_date.month, released_date.day)
             nodes[leaf_id] = TreeNode(
                 node_id=leaf_id,
                 parent_id=node_id,
@@ -282,13 +285,10 @@ def generate(config: SynthConfig) -> SynthOutput:
                     country=region.name,
                 ),
             )
-            density[(region.name, config.month_index(leaf_month))] += 1
 
     tree = PhyloTree(nodes, "root")
     populations = {r.name: r.population for r in config.regions}
-    return SynthOutput(
-        tree=tree, truth=truth, populations=populations, density_counts=dict(density)
-    )
+    return SynthOutput(tree=tree, truth=truth, populations=populations)
 
 
 # -- artifact emission -------------------------------------------------------
@@ -322,7 +322,6 @@ def write_outputs(out: SynthOutput, out_dir: Path | str) -> dict[str, Path]:
         "tree": out_dir / "tree.jsonl",
         "spectrum": out_dir / "spectrum.json",
         "population": out_dir / "population.csv",
-        "density": out_dir / "density.csv",
     }
     write_atomic(paths["tree"], serialize_tree(out.tree))
     write_atomic(paths["spectrum"], json.dumps(spectrum_to_json(out.truth), sort_keys=True))
@@ -330,10 +329,5 @@ def write_outputs(out: SynthOutput, out_dir: Path | str) -> dict[str, Path]:
         paths["population"],
         ["region_key", "population"],
         ([name, f"{pop:g}"] for name, pop in sorted(out.populations.items())),
-    )
-    write_csv(
-        paths["density"],
-        ["region_key", "month", "n"],
-        ([region, month, n] for (region, month), n in sorted(out.density_counts.items())),
     )
     return paths

@@ -246,7 +246,8 @@ class Tokenizer:
     @classmethod
     def load(cls, path: Path | str) -> "Tokenizer":
         """Refuses, with a ValueError naming the file, a layout that lacks a
-        LayoutSpec field, has an unknown key or a non-integer value."""
+        LayoutSpec field, has an unknown or repeated key or location, or a
+        non-integer value."""
         lines = Path(path).read_text().splitlines()
         if not lines or lines[0] != LAYOUT_HEADER:
             raise ValueError(f"{path}: not a tokenizer layout file")
@@ -256,10 +257,14 @@ class Tokenizer:
         for line in filter(None, lines[1:]):
             key, _, value = line.partition(" ")
             if key == "location":
+                if value in locations:
+                    raise ValueError(f"{path}: location {value!r} is repeated")
                 locations.append(value)
                 continue
             if key not in names:
                 raise ValueError(f"{path}: unknown layout key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}: layout key {key} is repeated")
             try:
                 values[key] = int(value)
             except ValueError:

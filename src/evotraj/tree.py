@@ -72,10 +72,6 @@ class PartialDate:
         nums = [int(p) for p in parts]
         return cls(*nums)
 
-    @classmethod
-    def from_date(cls, d: datetime.date) -> "PartialDate":
-        return cls(d.year, d.month, d.day)
-
 
 @dataclass(frozen=True, slots=True)
 class SequenceMeta:
@@ -133,9 +129,6 @@ class PhyloTree:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def children(self, node_id: str) -> list[str]:
-        return self._children[node_id]
 
     def is_leaf(self, node_id: str) -> bool:
         return not self._children[node_id]
@@ -367,11 +360,10 @@ def extract_trajectory(
         seq_nodes = path
     else:
         variant_name = path[variant_idx].variant_name
-        raw = tuple(m for node in path[: variant_idx + 1] for m in node.branch_mutations)
         if variant_definitions is not None and variant_name in variant_definitions:
             variant_muts = tuple(variant_definitions[variant_name])
         else:
-            variant_muts = raw
+            variant_muts = tuple(m for node in path[: variant_idx + 1] for m in node.branch_mutations)
         seq_nodes = path[variant_idx + 1 :]
 
     seq_muts = tuple(m for node in seq_nodes for m in node.branch_mutations)

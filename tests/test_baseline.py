@@ -6,7 +6,6 @@ import pytest
 from evotraj.baseline import (
     BloomRecord,
     BloomTable,
-    BloomTableSet,
     load_bloom_table,
     mixed_score,
     rank_aa_table,
@@ -115,13 +114,6 @@ class TestStructure:
     def test_duplicate_rows_rejected(self):
         with pytest.raises(ValueError):
             nt_table([("C10T", 1, 0), ("C10T", 2, 0)])
-
-    def test_table_set_fallback(self):
-        default = nt_table([("C10T", 1, 0)])
-        clade = nt_table([("C20T", 1, 0)])
-        tables = BloomTableSet(default, {"V1": clade})
-        assert tables.for_variant("V1") is clade
-        assert tables.for_variant("V9") is default
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -286,6 +286,16 @@ class TestEvaluateSequences:
         assert len(res.per_k[1]) == 4 - res.n_excluded_too_long
         assert nucleotide_recall_at_k(samples[-1], predictor, k=1, max_context=max_context) is None
 
+    def test_amino_acid_ranking_refused_on_the_nucleotide_task(self):
+        # an amino-acid candidate never equals a mutation token, so scoring it
+        # would report recall 0 instead of a misuse
+        traj, sample = sample_for([], [(37, "G")])
+        predictor = StaticPredictor([AaMutation("S", 3, "L", "V")])
+        with pytest.raises(ValueError, match="not task=nucleotide"):
+            evaluate_sequences([traj], [sample], predictor, ks=(1,))
+        with pytest.raises(ValueError, match="not task=nucleotide"):
+            nucleotide_recall_at_k(sample, predictor, k=1)
+
     def test_report_csv(self, tmp_path):
         trajs, samples = self.make_batch()
         res = evaluate_sequences(

@@ -130,6 +130,9 @@ SMALL_SETTINGS = [
 # pure Python plus seeded numpy, so the digests do not depend on the BLAS
 # library; a refactor that changes any byte of them fails here.
 DATA_STAGE_DIGESTS = {
+    ("sim", "tree.jsonl"): "d1026b9e4e5c898aeb36e16b9aca70b9a02cbc4ce53f7f206f99f56b66431525",
+    ("sim", "spectrum.json"): "df66927a50d49ee36099961e947b4c5cc9d4cb4186a26c4a0061c6a6b76ad8de",
+    ("sim", "population.csv"): "dd2d3b745ca5cf42f8d369a4dfbc9ee4ca56adf633d023015436a9aed9664832",
     ("ingest", "tree.jsonl"): "d1026b9e4e5c898aeb36e16b9aca70b9a02cbc4ce53f7f206f99f56b66431525",
     ("dataset", "layout.txt"): "af3364dde7375f48577d8878b87648c9cdccfd7d2bfc113245f573ff3f70c1c5",
     ("dataset", "tokens.bin"): "c488f6bb73265eeacd317814689e7075b65bc7d3dc77ef62bd38db56242f4121",
@@ -310,6 +313,28 @@ class TestEndToEnd:
                      "--out", str(a), *SMALL_SETTINGS]) == 0
         assert main(["predict", *args_common, "--out", str(b), *SMALL_SETTINGS]) == 0
         assert (a / "ranked.csv").read_text() == (b / "ranked.csv").read_text()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--variant-muts", "10T,zz"], "--variant-muts: malformed mutation string 'zz'"),
+        (["--observed", "999T"], "--observed: site 999 out of range 1..200"),
+        (["--date", "2024-13-01"], "--date: month 13 out of range"),
+        (["--date", "2031-01-01"], "--date: year 2031 out of layout range 2019..2025"),
+        # 5 prefix tokens and 252 mutations against the checkpoint's 256
+        (["--variant-muts", ",".join(f"{site}{to}" for site in range(1, 127) for to in "AT")],
+         "--variant-muts and --observed give a context of 257 tokens,"
+         " more than the checkpoint's max_seq 256"),
+    ], ids=["malformed-mutation", "site-outside-layout", "malformed-date", "date-outside-layout",
+            "context-too-long"])
+    def test_predict_refuses_a_flag_it_cannot_use(self, pipeline_run, tmp_path, flags, message):
+        out = tmp_path / "pred"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            main([
+                "predict",
+                "--checkpoint", str(pipeline_run["train"] / "checkpoint.ckpt"),
+                "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+                *flags, "--out", str(out), *SMALL_SETTINGS,
+            ])
+        assert not out.exists()
 
 
 class TestMalformedTree:

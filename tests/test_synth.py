@@ -6,12 +6,12 @@ from evotraj.synth import (
     build_spectra,
     draw_mutation,
     generate,
+    pick,
     plant_temporal_shift,
     spectrum_to_json,
     write_outputs,
 )
 from evotraj.tree import extract_all_trajectories, parse_tree, serialize_tree
-from evotraj.weighting import WeightConfig, aggregate_densities
 
 SMALL = SynthConfig(depth=5, branching=(2, 3), branching_probs=(0.5, 0.5), seed=11)
 
@@ -26,7 +26,6 @@ class TestDeterminism:
         again = generate(SMALL)
         assert serialize_tree(again.tree) == serialize_tree(small_output.tree)
         assert spectrum_to_json(again.truth) == spectrum_to_json(small_output.truth)
-        assert again.density_counts == small_output.density_counts
 
     def test_different_seed_differs(self, small_output):
         other = generate(SynthConfig(depth=5, branching=(2, 3), branching_probs=(0.5, 0.5), seed=12))
@@ -71,14 +70,29 @@ class TestTreeValidity:
 
 
 class TestDensities:
-    def test_density_counts_match_weighting_aggregation(self, small_output):
-        trajs = extract_all_trajectories(small_output.tree)
-        recs = aggregate_densities(trajs, small_output.populations, WeightConfig())
-        assert {k: r.n for k, r in recs.items()} == small_output.density_counts
-
     def test_population_table_complete(self, small_output):
-        for region, _ in small_output.density_counts:
-            assert region in small_output.populations
+        for leaf in small_output.tree.leaves():
+            assert leaf.leaf_meta.country in small_output.populations
+
+
+class TestPick:
+    class FixedRng:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    @pytest.mark.parametrize("u, index", [(0.0, 0), (0.25, 1), (0.4, 1), (0.5, 2), (0.9999, 2)])
+    def test_first_cumulative_weight_above_the_uniform(self, u, index):
+        assert pick([0.25, 0.5, 1.0], self.FixedRng(u)) == index
+
+    def test_cdf_ending_below_one_clamps_to_the_last_index(self):
+        # float sums can end just under 1; a uniform in that gap picks the last
+        # category instead of indexing past it
+        cdf = [0.3, 0.7, 1.0 - 1e-9]
+        assert pick(cdf, self.FixedRng(1.0 - 1e-12)) == 2
+        assert pick(cdf, self.FixedRng(0.7)) == 2
 
 
 class TestSpectrum:
@@ -152,7 +166,7 @@ class TestTemporalShift:
         def cell_histogram(months):
             counts = np.zeros(k)
             for leaf in out.tree.leaves():
-                m = leaf.leaf_meta.collected.month_index(2019) - cfg.month_index(0)
+                m = leaf.leaf_meta.collected.month_index(cfg.start_year) - (cfg.start_month - 1)
                 if m not in months:
                     continue
                 for mut in leaf.branch_mutations:
@@ -182,7 +196,11 @@ class TestOutputs:
         reparsed = parse_tree(paths["tree"])
         assert len(reparsed) == len(small_output.tree)
         assert "region_key,population" in paths["population"].read_text()
-        assert "region_key,month,n" in paths["density"].read_text()
+        # densities are aggregated from the tree by build-dataset, not written here
+        assert sorted(paths) == ["population", "spectrum", "tree"]
+        assert sorted(p.name for p in (tmp_path / "synth").iterdir()) == [
+            "population.csv", "spectrum.json", "tree.jsonl"
+        ]
         import json
 
         spec = json.loads(paths["spectrum"].read_text())

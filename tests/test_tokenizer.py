@@ -246,7 +246,9 @@ class TestPersistence:
         (lambda text: text + "month_count 84\n", "unknown layout key 'month_count'"),
         (lambda text: text.replace("year_count 7", "year_count seven"),
          "layout key year_count has non-integer value 'seven'"),
-    ], ids=["missing", "unknown", "non-integer"])
+        (lambda text: text + "genome_length 500\n", "layout key genome_length is repeated"),
+        (lambda text: text + "location Alandia\nlocation Alandia\n", "location 'Alandia' is repeated"),
+    ], ids=["missing", "unknown", "non-integer", "repeated-key", "repeated-location"])
     def test_load_names_the_file_for_a_bad_key(self, tmp_path, edit, message):
         p = tmp_path / "layout.txt"
         Tokenizer(LayoutSpec(genome_length=10)).save(p)

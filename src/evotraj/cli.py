@@ -24,7 +24,7 @@ from .model import (
     TrainConfig,
     Transformer,
     check_samples_fit,
-    load_model,
+    load_checkpoint,
     rank_next_mutations,
     rank_without_location,
     save_checkpoint,
@@ -80,7 +80,10 @@ class _Stage:
             key, _, value = item.partition("=")
             if not value:
                 raise SystemExit(f"--set expects key=value, got {item!r}")
-            self.config.set(key, value)
+            try:
+                self.config.set(key, value)
+            except (KeyError, ValueError) as e:
+                raise SystemExit(f"--set {item!r}: {e.args[0]}") from None
         if args.seed is not None:
             self.config.seed = args.seed
         self.inputs = {
@@ -149,7 +152,7 @@ def _split(args, config: PipelineConfig, **kwargs):
 def _checked_model(stage: _Stage) -> Transformer:
     """The ``checkpoint`` input's model, refused unless it was trained on the
     ``layout`` input's tokenizer layout."""
-    model, meta = load_model(stage.args.checkpoint)
+    model, meta = load_checkpoint(stage.args.checkpoint)
     expected, actual = meta["layout_hash"], stage.inputs["layout"]["sha256"]
     if expected and expected != actual:
         raise StaleArtifactError(

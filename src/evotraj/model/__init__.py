@@ -11,7 +11,6 @@ from .training import (
     TrainingDiverged,
     check_samples_fit,
     load_checkpoint,
-    load_model,
     save_checkpoint,
     train,
     write_training_log,
@@ -27,7 +26,6 @@ __all__ = [
     "batch_arrays",
     "check_samples_fit",
     "load_checkpoint",
-    "load_model",
     "masked_cross_entropy",
     "rank_next_mutations",
     "rank_without_location",

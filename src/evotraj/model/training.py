@@ -1,7 +1,8 @@
-"""Adam training over sampled trajectory batches, with resumable checkpoints.
+"""Adam training over sampled trajectory batches, and model checkpoints.
 
-The batch schedule is a pure function of the epoch plans and the step index,
-so resuming from a checkpoint replays the exact remaining stream.
+The batch schedule is a pure function of the epoch plans and the step index.
+A checkpoint holds the trained parameters and their metadata, not the
+optimizer's state.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..tokenizer import TokenizedSample
 from .nn import DTYPE, Parameter
 from .transformer import ModelConfig, Transformer, batch_arrays, trajectory_loss
 
-CHECKPOINT_MAGIC = "evotraj-checkpoint-v1"
+CHECKPOINT_MAGIC = "evotraj-checkpoint-v2"
 ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # every checkpoint entry's timestamp
 
 
@@ -131,9 +132,13 @@ def plan_batch(flat_plan: Sequence[int], batch_size: int, step: int) -> list[int
 @dataclass
 class TrainState:
     model: Transformer
-    optimizer: Adam
-    step: int = 0
+    config: TrainConfig
     log: list[tuple[int, float, float]] = field(default_factory=list)  # step, lr, loss
+
+    @property
+    def step(self) -> int:
+        """Steps run so far."""
+        return len(self.log)
 
     @property
     def final_loss(self) -> float:
@@ -145,27 +150,21 @@ def train(
     flat_plan: Sequence[int],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    state: TrainState | None = None,
-    stop_step: int | None = None,
     on_step: Callable[[int, float, float], None] | None = None,
 ) -> TrainState:
-    """Run (or resume) training over the plan stream.
+    """Run training over the plan stream.
 
-    samples are indexed by the plan's sequence ids. stop_step pauses the run
-    early (e.g. to checkpoint) without changing the learning-rate schedule,
-    which is pinned to train_config.steps. Aborts with diagnostics on a
-    non-finite loss.
+    samples are indexed by the plan's sequence ids. Aborts with diagnostics
+    on a non-finite loss.
     """
-    if state is None:
-        model = Transformer(model_config, seed=train_config.seed)
-        state = TrainState(model=model, optimizer=Adam(model.parameters(), train_config))
-    model, opt = state.model, state.optimizer
+    model = Transformer(model_config, seed=train_config.seed)
+    opt = Adam(model.parameters(), train_config)
+    state = TrainState(model=model, config=train_config)
 
     arrays = [
         (np.asarray(s.tokens, dtype=np.int64), len(s.prefix_tokens)) for s in samples
     ]
-    last = train_config.steps if stop_step is None else min(stop_step, train_config.steps)
-    for step in range(state.step, last):
+    for step in range(train_config.steps):
         batch_ids = plan_batch(flat_plan, train_config.batch_size, step)
         batch = [arrays[i] for i in batch_ids]
         inputs, targets, mask = batch_arrays(batch)
@@ -179,7 +178,6 @@ def train(
         model.backward(result.grad_logits)
         lr = train_config.lr_at(step)
         opt.step(lr)
-        state.step = step + 1
         state.log.append((step, lr, result.loss))
         if on_step is not None:
             on_step(step, lr, result.loss)
@@ -201,14 +199,14 @@ def save_checkpoint(
     layout_hash: str = "",
     config_hash: str = "",
 ) -> None:
-    """Self-describing zip of float64 parameter/optimizer arrays plus metadata;
-    entries carry a fixed timestamp, so equal states give identical bytes."""
+    """Self-describing zip of ``meta.json`` plus one float64 ``param/<name>.npy``
+    per parameter; entries carry a fixed timestamp, so equal states give
+    identical bytes."""
     meta = {
         "format": CHECKPOINT_MAGIC,
         "model_config": asdict(state.model.config),
-        "train_config": asdict(state.optimizer.config),
+        "train_config": asdict(state.config),
         "step": state.step,
-        "adam_step_count": state.optimizer.step_count,
         "final_loss": state.final_loss,
         "layout_hash": layout_hash,
         "config_hash": config_hash,
@@ -216,15 +214,10 @@ def save_checkpoint(
     with atomic_output(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zf:
         meta_entry = zipfile.ZipInfo("meta.json", ZIP_EPOCH)
         zf.writestr(meta_entry, json.dumps(meta, sort_keys=True, indent=1))
-        for kind, arrays in (
-            ("param", {k: p.value for k, p in state.model.parameters().items()}),
-            ("adam_m", state.optimizer.m),
-            ("adam_v", state.optimizer.v),
-        ):
-            for name, arr in arrays.items():
-                entry = zipfile.ZipInfo(f"{kind}/{name}.npy", ZIP_EPOCH)
-                with zf.open(entry, "w", force_zip64=True) as f:
-                    np.lib.format.write_array(f, np.asarray(arr, dtype=DTYPE))
+        for name, p in state.model.parameters().items():
+            entry = zipfile.ZipInfo(f"param/{name}.npy", ZIP_EPOCH)
+            with zf.open(entry, "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, np.asarray(p.value, dtype=DTYPE))
 
 
 class _NoDraw(np.random.Generator):
@@ -237,13 +230,12 @@ class _NoDraw(np.random.Generator):
     uniform = normal
 
 
-def _read_checkpoint(path: Path | str, optimizer: bool) -> tuple[dict, Transformer, Adam | None]:
-    """The one checkpoint reader: metadata, the model and, when ``optimizer``
-    is set, Adam with its moments; otherwise the moments are not read.
+def load_checkpoint(path: Path | str) -> tuple[Transformer, dict]:
+    """The one checkpoint reader: returns (model, metadata).
 
-    The archive must hold exactly one array per parameter for each of
-    param/, adam_m/ and adam_v/, each of the parameter's shape; anything
-    else raises ValueError naming the file and the entry.
+    The archive must hold ``meta.json`` of this format and exactly one
+    ``param/<name>.npy`` per parameter, each of the parameter's shape;
+    anything else raises ValueError naming the file and the entry.
     """
     with zipfile.ZipFile(path) as zf:
         names = set(zf.namelist())
@@ -254,45 +246,19 @@ def _read_checkpoint(path: Path | str, optimizer: bool) -> tuple[dict, Transform
             raise ValueError(f"{path}: not a checkpoint file")
         # every parameter is read below, so none is drawn
         model = Transformer(ModelConfig(**meta["model_config"]), seed=_NoDraw(np.random.PCG64(0)))
-        params = {k: p.value for k, p in model.parameters().items()}
-        expected = {"meta.json"} | {
-            f"{kind}/{name}.npy" for kind in ("param", "adam_m", "adam_v") for name in params
-        }
-        missing, extra = sorted(expected - names), sorted(names - expected)
+        params = {f"param/{name}.npy": p.value for name, p in model.parameters().items()}
+        missing, extra = sorted(params.keys() - names), sorted(names - params.keys() - {"meta.json"})
         if missing:
             raise ValueError(f"{path}: checkpoint entry {missing[0]} is missing")
         if extra:
             raise ValueError(f"{path}: unexpected checkpoint entry {extra[0]}")
-
-        def read(kind: str, arrays: dict[str, np.ndarray]) -> None:
-            for name, dest in arrays.items():
-                entry = f"{kind}/{name}.npy"
-                with zf.open(entry) as f:
-                    arr = np.lib.format.read_array(f)
-                if arr.shape != dest.shape:
-                    raise ValueError(
-                        f"{path}: checkpoint entry {entry} has shape {arr.shape}, "
-                        f"expected {dest.shape}"
-                    )
-                dest[...] = arr
-
-        read("param", params)
-        opt = None
-        if optimizer:
-            opt = Adam(model.parameters(), TrainConfig(**meta["train_config"]))
-            read("adam_m", opt.m)
-            read("adam_v", opt.v)
-            opt.step_count = meta["adam_step_count"]
-    return meta, model, opt
-
-
-def load_checkpoint(path: Path | str) -> tuple[TrainState, dict]:
-    """Restore model + optimizer for resuming; returns (state, metadata)."""
-    meta, model, opt = _read_checkpoint(path, optimizer=True)
-    return TrainState(model=model, optimizer=opt, step=meta["step"]), meta
-
-
-def load_model(path: Path | str) -> tuple[Transformer, dict]:
-    """Restore only the model, for inference; returns (model, metadata)."""
-    meta, model, _ = _read_checkpoint(path, optimizer=False)
+        for entry, dest in params.items():
+            with zf.open(entry) as f:
+                arr = np.lib.format.read_array(f)
+            if arr.shape != dest.shape:
+                raise ValueError(
+                    f"{path}: checkpoint entry {entry} has shape {arr.shape}, "
+                    f"expected {dest.shape}"
+                )
+            dest[...] = arr
     return model, meta

@@ -74,6 +74,11 @@ class SynthConfig:
             raise ValueError("genome_length must be at least n_buckets")
         if abs(sum(self.branching_probs) - 1.0) > 1e-9:
             raise ValueError("branching_probs must sum to 1")
+        if any(p < 0 for p in self.branching_probs):
+            raise ValueError("branching_probs must not be negative")
+        weights = [r.sample_weight for r in self.regions]
+        if any(w < 0 for w in weights) or sum(weights) <= 0:
+            raise ValueError("region sample_weights must not be negative and must sum above 0")
         if self.ramp_months < 1:
             raise ValueError("ramp_months must be at least 1")
 

@@ -10,7 +10,7 @@ import pytest
 
 from evotraj import cli, pipeline
 from evotraj.cli import main
-from evotraj.model import load_model
+from evotraj.model import load_checkpoint
 from evotraj.pipeline import (
     PipelineConfig,
     StaleArtifactError,
@@ -54,6 +54,18 @@ class TestPipelineConfig:
         a, b = PipelineConfig(), PipelineConfig()
         b.set("steps", "2")
         assert a.config_hash() != b.config_hash()
+
+
+class TestSetFlag:
+    @pytest.mark.parametrize("item, message", [
+        ("steps=abc", "--set 'steps=abc': invalid literal for int() with base 10: 'abc'"),
+        ("nokey=1", "--set 'nokey=1': unknown config key 'nokey'"),
+    ], ids=["unparsable-value", "unknown-key"])
+    def test_refused_before_any_output(self, tmp_path, item, message):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            main(["simulate", "--out", str(out), "--set", item])
+        assert not out.exists()
 
 
 class TestArtifacts:
@@ -412,7 +424,7 @@ class TestUpstreamVerification:
         shutil.copytree(pipeline_run["train"], train)
         ckpt = train / "checkpoint.ckpt"
         flip_head_weight_byte(pipeline_run["train"] / "checkpoint.ckpt", ckpt)
-        load_model(ckpt)  # well formed: only the train manifest can tell
+        load_checkpoint(ckpt)  # well formed: only the train manifest can tell
         argv = {
             "predict": ["predict", "--date", "2024-06-05"],
             "evaluate": ["evaluate", "--tree", str(pipeline_run["sim"] / "tree.jsonl")],

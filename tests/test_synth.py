@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evotraj.synth import (
+    RegionSpec,
     SynthConfig,
     build_spectra,
     draw_mutation,
@@ -221,6 +222,16 @@ class TestOutputs:
             SynthConfig(genome_length=9)
         with pytest.raises(ValueError):
             SynthConfig(branching_probs=(0.5, 0.2, 0.1))
+
+    def test_negative_branching_prob_refused(self):
+        with pytest.raises(ValueError, match="branching_probs must not be negative"):
+            SynthConfig(branching=(2, 3), branching_probs=(1.5, -0.5))
+
+    @pytest.mark.parametrize("weights", [(0.5, -0.1), (0.0, 0.0)], ids=["negative", "zero-sum"])
+    def test_region_weights_refused(self, weights):
+        regions = tuple(RegionSpec(name, 1.0, w) for name, w in zip("AB", weights))
+        with pytest.raises(ValueError, match="region sample_weights"):
+            SynthConfig(regions=regions)
 
 
 class TestNoiseAndReplay:

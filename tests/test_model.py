@@ -3,10 +3,12 @@ import json
 import math
 import time
 import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from evotraj import cli
 from evotraj.model import (
     ModelConfig,
     TrainConfig,
@@ -461,6 +463,13 @@ def rewrite_checkpoint(src, dst, drop=(), replace=None):
             zout.writestr(name, buf.getvalue())
 
 
+def load_model(path):
+    """The model as ``predict`` and ``evaluate`` load it: the checkpoint read
+    through the CLI's stage loader, which also checks the tokenizer layout."""
+    stage = SimpleNamespace(args=SimpleNamespace(checkpoint=path), inputs={"layout": {"sha256": ""}})
+    return cli._checked_model(stage)
+
+
 class TestStrictCheckpoint:
     @pytest.fixture
     def ckpt(self, tmp_path):
@@ -472,7 +481,7 @@ class TestStrictCheckpoint:
         save_checkpoint(state, path)
         return path, state
 
-    @pytest.mark.parametrize("loader", [load_checkpoint])
+    @pytest.mark.parametrize("loader", [load_checkpoint, load_model])
     def test_missing_head_rejected(self, ckpt, tmp_path, loader):
         bad = tmp_path / "bad.ckpt"
         rewrite_checkpoint(ckpt[0], bad, drop={"param/head.weight.npy"})
@@ -480,7 +489,10 @@ class TestStrictCheckpoint:
             loader(bad)
         assert str(bad) in str(err.value)
 
-    @pytest.mark.parametrize("loader, entry", [(load_checkpoint, "param/embed.weight.npy")])
+    @pytest.mark.parametrize(
+        "loader, entry",
+        [(load_checkpoint, "param/embed.weight.npy"), (load_model, "param/embed.weight.npy")],
+    )
     def test_misshapen_array_rejected(self, ckpt, tmp_path, loader, entry):
         bad = tmp_path / "bad.ckpt"
         rewrite_checkpoint(ckpt[0], bad, replace={entry: np.zeros((3, 32))})
@@ -488,7 +500,7 @@ class TestStrictCheckpoint:
             loader(bad)
         assert str(bad) in str(err.value)
 
-    @pytest.mark.parametrize("loader", [load_checkpoint])
+    @pytest.mark.parametrize("loader", [load_checkpoint, load_model])
     def test_extra_array_rejected(self, ckpt, tmp_path, loader):
         bad = tmp_path / "bad.ckpt"
         rewrite_checkpoint(ckpt[0], bad, replace={"param/extra.weight.npy": np.zeros(4)})

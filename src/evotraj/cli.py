@@ -75,7 +75,8 @@ class _Stage:
     def __init__(self, args, name: str, **inputs: Path | str | None):
         self.args = args
         self.name = name
-        self.config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        with _refusing("--config"):
+            self.config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
         for item in args.set or []:
             key, _, value = item.partition("=")
             if not value:

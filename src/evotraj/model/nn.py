@@ -19,7 +19,10 @@ class Parameter:
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=DTYPE)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros, not zeros_like: a large array's zero pages come from the
+        # OS on first touch, so a model used only for inference never pays
+        # for its gradients
+        self.grad = np.zeros(self.value.shape, dtype=DTYPE)
 
 
 class Module:

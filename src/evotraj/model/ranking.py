@@ -3,6 +3,9 @@
 One kernel, ``top_k_unseen``, ranks every prediction: top-k over the
 mutation block, best first, with the tokens already seen in the context
 trajectory left out. ``rank_contexts`` feeds it from batched forwards.
+It walks the rows one at a time through one reused row of scores, so at
+the production vocabulary it makes no (rows, V) copy of the probabilities
+and no (rows, V) index array.
 """
 
 from __future__ import annotations
@@ -40,24 +43,29 @@ def top_k_unseen(
     row's seen columns left out; returns (columns, scores) per row.
 
     ``seen`` is (rows, s) column indices; entries outside the row are
-    ignored, so it may be padded with -1. A seen column scores -1, the k
-    largest are selected by argpartition and ordered by a descending
-    argsort, and the seen ones are dropped, so a row may return fewer than k.
+    ignored, so it may be padded with -1. The rows are ranked one by one:
+    each is copied into one reused score buffer, its seen columns score -1,
+    the k largest are selected by argpartition and ordered by a descending
+    argsort, and the seen ones are dropped, so a row may return fewer than
+    k. Per row this is the same selection as a 2-D argpartition along the
+    columns, so the columns and their order are the same.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    scores = probs.copy()
-    n = scores.shape[1]
-    r, c = np.nonzero((seen >= 0) & (seen < n))
-    scores[r, seen[r, c]] = -1.0
+    n = probs.shape[1]
     k_eff = min(k, n)
-    top = np.argpartition(scores, -k_eff, axis=1)[:, -k_eff:]
-    top_scores = np.take_along_axis(scores, top, axis=1)
-    order = np.argsort(top_scores, axis=1)[:, ::-1]
-    top = np.take_along_axis(top, order, axis=1)
-    top_scores = np.take_along_axis(top_scores, order, axis=1)
-    keep = top_scores >= 0.0
-    return [(t[m], s[m]) for t, s, m in zip(top, top_scores, keep)]
+    scores = np.empty(n, dtype=probs.dtype)
+    out = []
+    for row, row_seen in zip(probs, seen):
+        np.copyto(scores, row)
+        scores[row_seen[(row_seen >= 0) & (row_seen < n)]] = -1.0
+        top = np.argpartition(scores, -k_eff)[-k_eff:]
+        top_scores = scores[top]
+        order = np.argsort(top_scores)[::-1]
+        top, top_scores = top[order], top_scores[order]
+        keep = top_scores >= 0.0
+        out.append((top[keep], top_scores[keep]))
+    return out
 
 
 def _batches(contexts: Sequence[Sequence[int]], positions: Sequence[Sequence[int]]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,6 +24,7 @@ from .transformer import ModelConfig, Transformer, batch_arrays, trajectory_loss
 
 CHECKPOINT_MAGIC = "evotraj-checkpoint-v2"
 ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # every checkpoint entry's timestamp
+READ_CHUNK = 1 << 20  # bytes per read of a checkpoint entry
 
 
 class TrainingDiverged(RuntimeError):
@@ -72,8 +74,9 @@ class Adam:
         self.params = params
         self.config = config
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        # lazily zeroed pages, as for Parameter.grad
+        self.m = {k: np.zeros(p.value.shape, dtype=DTYPE) for k, p in params.items()}
+        self.v = {k: np.zeros(p.value.shape, dtype=DTYPE) for k, p in params.items()}
         self._scratch = np.empty((2, self.BLOCK), dtype=DTYPE)
 
     def step(self, lr: float) -> None:
@@ -176,11 +179,15 @@ def train(
                 f"(batch ids {batch_ids[:8]}..., {result.n_targets} targets)"
             )
         model.backward(result.grad_logits)
+        loss = result.loss
+        # the (rows, V) gradient goes before the next step's forward makes
+        # its logits, so at most one such array is live
+        del result
         lr = train_config.lr_at(step)
         opt.step(lr)
-        state.log.append((step, lr, result.loss))
+        state.log.append((step, lr, loss))
         if on_step is not None:
-            on_step(step, lr, result.loss)
+            on_step(step, lr, loss)
     return state
 
 
@@ -230,18 +237,67 @@ class _NoDraw(np.random.Generator):
     uniform = normal
 
 
+@contextmanager
+def _entry(zf: zipfile.ZipFile, path: Path | str, name: str):
+    """An archive entry open for reading; a damaged entry, such as one
+    failing its CRC check, raises ValueError naming the file and the entry."""
+    try:
+        with zf.open(name) as f:
+            yield f
+    except zipfile.BadZipFile as e:
+        raise ValueError(f"{path}: checkpoint entry {name}: {e}") from None
+
+
+def _read_npy_into(f, dest: np.ndarray, where: str) -> None:
+    """Fill ``dest`` from the ``.npy`` stream ``f`` without an array in
+    between. The header must give dest's shape, float64 and C order, else
+    ValueError naming ``where`` is raised before any data is read. The
+    entry is then read to its end, so its CRC is checked."""
+    try:
+        version = np.lib.format.read_magic(f)
+        if version == (1, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+        elif version == (2, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(f)
+        else:
+            raise ValueError(f"unsupported .npy version {version}")
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+    if shape != dest.shape:
+        raise ValueError(f"{where} has shape {shape}, expected {dest.shape}")
+    if dtype != DTYPE:
+        raise ValueError(f"{where} has dtype {dtype}, expected {np.dtype(DTYPE)}")
+    if fortran_order:
+        raise ValueError(f"{where} is in Fortran order, expected C order")
+    view = memoryview(dest).cast("B")
+    for lo in range(0, len(view), READ_CHUNK):
+        want = min(READ_CHUNK, len(view) - lo)
+        if f.readinto(view[lo : lo + want]) != want:
+            raise ValueError(f"{where} is truncated")
+    if f.read(1):
+        raise ValueError(f"{where} has data past its array")
+
+
 def load_checkpoint(path: Path | str) -> tuple[Transformer, dict]:
     """The one checkpoint reader: returns (model, metadata).
 
     The archive must hold ``meta.json`` of this format and exactly one
-    ``param/<name>.npy`` per parameter, each of the parameter's shape;
-    anything else raises ValueError naming the file and the entry.
+    ``param/<name>.npy`` per parameter. Each entry's header must give the
+    parameter's shape, float64 and C order; its data is then read straight
+    into the parameter, and its CRC is checked. Anything else, a damaged
+    archive included, raises ValueError naming the file, and the entry
+    where there is one.
     """
-    with zipfile.ZipFile(path) as zf:
+    try:
+        zf = zipfile.ZipFile(path)
+    except zipfile.BadZipFile as e:
+        raise ValueError(f"{path}: not a readable zip archive: {e}") from None
+    with zf:
         names = set(zf.namelist())
         if "meta.json" not in names:
             raise ValueError(f"{path}: not a checkpoint file")
-        meta = json.loads(zf.read("meta.json"))
+        with _entry(zf, path, "meta.json") as f:
+            meta = json.loads(f.read())
         if meta.get("format") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         # every parameter is read below, so none is drawn
@@ -253,12 +309,6 @@ def load_checkpoint(path: Path | str) -> tuple[Transformer, dict]:
         if extra:
             raise ValueError(f"{path}: unexpected checkpoint entry {extra[0]}")
         for entry, dest in params.items():
-            with zf.open(entry) as f:
-                arr = np.lib.format.read_array(f)
-            if arr.shape != dest.shape:
-                raise ValueError(
-                    f"{path}: checkpoint entry {entry} has shape {arr.shape}, "
-                    f"expected {dest.shape}"
-                )
-            dest[...] = arr
+            with _entry(zf, path, entry) as f:
+                _read_npy_into(f, dest, f"{path}: checkpoint entry {entry}")
     return model, meta

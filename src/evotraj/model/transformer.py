@@ -71,8 +71,10 @@ class Transformer(Module):
 
     def forward(self, ids: np.ndarray, rows=None) -> np.ndarray:
         """Per-position probability distribution over the vocabulary, at
-        ``rows`` only when given (see ``logits``)."""
-        return softmax(self.logits(ids, rows))
+        ``rows`` only when given (see ``logits``). The softmax is taken in
+        place on the fresh logits, so one (rows, V) array is made, not two."""
+        z = self.logits(ids, rows)
+        return softmax(z, out=z)
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backpropagate the gradient of the last ``logits`` call's output:

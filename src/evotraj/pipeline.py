@@ -101,16 +101,22 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "PipelineConfig":
+        """The config a file holds; a bad header, an unknown key or an
+        unparsable value raises ValueError naming the file, and the line
+        and the key."""
         lines = Path(path).read_text().splitlines()
         if not lines or lines[0] != CONFIG_HEADER:
             raise ValueError(f"{path}: not a pipeline config file")
         config = cls()
-        for line in lines[1:]:
+        for lineno, line in enumerate(lines[1:], start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition(" ")
-            config.set(key, value)
+            try:
+                config.set(key, value)
+            except (KeyError, ValueError) as e:
+                raise ValueError(f"{path}, line {lineno}, key {key!r}: {e.args[0]}") from None
         return config
 
     @property

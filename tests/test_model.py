@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import re
 import time
+import tracemalloc
 import zipfile
 from types import SimpleNamespace
 
@@ -23,8 +25,16 @@ from evotraj.model import (
     trajectory_loss,
 )
 from evotraj.model.ranking import top_k_unseen
-from evotraj.model.nn import CausalSelfAttention, Gelu, Linear, Parameter, rope_angles, rope_rotate
-from evotraj.model.training import Adam, TrainingDiverged, plan_batch
+from evotraj.model.nn import (
+    CausalSelfAttention,
+    Gelu,
+    Linear,
+    Parameter,
+    rope_angles,
+    rope_rotate,
+    softmax,
+)
+from evotraj.model.training import Adam, TrainingDiverged, TrainState, plan_batch
 from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, TokenizedSample, Tokenizer
 
 VOCAB = 97
@@ -76,6 +86,13 @@ class TestForward:
         probs = model.forward(ids, rows=(b_idx, t_idx))
         assert probs.shape == (4, VOCAB)
         assert np.allclose(probs.sum(axis=1), 1.0)
+
+    def test_forward_is_softmax_of_logits_bitwise(self):
+        model = Transformer(DESK, seed=3)
+        ids, _, _ = small_batch(seed=5, b=3, t=12)
+        rows = (np.array([0, 1, 2, 2]), np.array([3, 11, 0, 7]))
+        for r in (None, rows):
+            assert np.array_equal(model.forward(ids, r), softmax(model.logits(ids, r)))
 
     def test_too_long_rejected(self):
         model = Transformer(DESK, seed=0)
@@ -421,6 +438,17 @@ class TestCheckpoint:
         ids = np.arange(10) % cfg.vocab_size
         assert np.array_equal(state.model.logits(ids), loaded.logits(ids))
 
+    def test_roundtrip_is_bitwise(self, tmp_path):
+        model = Transformer(DESK, seed=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(TrainState(model=model, config=TrainConfig()), path)
+        loaded, _ = load_checkpoint(path)
+        want, got = model.parameters(), loaded.parameters()
+        assert want.keys() == got.keys()
+        for name, p in want.items():
+            assert got[name].value.dtype == p.value.dtype
+            assert got[name].value.tobytes() == p.value.tobytes(), name
+
     def test_same_state_gives_identical_bytes(self, tmp_path, monkeypatch):
         tok = Tokenizer(LayoutSpec(genome_length=30))
         samples = toy_dataset(tok, n=16)
@@ -450,17 +478,22 @@ class TestCheckpoint:
             load_checkpoint(p)
 
 
+def npy_bytes(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 def rewrite_checkpoint(src, dst, drop=(), replace=None):
-    """Copy a checkpoint, dropping entries and replacing or adding arrays."""
+    """Copy a checkpoint, dropping entries and replacing or adding entries,
+    each given as an array or as raw bytes."""
     replace = replace or {}
     with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
         for name in zin.namelist():
             if name not in drop and name not in replace:
                 zout.writestr(name, zin.read(name))
-        for name, arr in replace.items():
-            buf = io.BytesIO()
-            np.save(buf, arr)
-            zout.writestr(name, buf.getvalue())
+        for name, data in replace.items():
+            zout.writestr(name, data if isinstance(data, bytes) else npy_bytes(data))
 
 
 def load_model(path):
@@ -527,6 +560,65 @@ class TestStrictCheckpoint:
             load_checkpoint(old)
         assert str(old) in str(err.value)
 
+    @pytest.mark.parametrize("entry_bytes, message", [
+        (lambda v: npy_bytes(v.astype(np.float32)), "has dtype float32, expected float64"),
+        (lambda v: npy_bytes(np.asfortranarray(v)), "is in Fortran order, expected C order"),
+        (lambda v: npy_bytes(v)[:-8], "is truncated"),
+        (lambda v: npy_bytes(v) + b"\0", "has data past its array"),
+        (lambda v: b"not an array", "the magic string is not correct"),
+    ], ids=["float32", "fortran-order", "truncated", "trailing-data", "not-npy"])
+    def test_bad_entry_refused_by_name(self, ckpt, tmp_path, entry_bytes, message):
+        path, state = ckpt
+        entry = "param/blocks.0.attn.wq.weight.npy"
+        value = state.model.parameters()["blocks.0.attn.wq.weight"].value
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(path, bad, replace={entry: entry_bytes(value)})
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            load_checkpoint(bad)
+        assert f"{bad}: checkpoint entry {entry}" in str(err.value)
+
+    def test_flipped_data_byte_fails_crc_by_name(self, ckpt, tmp_path):
+        path, _ = ckpt
+        entry = "param/head.weight.npy"
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as zf:
+            data = zf.read(entry)
+        # entries are stored uncompressed; flip the entry's last data byte
+        at = bytes(raw).index(data) + len(data) - 1
+        raw[at] ^= 0x01
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="Bad CRC-32") as err:
+            load_checkpoint(bad)
+        assert f"{bad}: checkpoint entry {entry}" in str(err.value)
+
+    def test_truncated_archive_refused_by_name(self, ckpt, tmp_path):
+        path, _ = ckpt
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(ValueError, match="not a readable zip archive") as err:
+            load_checkpoint(bad)
+        assert str(bad) in str(err.value)
+
+
+def two_d_top_k(probs: np.ndarray, seen: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ranking rule over the whole (rows, V) block at once: a masked copy
+    of ``probs``, a 2-D argpartition along the columns, then a descending
+    argsort of each row's k picks."""
+    scores = probs.copy()
+    n = scores.shape[1]
+    r, c = np.nonzero((seen >= 0) & (seen < n))
+    scores[r, seen[r, c]] = -1.0
+    k_eff = min(k, n)
+    top = np.argpartition(scores, -k_eff, axis=1)[:, -k_eff:]
+    top_scores = np.take_along_axis(scores, top, axis=1)
+    order = np.argsort(top_scores, axis=1)[:, ::-1]
+    top = np.take_along_axis(top, order, axis=1)
+    top_scores = np.take_along_axis(top_scores, order, axis=1)
+    keep = top_scores >= 0.0
+    return [(t[m], s[m]) for t, s, m in zip(top, top_scores, keep)]
+
 
 def reference_top_k(row: np.ndarray, seen, k: int) -> tuple[list[int], list[float]]:
     """The per-row ranking rule, written out one row at a time."""
@@ -554,6 +646,28 @@ class TestTopKUnseen:
             assert cols.tolist() == ref_cols
             assert scores.tolist() == ref_scores
 
+    @pytest.mark.parametrize("cols", [3_190, 40_000])
+    @pytest.mark.parametrize("k", [1, 10, 100])
+    def test_equals_two_d_rule(self, cols, k):
+        rng = np.random.default_rng(cols + k)
+        # few distinct values: ties fill whole rows, across the k boundary
+        probs = rng.integers(0, 4, size=(12, cols)) / 8.0
+        seen = np.full((12, cols), -1)
+        seen[:, :30] = np.where(
+            rng.random((12, 30)) < 0.8, rng.integers(-5, cols + 5, size=(12, 30)), -1
+        )
+        # the last two rows leave fewer than k columns unseen
+        seen[-2:] = rng.permuted(np.tile(np.arange(cols), (2, 1)), axis=1)
+        seen[-2:, : k // 2] = -1
+        ranked = top_k_unseen(probs, seen, k)
+        expected = two_d_top_k(probs, seen, k)
+        assert [len(c) for c, _ in ranked[-2:]] == [k // 2, k // 2]
+        assert len(ranked) == len(expected)
+        for (cols_got, s_got), (cols_want, s_want) in zip(ranked, expected):
+            assert cols_got.dtype == cols_want.dtype
+            assert cols_got.tolist() == cols_want.tolist()
+            assert s_got.tobytes() == s_want.tobytes()
+
     def test_seen_columns_dropped_and_input_untouched(self):
         probs = np.array([[0.1, 0.5, 0.4], [0.3, 0.3, 0.4]])
         before = probs.copy()
@@ -565,6 +679,44 @@ class TestTopKUnseen:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             top_k_unseen(np.ones((1, 3)), np.zeros((1, 0), dtype=int), 0)
+
+
+def traced_peak(fn, *args):
+    """Bytes allocated at the peak of ``fn(*args)``, beyond what was live
+    before the call, as ``tracemalloc`` sees it (numpy reports its array
+    buffers to it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestAllocation:
+    """At the production vocabulary a second (rows, V) array is the cost,
+    so the inference path must not make one."""
+
+    ROWS, V = 64, 100_000
+    BLOCK = ROWS * V * 8  # bytes of one float64 (rows, V) array
+
+    def test_top_k_unseen_makes_no_rows_by_v_array(self):
+        rng = np.random.default_rng(0)
+        probs = rng.random((self.ROWS, self.V))
+        seen = rng.integers(-1, self.V, size=(self.ROWS, 40))
+        peak, ranked = traced_peak(top_k_unseen, probs, seen, 20)
+        assert len(ranked) == self.ROWS
+        assert peak < self.BLOCK // 4, f"peak {peak / 2**20:.1f} MB"
+
+    def test_forward_makes_one_rows_by_v_array(self):
+        model = Transformer(ModelConfig(vocab_size=self.V, layers=1, hidden=16, heads=2), seed=0)
+        ids = np.arange(self.ROWS).reshape(8, 8)
+        peak, probs = traced_peak(model.forward, ids, np.nonzero(np.ones((8, 8), dtype=bool)))
+        assert probs.shape == (self.ROWS, self.V)
+        # the output itself, plus a margin far below a second block
+        assert peak < self.BLOCK * 5 // 4, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestRanking:

@@ -12,6 +12,7 @@ from evotraj import cli, pipeline
 from evotraj.cli import main
 from evotraj.model import load_checkpoint
 from evotraj.pipeline import (
+    CONFIG_HEADER,
     PipelineConfig,
     StaleArtifactError,
     sha256_file,
@@ -65,6 +66,21 @@ class TestSetFlag:
         out = tmp_path / "d"
         with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
             main(["simulate", "--out", str(out), "--set", item])
+        assert not out.exists()
+
+
+class TestConfigFlag:
+    @pytest.mark.parametrize("line, message", [
+        ("steps abc", "key 'steps': invalid literal for int() with base 10: 'abc'"),
+        ("nokey 1", "key 'nokey': unknown config key 'nokey'"),
+    ], ids=["unparsable-value", "unknown-key"])
+    def test_refused_before_any_output(self, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{CONFIG_HEADER}\n# a comment\n{line}\n")
+        out = tmp_path / "d"
+        expected = f"--config: {cfg}, line 3, {message}"
+        with pytest.raises(SystemExit, match=f"^{re.escape(expected)}$"):
+            main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert not out.exists()
 
 

@@ -7,14 +7,13 @@ Rankings are static per table: the same list serves every evaluated sequence.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .genome import AaMutation, NtMutation
-from .pipeline import write_csv
+from .pipeline import Refused, read_csv, write_csv
 from .tokenizer import Tokenizer
 
 MODES = ("count", "fitness", "mixed")
@@ -63,21 +62,19 @@ def record_score(record: BloomRecord, mode: str, alpha: float = 1.0) -> float:
 
 
 def load_bloom_table(path: Path | str) -> BloomTable:
-    records = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            records.append(
-                BloomRecord(
-                    mutation=row["mutation"],
-                    expected_count=float(row["expected_count"]),
-                    fitness=float(row["fitness"]),
-                )
-            )
+    records = [
+        BloomRecord(
+            mutation=row["mutation"],
+            expected_count=float(row["expected_count"]),
+            fitness=float(row["fitness"]),
+        )
+        for row in read_csv(path, ("mutation", "expected_count", "fitness"))
+    ]
     if not records:
-        raise ValueError(f"{path}: empty baseline table")
+        raise Refused(f"{path}: empty baseline table")
     kinds = {r.is_aa for r in records}
     if len(kinds) != 1:
-        raise ValueError(f"{path}: table mixes nucleotide and amino-acid rows")
+        raise Refused(f"{path}: table mixes nucleotide and amino-acid rows")
     return BloomTable(kind="aa" if kinds.pop() else "nt", records=tuple(records))
 
 

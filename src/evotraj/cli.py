@@ -9,7 +9,6 @@ listed there. Run ``evotraj <stage> --help`` for per-stage flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import sys
 from contextlib import contextmanager
@@ -33,7 +32,9 @@ from .model import (
 )
 from .pipeline import (
     PipelineConfig,
+    Refused,
     StaleArtifactError,
+    read_csv,
     sha256_file,
     verify_against_manifest,
     write_atomic,
@@ -46,7 +47,6 @@ from .tree import (
     PartialDate,
     SequenceMeta,
     Trajectory,
-    TreeFormatError,
     extract_all_trajectories,
     parse_tree,
     serialize_tree,
@@ -58,12 +58,28 @@ from .tree import (
 UPSTREAM_INPUTS = ("tokens", "layout", "weights", "checkpoint", "definitions")
 
 
+@contextmanager
+def _refusing(name: str):
+    """Turns a ValueError, KeyError or OSError raised on a flag, config key or
+    file into a refusal naming it, or the file the OSError names; a refusal
+    raised inside passes as it is."""
+    try:
+        yield
+    except Refused:
+        raise
+    except OSError as e:
+        raise Refused(f"{e.filename or name}: {e.strerror}") from None
+    except (ValueError, KeyError) as e:
+        raise Refused(f"{name}: {e.args[0] if isinstance(e, KeyError) else e}") from None
+
+
 def _input_hash(key: str, path: Path) -> str:
     """The sha256 of an input, checked against the manifest of the directory
     holding it whenever that lists it. An upstream input must be listed
     there; an outside one that is not is only hashed."""
     listed = verify_against_manifest(path.parent, only=path.name, required=key in UPSTREAM_INPUTS)
-    return listed.popitem()[1]["sha256"] if listed else sha256_file(path)
+    with _refusing(str(path)):
+        return listed.popitem()[1]["sha256"] if listed else sha256_file(path)
 
 
 class _Stage:
@@ -80,11 +96,9 @@ class _Stage:
         for item in args.set or []:
             key, _, value = item.partition("=")
             if not value:
-                raise SystemExit(f"--set expects key=value, got {item!r}")
-            try:
+                raise Refused(f"--set expects key=value, got {item!r}")
+            with _refusing(f"--set {item!r}"):
                 self.config.set(key, value)
-            except (KeyError, ValueError) as e:
-                raise SystemExit(f"--set {item!r}: {e.args[0]}") from None
         if args.seed is not None:
             self.config.seed = args.seed
         self.inputs = {
@@ -105,10 +119,11 @@ class _Stage:
 
 def _from_config(cls, config: PipelineConfig, **overrides):
     """A ``cls`` whose fields named like PipelineConfig fields take the
-    config's values; ``overrides`` set the rest."""
+    config's values; ``overrides`` set the rest. Values it rejects are refused."""
     shared = {f.name for f in fields(PipelineConfig)}
     values = {f.name: getattr(config, f.name) for f in fields(cls) if f.name in shared}
-    return cls(**{**values, **overrides})
+    with _refusing("config"):
+        return cls(**{**values, **overrides})
 
 
 def _weight_config(config: PipelineConfig, **overrides) -> weighting.WeightConfig:
@@ -138,16 +153,25 @@ def _synth_config(config: PipelineConfig) -> synth.SynthConfig:
     return cfg
 
 
+def _read(path: str | None, reader, default=None):
+    """``reader(path)``, or ``default`` without a path; a file it rejects is refused."""
+    if not path:
+        return default
+    with _refusing(path):
+        return reader(path)
+
+
 def _split(args, config: PipelineConfig, **kwargs):
     """The trajectories of ``--tree``, with variants from ``--definitions``
-    when given, split at the config's train and eval cutoffs."""
-    definitions = variants.load_definitions(args.definitions) if args.definitions else None
-    return split_train_eval(
-        extract_all_trajectories(parse_tree(args.tree), definitions),
-        datetime.date.fromisoformat(config.train_cutoff),
-        datetime.date.fromisoformat(config.eval_cutoff),
-        **kwargs,
-    )
+    when given, split at the config's train and eval cutoffs, or refused."""
+    definitions = _read(args.definitions, variants.load_definitions)
+    trajectories = extract_all_trajectories(_read(args.tree, parse_tree), definitions)
+    cutoffs = []
+    for key in ("train_cutoff", "eval_cutoff"):
+        with _refusing(key):
+            cutoffs.append(datetime.date.fromisoformat(getattr(config, key)))
+    with _refusing("config"):
+        return split_train_eval(trajectories, *cutoffs, **kwargs)
 
 
 def _checked_model(stage: _Stage) -> Transformer:
@@ -164,20 +188,12 @@ def _checked_model(stage: _Stage) -> Transformer:
 
 def _ranked_table(path: str, config: PipelineConfig, k: int, tok: Tokenizer) -> tuple[str, list]:
     """An estimator table's kind and its ``k`` best entries with their scores:
-    token ids for a nucleotide table, amino-acid mutations otherwise."""
-    table = baseline_mod.load_bloom_table(path)
-    if table.kind == "nt":
-        return table.kind, baseline_mod.rank_nt_table(table, config.baseline_mode, k, tok, config.alpha)
-    return table.kind, baseline_mod.rank_aa_table(table, config.baseline_mode, k, config.alpha)
-
-
-@contextmanager
-def _refusing(flag: str):
-    """Turns a ValueError raised on a flag's value into a refusal naming it."""
-    try:
-        yield
-    except ValueError as e:
-        raise SystemExit(f"{flag}: {e}") from None
+    token ids for a nucleotide table, amino-acid mutations otherwise, or refused."""
+    with _refusing(path):
+        table = baseline_mod.load_bloom_table(path)
+        if table.kind == "nt":
+            return table.kind, baseline_mod.rank_nt_table(table, config.baseline_mode, k, tok, config.alpha)
+        return table.kind, baseline_mod.rank_aa_table(table, config.baseline_mode, k, config.alpha)
 
 
 def cmd_simulate(args) -> int:
@@ -191,7 +207,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     stage = _Stage(args, "ingest", tree=args.tree)
-    tree = parse_tree(args.tree)
+    tree = _read(args.tree, parse_tree)
     stats = {
         "n_nodes": len(tree),
         "n_leaves": sum(1 for _ in tree.leaves()),
@@ -207,9 +223,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_refine_variants(args) -> int:
     stage = _Stage(args, "refine-variants", tree=args.tree, nextstrain=args.nextstrain, freq=args.freq)
-    tree = parse_tree(args.tree)
-    nextstrain = variants.load_nextstrain_definitions(args.nextstrain) if args.nextstrain else {}
-    freq = variants.FrequencyTable.load_csv(args.freq) if args.freq else None
+    tree = _read(args.tree, parse_tree)
+    nextstrain = _read(args.nextstrain, variants.load_nextstrain_definitions, {})
+    freq = _read(args.freq, variants.FrequencyTable.load_csv)
     recombinants = set((args.recombinants or "").split(",")) - {""}
     names = sorted(tree.variant_roots)
     refined = [
@@ -240,7 +256,7 @@ def cmd_build_dataset(args) -> int:
                 tok.register_location(name)
     samples = [tok.tokenize(traj) for traj in split.train]
     wcfg = _weight_config(config)
-    populations = weighting.load_population_table(args.population) if args.population else {}
+    populations = _read(args.population, weighting.load_population_table, {})
     weights, densities = weighting.sequence_weights(
         split.train, populations, wcfg, config.base_year
     )
@@ -274,24 +290,24 @@ def cmd_sample_plan(args) -> int:
     weights = Path(args.dataset) / "weights.csv"
     stage = _Stage(args, "sample-plan", weights=weights)
     config = stage.config
-    with open(weights, newline="") as f:
-        probs = [float(row["p_adjusted"]) for row in csv.DictReader(f)]
+    probs = [float(row["p_adjusted"]) for row in read_csv(weights, ["p_adjusted"])]
     # each worker's accumulator starts at zero, so an epoch selects at most
     # floor(sum) sequences
     p_sum = sum(probs)
     if p_sum < 1:
-        raise SystemExit(
+        raise Refused(
             f"sampling probabilities in {weights} sum to {p_sum:.4g} < 1: an epoch selects nothing"
         )
     # a sum of at least 1 can still leave every worker's shard below 1, so
     # every epoch is checked before any plan is written
-    selections = [
-        sampler.run_epoch(probs, seed=config.seed + epoch, n_workers=config.workers)
-        for epoch in range(config.epochs)
-    ]
+    with _refusing("workers"):
+        selections = [
+            sampler.run_epoch(probs, seed=config.seed + epoch, n_workers=config.workers)
+            for epoch in range(config.epochs)
+        ]
     for epoch, selection in enumerate(selections):
         if not selection.total_copies:
-            raise SystemExit(
+            raise Refused(
                 f"epoch {epoch} selects nothing from {weights} with {config.workers} workers:"
                 " no worker's shard of the probabilities sums to 1"
             )
@@ -320,7 +336,7 @@ def cmd_train(args) -> int:
         for name in sorted(outputs) if name.startswith("epoch_")
     }
     if not plan_inputs:
-        raise SystemExit(f"no epoch_*.plan files under {args.plans}")
+        raise Refused(f"no epoch_*.plan files under {args.plans}")
     stage.inputs.update(plan_inputs)
     plan: list[int] = []
     for entry in plan_inputs.values():
@@ -357,12 +373,13 @@ def cmd_predict(args) -> int:
     context = Trajectory(meta, "", muts["--variant-muts"], muts["--observed"])
     tokens = list(tok.tokenize(context).tokens)
     if len(tokens) > model.config.max_seq:
-        raise SystemExit(
+        raise Refused(
             f"--variant-muts and --observed give a context of {len(tokens)} tokens,"
             f" more than the checkpoint's max_seq {model.config.max_seq}"
         )
     rank_fn = rank_without_location if args.no_location else rank_next_mutations
-    pred = rank_fn(model, tok, tokens, k=args.k)
+    with _refusing("-k"):
+        pred = rank_fn(model, tok, tokens, k=args.k)
     ranked_out = stage.output("ranked", "ranked.csv")
     write_csv(
         ranked_out,
@@ -400,25 +417,26 @@ def cmd_evaluate(args) -> int:
                    baseline=args.baseline, population=args.population, definitions=args.definitions,
                    annotation=args.annotation, reference=args.reference)
     config = stage.config
+    with _refusing("ks"):
+        ks = config.k_list
     tok = Tokenizer.load(args.layout)
     spike_map = None
     if config.task == "spike":
-        annotation = load_annotation(
-            args.annotation or DEFAULT_ANNOTATION, args.reference or DEFAULT_REFERENCE
-        )
-        spike_map = SpikeMap(annotation)
+        annotation = args.annotation or DEFAULT_ANNOTATION
+        with _refusing(annotation):
+            spike_map = SpikeMap(load_annotation(annotation, args.reference or DEFAULT_REFERENCE))
     split = _split(args, config, task=config.task, spike_map=spike_map)
     eval_trajs = split.eval
     if not eval_trajs:
-        raise SystemExit("evaluation set is empty for the configured cutoffs")
+        raise Refused("evaluation set is empty for the configured cutoffs")
 
     if args.checkpoint:
         model = _checked_model(stage)
         predictor = evaluation.ModelPredictor(model, tok, use_location=not args.no_location)
     else:
-        kind, ranked = _ranked_table(args.baseline, config, max(config.k_list), tok)
+        kind, ranked = _ranked_table(args.baseline, config, max(ks), tok)
         if kind == "aa" and config.task != "spike":
-            raise SystemExit(
+            raise Refused(
                 f"{args.baseline} is an amino-acid table: it scores task=spike only,"
                 f" not task={config.task}"
             )
@@ -427,7 +445,7 @@ def cmd_evaluate(args) -> int:
     # recall is weighted by each sequence's representativeness r alone,
     # whatever the training switches
     wcfg = _weight_config(config, representative_weighting=True, temporal_weighting=False)
-    populations = weighting.load_population_table(args.population) if args.population else {}
+    populations = _read(args.population, weighting.load_population_table, {})
     weights, _ = weighting.sequence_weights(eval_trajs, populations, wcfg, config.base_year)
 
     samples = [tok.tokenize(t) for t in eval_trajs]
@@ -435,7 +453,7 @@ def cmd_evaluate(args) -> int:
         eval_trajs,
         samples,
         predictor,
-        ks=config.k_list,
+        ks=ks,
         task=config.task,
         tokenizer=tok,
         spike_map=spike_map,
@@ -550,11 +568,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except StaleArtifactError as e:
+    except Refused as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TreeFormatError as e:
-        print(f"error: {args.tree}: {e}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..pipeline import atomic_output, write_atomic
+from ..pipeline import Refused, atomic_output, write_atomic
 from ..tokenizer import TokenizedSample
 from .nn import DTYPE, Parameter
 from .transformer import ModelConfig, Transformer, batch_arrays, trajectory_loss
@@ -106,18 +106,18 @@ class Adam:
 def check_samples_fit(
     samples: Sequence[TokenizedSample], config: ModelConfig, path: Path | str
 ) -> None:
-    """Raise ValueError naming ``path`` and the sample index for the first
-    sample of a stream read from ``path`` that the model cannot take: one
-    holding a token id outside the vocabulary, or one whose context (all
-    tokens but the last) is longer than max_seq."""
+    """Refuse the first sample of a stream read from ``path`` that the model
+    cannot take, naming ``path`` and the sample index: one holding a token
+    id outside the vocabulary, or one whose context (all tokens but the
+    last) is longer than max_seq."""
     for i, s in enumerate(samples):
         top = max(s.tokens, default=0)
         if top >= config.vocab_size:
-            raise ValueError(
+            raise Refused(
                 f"{path}: sample {i} has token id {top}, outside the vocabulary of {config.vocab_size}"
             )
         if len(s.tokens) - 1 > config.max_seq:
-            raise ValueError(
+            raise Refused(
                 f"{path}: sample {i} has {len(s.tokens)} tokens, a context longer than"
                 f" max_seq {config.max_seq}"
             )
@@ -223,8 +223,12 @@ def save_checkpoint(
         zf.writestr(meta_entry, json.dumps(meta, sort_keys=True, indent=1))
         for name, p in state.model.parameters().items():
             entry = zipfile.ZipInfo(f"param/{name}.npy", ZIP_EPOCH)
+            value = np.ascontiguousarray(p.value, dtype=DTYPE)
             with zf.open(entry, "w", force_zip64=True) as f:
-                np.lib.format.write_array(f, np.asarray(p.value, dtype=DTYPE))
+                # np.save's bytes, written from the array itself: write_array
+                # would copy a non-file stream through 16 MiB buffers
+                np.lib.format.write_array_header_1_0(f, np.lib.format.header_data_from_array_1_0(value))
+                f.write(memoryview(value).cast("B"))
 
 
 class _NoDraw(np.random.Generator):
@@ -240,18 +244,18 @@ class _NoDraw(np.random.Generator):
 @contextmanager
 def _entry(zf: zipfile.ZipFile, path: Path | str, name: str):
     """An archive entry open for reading; a damaged entry, such as one
-    failing its CRC check, raises ValueError naming the file and the entry."""
+    failing its CRC check, is refused, naming the file and the entry."""
     try:
         with zf.open(name) as f:
             yield f
     except zipfile.BadZipFile as e:
-        raise ValueError(f"{path}: checkpoint entry {name}: {e}") from None
+        raise Refused(f"{path}: checkpoint entry {name}: {e}") from None
 
 
 def _read_npy_into(f, dest: np.ndarray, where: str) -> None:
     """Fill ``dest`` from the ``.npy`` stream ``f`` without an array in
     between. The header must give dest's shape, float64 and C order, else
-    ValueError naming ``where`` is raised before any data is read. The
+    the entry is refused, naming ``where``, before any data is read. The
     entry is then read to its end, so its CRC is checked."""
     try:
         version = np.lib.format.read_magic(f)
@@ -262,20 +266,20 @@ def _read_npy_into(f, dest: np.ndarray, where: str) -> None:
         else:
             raise ValueError(f"unsupported .npy version {version}")
     except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
+        raise Refused(f"{where}: {e}") from None
     if shape != dest.shape:
-        raise ValueError(f"{where} has shape {shape}, expected {dest.shape}")
+        raise Refused(f"{where} has shape {shape}, expected {dest.shape}")
     if dtype != DTYPE:
-        raise ValueError(f"{where} has dtype {dtype}, expected {np.dtype(DTYPE)}")
+        raise Refused(f"{where} has dtype {dtype}, expected {np.dtype(DTYPE)}")
     if fortran_order:
-        raise ValueError(f"{where} is in Fortran order, expected C order")
+        raise Refused(f"{where} is in Fortran order, expected C order")
     view = memoryview(dest).cast("B")
     for lo in range(0, len(view), READ_CHUNK):
         want = min(READ_CHUNK, len(view) - lo)
         if f.readinto(view[lo : lo + want]) != want:
-            raise ValueError(f"{where} is truncated")
+            raise Refused(f"{where} is truncated")
     if f.read(1):
-        raise ValueError(f"{where} has data past its array")
+        raise Refused(f"{where} has data past its array")
 
 
 def load_checkpoint(path: Path | str) -> tuple[Transformer, dict]:
@@ -285,29 +289,29 @@ def load_checkpoint(path: Path | str) -> tuple[Transformer, dict]:
     ``param/<name>.npy`` per parameter. Each entry's header must give the
     parameter's shape, float64 and C order; its data is then read straight
     into the parameter, and its CRC is checked. Anything else, a damaged
-    archive included, raises ValueError naming the file, and the entry
-    where there is one.
+    archive included, is refused, naming the file, and the entry where
+    there is one.
     """
     try:
         zf = zipfile.ZipFile(path)
     except zipfile.BadZipFile as e:
-        raise ValueError(f"{path}: not a readable zip archive: {e}") from None
+        raise Refused(f"{path}: not a readable zip archive: {e}") from None
     with zf:
         names = set(zf.namelist())
         if "meta.json" not in names:
-            raise ValueError(f"{path}: not a checkpoint file")
+            raise Refused(f"{path}: not a checkpoint file")
         with _entry(zf, path, "meta.json") as f:
             meta = json.loads(f.read())
         if meta.get("format") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
+            raise Refused(f"{path}: not a checkpoint file")
         # every parameter is read below, so none is drawn
         model = Transformer(ModelConfig(**meta["model_config"]), seed=_NoDraw(np.random.PCG64(0)))
         params = {f"param/{name}.npy": p.value for name, p in model.parameters().items()}
         missing, extra = sorted(params.keys() - names), sorted(names - params.keys() - {"meta.json"})
         if missing:
-            raise ValueError(f"{path}: checkpoint entry {missing[0]} is missing")
+            raise Refused(f"{path}: checkpoint entry {missing[0]} is missing")
         if extra:
-            raise ValueError(f"{path}: unexpected checkpoint entry {extra[0]}")
+            raise Refused(f"{path}: unexpected checkpoint entry {extra[0]}")
         for entry, dest in params.items():
             with _entry(zf, path, entry) as f:
                 _read_npy_into(f, dest, f"{path}: checkpoint entry {entry}")

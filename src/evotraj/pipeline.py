@@ -24,7 +24,12 @@ from typing import BinaryIO, Iterable, Sequence
 CONFIG_HEADER = "evotraj-config v1"
 
 
-class StaleArtifactError(RuntimeError):
+class Refused(ValueError):
+    """Input the pipeline refuses. The message names the file, flag or config
+    key at fault; the CLI prints it as one ``error:`` line and exits 2."""
+
+
+class StaleArtifactError(Refused):
     pass
 
 
@@ -121,7 +126,12 @@ class PipelineConfig:
 
     @property
     def k_list(self) -> tuple[int, ...]:
-        return tuple(int(k) for k in str(self.ks).split(",") if k)
+        """``ks`` as integers; ValueError unless it lists at least one k,
+        each at least 1."""
+        ks = tuple(int(k) for k in str(self.ks).split(",") if k)
+        if not ks or min(ks) < 1:
+            raise ValueError(f"expected comma-separated integers of at least 1, got {self.ks!r}")
+        return ks
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
@@ -166,19 +176,30 @@ def write_csv(path: Path | str, header: Sequence[object], rows: Iterable[Sequenc
     write_atomic(path, buf.getvalue())
 
 
+def read_csv(path: Path | str, columns: Sequence[str]) -> list[dict[str, str]]:
+    """The rows of a CSV file with a header row, a missing cell read as "".
+    A header lacking any of ``columns`` is refused, naming the file."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f, restval="")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise Refused(f"{path}: no {missing[0]!r} column")
+        return list(reader)
+
+
 def write_json(path: Path | str, obj: object) -> None:
     """Atomically write ``obj`` as indented, key-sorted JSON plus a newline."""
     write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def read_exact(f: BinaryIO, n: int, path: Path | str) -> bytes:
-    """The next ``n`` bytes of a binary file. When fewer remain, raises
-    ValueError naming ``path`` and the byte offset, without reading: a
-    corrupt length field cannot ask for more memory than the file holds."""
+    """The next ``n`` bytes of a binary file. When fewer remain, refuses it,
+    naming ``path`` and the byte offset, without reading: a corrupt length
+    field cannot ask for more memory than the file holds."""
     offset = f.tell()
     size = os.fstat(f.fileno()).st_size
     if size - offset < n:
-        raise ValueError(
+        raise Refused(
             f"{path}: truncated: {n} bytes expected at byte offset {offset}, "
             f"file ends at byte {size}"
         )
@@ -236,7 +257,10 @@ def verify_against_manifest(
         if not required:
             return {}
         raise StaleArtifactError(f"stage directory {out_dir} has no manifest.json")
-    manifest = json.loads((out_dir / "manifest.json").read_text())
+    try:
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+    except ValueError as e:
+        raise StaleArtifactError(f"{out_dir / 'manifest.json'}: not a manifest: {e}") from None
     outputs = {n: e for n, e in manifest["outputs"].items() if only in (None, e["path"])}
     if only is not None and not outputs and required:
         raise StaleArtifactError(f"artifact {out_dir / only} is not listed in its manifest.json")

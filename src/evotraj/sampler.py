@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pipeline import read_exact, write_atomic
+from .pipeline import Refused, read_exact, write_atomic
 
 PLAN_MAGIC = b"EVPL"
 PLAN_VERSION = 1
@@ -102,10 +102,10 @@ def save_plan(selection: EpochSelection, path: Path | str) -> None:
 def load_plan(path: Path | str) -> EpochSelection:
     with open(path, "rb") as f:
         if read_exact(f, 4, path) != PLAN_MAGIC:
-            raise ValueError(f"{path}: not a sample-plan file")
+            raise Refused(f"{path}: not a sample-plan file")
         version, n_workers = struct.unpack("<II", read_exact(f, 8, path))
         if version != PLAN_VERSION:
-            raise ValueError(f"{path}: unsupported plan version {version}")
+            raise Refused(f"{path}: unsupported plan version {version}")
         per_worker = []
         for _ in range(n_workers):
             (n,) = struct.unpack("<I", read_exact(f, 4, path))

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
 from .genome import NT_STATES, NT_STATE_INDEX, NtMutation
-from .pipeline import read_exact, write_atomic
+from .pipeline import Refused, read_exact, write_atomic
 from .tree import PartialDate, Trajectory
 
 LAYOUT_HEADER = "evotraj-tokenizer-layout v1"
@@ -245,12 +245,11 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path: Path | str) -> "Tokenizer":
-        """Refuses, with a ValueError naming the file, a layout that lacks a
-        LayoutSpec field, has an unknown or repeated key or location, or a
-        non-integer value."""
+        """Refuses, naming the file, a layout that lacks a LayoutSpec field,
+        has an unknown or repeated key or location, or a non-integer value."""
         lines = Path(path).read_text().splitlines()
         if not lines or lines[0] != LAYOUT_HEADER:
-            raise ValueError(f"{path}: not a tokenizer layout file")
+            raise Refused(f"{path}: not a tokenizer layout file")
         names = [f.name for f in fields(LayoutSpec)]
         values: dict[str, int] = {}
         locations: list[str] = []
@@ -258,20 +257,20 @@ class Tokenizer:
             key, _, value = line.partition(" ")
             if key == "location":
                 if value in locations:
-                    raise ValueError(f"{path}: location {value!r} is repeated")
+                    raise Refused(f"{path}: location {value!r} is repeated")
                 locations.append(value)
                 continue
             if key not in names:
-                raise ValueError(f"{path}: unknown layout key {key!r}")
+                raise Refused(f"{path}: unknown layout key {key!r}")
             if key in values:
-                raise ValueError(f"{path}: layout key {key} is repeated")
+                raise Refused(f"{path}: layout key {key} is repeated")
             try:
                 values[key] = int(value)
             except ValueError:
-                raise ValueError(f"{path}: layout key {key} has non-integer value {value!r}") from None
+                raise Refused(f"{path}: layout key {key} has non-integer value {value!r}") from None
         missing = [name for name in names if name not in values]
         if missing:
-            raise ValueError(f"{path}: layout key {missing[0]} is missing")
+            raise Refused(f"{path}: layout key {missing[0]} is missing")
         return cls(LayoutSpec(**values), locations)
 
 
@@ -293,10 +292,10 @@ def read_token_stream(path: Path | str) -> list[TokenizedSample]:
     with open(path, "rb") as f:
         magic = read_exact(f, 4, path)
         if magic != STREAM_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise Refused(f"{path}: bad magic {magic!r}")
         version, n_samples = struct.unpack("<II", read_exact(f, 8, path))
         if version != STREAM_VERSION:
-            raise ValueError(f"{path}: unsupported stream version {version}")
+            raise Refused(f"{path}: unsupported stream version {version}")
         out = []
         for _ in range(n_samples):
             n_prefix, split_index, n_traj = struct.unpack("<III", read_exact(f, 12, path))

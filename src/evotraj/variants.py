@@ -8,14 +8,13 @@ in genome-position order instead of tree path order.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .genome import NT_STATES, NtMutation
-from .pipeline import write_json
+from .pipeline import read_csv, write_json
 from .tree import PhyloTree
 
 
@@ -76,13 +75,12 @@ class FrequencyTable:
         """CSV with columns variant,site,A,T,C,G,Del (the deletion column may
         also be written as ``-``)."""
         table = cls()
-        with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                counts = {s: float(row[s]) for s in ("A", "T", "C", "G") if row.get(s)}
-                deletion = row.get("Del", row.get("-"))
-                if deletion:
-                    counts["-"] = float(deletion)
-                table.set_counts(row["variant"], int(row["site"]), counts)
+        for row in read_csv(path, ("variant", "site")):
+            counts = {s: float(row[s]) for s in ("A", "T", "C", "G") if row.get(s)}
+            deletion = row.get("Del", row.get("-"))
+            if deletion:
+                counts["-"] = float(deletion)
+            table.set_counts(row["variant"], int(row["site"]), counts)
         return table
 
 
@@ -210,6 +208,8 @@ def _dedup(muts: Iterable[NtMutation]) -> list[NtMutation]:
 def load_nextstrain_definitions(path: Path | str) -> dict[str, NextstrainDefinition]:
     """JSON file mapping variant name to {"subs": [...], "dels": ["start-end"], "ins": ["pos:SEQ"]}."""
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict) or not all(isinstance(spec, dict) for spec in raw.values()):
+        raise ValueError("not a JSON object of variant definitions")
     out = {}
     for name, spec in raw.items():
         dels = []

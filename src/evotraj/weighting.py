@@ -9,14 +9,13 @@ use their region as the density key.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .pipeline import write_csv
+from .pipeline import read_csv, write_csv
 from .tree import Trajectory
 
 PER_MILLION = 1e6
@@ -188,8 +187,8 @@ def sequence_weights(
 
 
 def load_population_table(path: Path | str) -> dict[str, float]:
-    with open(path, newline="") as f:
-        return {row["region_key"]: float(row["population"]) for row in csv.DictReader(f)}
+    columns = ("region_key", "population")
+    return {row["region_key"]: float(row["population"]) for row in read_csv(path, columns)}
 
 
 def write_density_report(

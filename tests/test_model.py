@@ -718,6 +718,19 @@ class TestAllocation:
         # the output itself, plus a margin far below a second block
         assert peak < self.BLOCK * 5 // 4, f"peak {peak / 2**20:.1f} MB"
 
+    def test_save_checkpoint_copies_no_parameter(self, tmp_path):
+        # at the production vocabulary the (hidden, V) head is larger than
+        # np.save's 16 MiB copy buffer; a save writes it without a copy,
+        # and every entry still holds exactly np.save's bytes
+        model = Transformer(ModelConfig(vocab_size=150_210, layers=1, hidden=16, heads=2), seed=0)
+        head = model.parameters()["head.weight"].value.nbytes
+        path = tmp_path / "model.ckpt"
+        peak, _ = traced_peak(save_checkpoint, TrainState(model=model, config=TrainConfig()), path)
+        assert peak < head // 8, f"peak {peak / 2**20:.1f} MB"
+        with zipfile.ZipFile(path) as zf:
+            for name, p in model.parameters().items():
+                assert zf.read(f"param/{name}.npy") == npy_bytes(p.value), name
+
 
 class TestRanking:
     def setup_method(self):

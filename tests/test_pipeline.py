@@ -1,6 +1,6 @@
+import ast
 import collections
 import json
-import re
 import shutil
 import struct
 import zipfile
@@ -11,6 +11,7 @@ import pytest
 from evotraj import cli, pipeline
 from evotraj.cli import main
 from evotraj.model import load_checkpoint
+from evotraj.tokenizer import read_token_stream
 from evotraj.pipeline import (
     CONFIG_HEADER,
     PipelineConfig,
@@ -57,16 +58,22 @@ class TestPipelineConfig:
         assert a.config_hash() != b.config_hash()
 
 
+def assert_refused(capsys, argv, out, message):
+    """``main(argv)`` refuses: it exits 2, prints the one stderr line
+    ``error: <message>``, and leaves ``out`` absent."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path(out).exists()
+
+
 class TestSetFlag:
     @pytest.mark.parametrize("item, message", [
         ("steps=abc", "--set 'steps=abc': invalid literal for int() with base 10: 'abc'"),
         ("nokey=1", "--set 'nokey=1': unknown config key 'nokey'"),
     ], ids=["unparsable-value", "unknown-key"])
-    def test_refused_before_any_output(self, tmp_path, item, message):
+    def test_refused_before_any_output(self, tmp_path, capsys, item, message):
         out = tmp_path / "d"
-        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
-            main(["simulate", "--out", str(out), "--set", item])
-        assert not out.exists()
+        assert_refused(capsys, ["simulate", "--out", str(out), "--set", item], out, message)
 
 
 class TestConfigFlag:
@@ -74,14 +81,12 @@ class TestConfigFlag:
         ("steps abc", "key 'steps': invalid literal for int() with base 10: 'abc'"),
         ("nokey 1", "key 'nokey': unknown config key 'nokey'"),
     ], ids=["unparsable-value", "unknown-key"])
-    def test_refused_before_any_output(self, tmp_path, line, message):
+    def test_refused_before_any_output(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{CONFIG_HEADER}\n# a comment\n{line}\n")
         out = tmp_path / "d"
-        expected = f"--config: {cfg}, line 3, {message}"
-        with pytest.raises(SystemExit, match=f"^{re.escape(expected)}$"):
-            main(["simulate", "--config", str(cfg), "--out", str(out)])
-        assert not out.exists()
+        assert_refused(capsys, ["simulate", "--config", str(cfg), "--out", str(out)], out,
+                       f"--config: {cfg}, line 3, {message}")
 
 
 class TestArtifacts:
@@ -298,20 +303,17 @@ class TestEndToEnd:
         assert (bounded["n_evaluated"] + bounded["n_excluded_too_long"]
                 == full["n_evaluated"] + full["n_excluded_too_long"])
 
-    def test_evaluate_refuses_an_amino_acid_table_on_the_nucleotide_task(self, pipeline_run, tmp_path):
+    def test_evaluate_refuses_an_amino_acid_table_on_the_nucleotide_task(self, pipeline_run, tmp_path, capsys):
         table = tmp_path / "table.csv"
         table.write_text("mutation,expected_count,fitness\nS:D2G,5,0\n")
         out = tmp_path / "eval"
-        with pytest.raises(SystemExit, match=rf"{re.escape(str(table))} is an amino-acid table: "
-                                             r"it scores task=spike only, not task=nucleotide"):
-            main([
-                "evaluate",
-                "--tree", str(pipeline_run["sim"] / "tree.jsonl"),
-                "--layout", str(pipeline_run["dataset"] / "layout.txt"),
-                "--baseline", str(table),
-                "--out", str(out), *SMALL_SETTINGS,
-            ])
-        assert not out.exists()
+        assert_refused(capsys, [
+            "evaluate",
+            "--tree", str(pipeline_run["sim"] / "tree.jsonl"),
+            "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+            "--baseline", str(table),
+            "--out", str(out), *SMALL_SETTINGS,
+        ], out, f"{table} is an amino-acid table: it scores task=spike only, not task=nucleotide")
 
     def test_predict_command(self, pipeline_run, tmp_path):
         out = tmp_path / "pred"
@@ -353,16 +355,14 @@ class TestEndToEnd:
          " more than the checkpoint's max_seq 256"),
     ], ids=["malformed-mutation", "site-outside-layout", "malformed-date", "date-outside-layout",
             "context-too-long"])
-    def test_predict_refuses_a_flag_it_cannot_use(self, pipeline_run, tmp_path, flags, message):
+    def test_predict_refuses_a_flag_it_cannot_use(self, pipeline_run, tmp_path, capsys, flags, message):
         out = tmp_path / "pred"
-        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
-            main([
-                "predict",
-                "--checkpoint", str(pipeline_run["train"] / "checkpoint.ckpt"),
-                "--layout", str(pipeline_run["dataset"] / "layout.txt"),
-                *flags, "--out", str(out), *SMALL_SETTINGS,
-            ])
-        assert not out.exists()
+        assert_refused(capsys, [
+            "predict",
+            "--checkpoint", str(pipeline_run["train"] / "checkpoint.ckpt"),
+            "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+            *flags, "--out", str(out), *SMALL_SETTINGS,
+        ], out, message)
 
 
 class TestMalformedTree:
@@ -385,6 +385,131 @@ class TestMalformedTree:
         err = capsys.readouterr().err
         assert err == f"error: {tree}: line 2: 'variant' is not a string: 5\n"
         assert not out.exists()
+
+
+# (stage arguments, the bad file's name and text, or None for no file, and
+# the refusal after "<file>: "); {file} is the bad file, and the other
+# placeholders are ``pipeline_run`` paths
+MODEL = ["--layout", "{layout}", "--checkpoint", "{checkpoint}"]
+OUTSIDE_FILE_CASES = {
+    "population-without-region-key": (
+        ["build-dataset", "--tree", "{tree}", "--population", "{file}"],
+        "pop.csv", "country,population\nAlandia,1000\n", "no 'region_key' column"),
+    "empty-table": (
+        ["baseline-rank", "--table", "{file}"],
+        "table.csv", "mutation,expected_count,fitness\n", "empty baseline table"),
+    "non-numeric-count": (
+        ["baseline-rank", "--table", "{file}"],
+        "table.csv", "mutation,expected_count,fitness\nC10T,abc,0\n", "could not convert string to float: 'abc'"),
+    "non-numeric-baseline-fitness": (
+        ["evaluate", "--tree", "{tree}", "--layout", "{layout}", "--baseline", "{file}"],
+        "table.csv", "mutation,expected_count,fitness\nC10T,1,x\n", "could not convert string to float: 'x'"),
+    "nextstrain-not-json": (
+        ["refine-variants", "--tree", "{tree}", "--nextstrain", "{file}"],
+        "ns.json", "V: 150-152\n", "Expecting value: line 1 column 1 (char 0)"),
+    "nextstrain-not-an-object": (
+        ["refine-variants", "--tree", "{tree}", "--nextstrain", "{file}"],
+        "ns.json", '["V"]\n', "not a JSON object of variant definitions"),
+    "freq-non-integer-site": (
+        ["refine-variants", "--tree", "{tree}", "--freq", "{file}"],
+        "freq.csv", "variant,site,A,T,C,G,Del\nV,ten,1,0,0,0,0\n", "invalid literal for int() with base 10: 'ten'"),
+    "annotation-without-genome-row": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--annotation", "{file}", "--set", "task=spike"],
+        "orfs.tsv", "S\t21563\t25384\n", "annotation missing the 'genome' length row"),
+    "missing-tree": (
+        ["ingest", "--tree", "{file}"], "absent.jsonl", None, "No such file or directory"),
+    "missing-reference": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--reference", "{file}", "--set", "task=spike"],
+        "absent.fasta", None, "No such file or directory"),
+}
+
+# (stage arguments, then the refusal); the config cases' --set flags come
+# after SMALL_SETTINGS, so they override it
+CONFIG_CASES = {
+    "unknown-task": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--set", "task=foo"], "config: unknown task 'foo'"),
+    "unknown-schedule": (
+        ["train", "--dataset", "{dataset}", "--plans", "{plans}", "--set", "schedule=foo"],
+        "config: unknown schedule 'foo'"),
+    "lr-end-above-lr-start": (
+        ["train", "--dataset", "{dataset}", "--plans", "{plans}", "--set", "lr_end=0.1"],
+        "config: lr_end must be below lr_start"),
+    "no-k": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--set", "ks=,"],
+        "ks: expected comma-separated integers of at least 1, got ','"),
+    "k-below-one": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--set", "ks=0,10"],
+        "ks: expected comma-separated integers of at least 1, got '0,10'"),
+    "train-cutoff-not-a-date": (
+        ["build-dataset", "--tree", "{tree}", "--set", "train_cutoff=soon"],
+        "train_cutoff: Invalid isoformat string: 'soon'"),
+    "cutoffs-out-of-order": (
+        ["build-dataset", "--tree", "{tree}", "--set", "train_cutoff=2025-01-01"],
+        "config: training cutoff must precede eval cutoff"),
+    "no-workers": (
+        ["sample-plan", "--dataset", "{dataset}", "--set", "workers=0"], "workers: need at least one worker"),
+    "predict-k-zero": (
+        ["predict", *MODEL, "-k", "0"], "-k: k must be at least 1"),
+}
+
+
+class TestRefusals:
+    """Input a stage cannot use is refused through one path: one
+    ``error:`` line on stderr naming the file, flag or config key, exit
+    status 2, and no --out directory."""
+
+    @staticmethod
+    def paths(pipeline_run, **extra) -> dict[str, str]:
+        return {
+            "tree": str(pipeline_run["ingest"] / "tree.jsonl"),
+            "layout": str(pipeline_run["dataset"] / "layout.txt"),
+            "checkpoint": str(pipeline_run["train"] / "checkpoint.ckpt"),
+            "dataset": str(pipeline_run["dataset"]),
+            "plans": str(pipeline_run["plans"]),
+            **extra,
+        }
+
+    @pytest.mark.parametrize("case", OUTSIDE_FILE_CASES)
+    def test_outside_file_refused_by_name(self, pipeline_run, tmp_path, capsys, case):
+        argv, name, text, message = OUTSIDE_FILE_CASES[case]
+        bad = tmp_path / name
+        if text is not None:
+            bad.write_text(text)
+        paths = self.paths(pipeline_run, file=str(bad))
+        out = tmp_path / "out"
+        assert_refused(capsys, [*(a.format(**paths) for a in argv), *SMALL_SETTINGS, "--out", str(out)],
+                       out, f"{bad}: {message}")
+
+    @pytest.mark.parametrize("case", CONFIG_CASES)
+    def test_config_value_refused_by_name(self, pipeline_run, tmp_path, capsys, case):
+        argv, message = CONFIG_CASES[case]
+        paths = self.paths(pipeline_run)
+        out = tmp_path / "out"
+        stage, *flags = (a.format(**paths) for a in argv)
+        assert_refused(capsys, [stage, *SMALL_SETTINGS, *flags, "--out", str(out)], out, message)
+
+    def test_unreadable_manifest_refused_by_name(self, tmp_path, capsys):
+        tree = tmp_path / "tree.jsonl"
+        tree.write_text('{"id":"root","parent":null}\n')
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("not json\n")
+        out = tmp_path / "out"
+        assert_refused(capsys, ["ingest", "--tree", str(tree), "--out", str(out)], out,
+                       f"{manifest}: not a manifest: Expecting value: line 1 column 1 (char 0)")
+
+    def test_missing_config_file_refused_by_name(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert_refused(capsys, ["simulate", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)],
+                       out, f"{tmp_path / 'absent.cfg'}: No such file or directory")
+
+    def test_cli_has_one_refusal_path(self):
+        # a refusal is a Refused raised anywhere and caught once, in main
+        src = Path(cli.__file__).parent
+        assert [p.name for p in src.rglob("*.py") if "SystemExit" in p.read_text()] == []
+        module = ast.parse(Path(cli.__file__).read_text())
+        [main_def] = [n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+        handlers = [h for n in ast.walk(main_def) if isinstance(n, ast.Try) for h in n.handlers]
+        assert [ast.unparse(h.type) for h in handlers] == ["Refused"]
 
 
 class TestBaselineRank:
@@ -543,18 +668,17 @@ class TestUpstreamVerification:
         assert str(ds) in err and "no manifest.json" in err
         assert not (tmp_path / "out").exists()
 
-    def test_sample_plan_refuses_a_dataset_that_selects_nothing(self, tmp_path):
+    def test_sample_plan_refuses_a_dataset_that_selects_nothing(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         ds.mkdir()
         weights = ds / "weights.csv"
         weights.write_text("name,region_key,month,r,p,p_adjusted\n")
         write_manifest(ds, "build-dataset", PipelineConfig(), {}, {"weights": weights})
         out = tmp_path / "plans"
-        with pytest.raises(SystemExit, match=r"weights\.csv sum to 0 < 1: an epoch selects nothing"):
-            main(["sample-plan", "--dataset", str(ds), "--out", str(out)])
-        assert not out.exists()
+        assert_refused(capsys, ["sample-plan", "--dataset", str(ds), "--out", str(out)], out,
+                       f"sampling probabilities in {weights} sum to 0 < 1: an epoch selects nothing")
 
-    def test_sample_plan_refuses_an_epoch_no_worker_fills(self, tmp_path):
+    def test_sample_plan_refuses_an_epoch_no_worker_fills(self, tmp_path, capsys):
         # the probabilities sum to 1.5, but four shards of at most two
         # sequences each sum below 1
         ds = tmp_path / "ds"
@@ -564,10 +688,10 @@ class TestUpstreamVerification:
                            + "".join(f"s{i},X,0,1,0.3,0.3\n" for i in range(5)))
         write_manifest(ds, "build-dataset", PipelineConfig(), {}, {"weights": weights})
         out = tmp_path / "plans"
-        with pytest.raises(SystemExit, match=r"epoch 0 selects nothing from .*weights\.csv with 4 workers"):
-            main(["sample-plan", "--dataset", str(ds), "--out", str(out),
-                  "--set", "workers=4", "--set", "epochs=2"])
-        assert not list(out.glob("epoch_*.plan"))
+        assert_refused(capsys, ["sample-plan", "--dataset", str(ds), "--out", str(out),
+                                "--set", "workers=4", "--set", "epochs=2"], out,
+                       f"epoch 0 selects nothing from {weights} with 4 workers:"
+                       " no worker's shard of the probabilities sums to 1")
 
     def test_train_refuses_tampered_plans(self, pipeline_run, tmp_path, capsys):
         plans = tmp_path / "plans"
@@ -584,7 +708,7 @@ class TestUpstreamVerification:
         assert "artifact 'epoch_001'" in capsys.readouterr().err
         assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
 
-    def test_train_rejects_token_id_outside_vocabulary(self, pipeline_run, tmp_path):
+    def test_train_rejects_token_id_outside_vocabulary(self, pipeline_run, tmp_path, capsys):
         ds = tmp_path / "ds"
         shutil.copytree(pipeline_run["dataset"], ds)
         vocab_size = int(json.loads((ds / "stats.json").read_text())["vocab_size"])
@@ -602,22 +726,22 @@ class TestUpstreamVerification:
         manifest["outputs"]["tokens"]["sha256"] = sha256_file(ds / "tokens.bin")
         (ds / "manifest.json").write_text(json.dumps(manifest))
         verify_against_manifest(ds)
-        with pytest.raises(ValueError, match=r"tokens\.bin: sample 2 has token id \d+, outside"):
-            main([
-                "train", "--dataset", str(ds), "--plans", str(pipeline_run["plans"]),
-                "--out", str(tmp_path / "t"), *SMALL_SETTINGS,
-            ])
-        assert not (tmp_path / "t" / "checkpoint.ckpt").exists()
+        out = tmp_path / "t"
+        assert_refused(capsys, [
+            "train", "--dataset", str(ds), "--plans", str(pipeline_run["plans"]),
+            "--out", str(out), *SMALL_SETTINGS,
+        ], out, f"{ds / 'tokens.bin'}: sample 2 has token id {vocab_size},"
+                f" outside the vocabulary of {vocab_size}")
 
-    def test_train_refuses_a_sample_longer_than_the_context(self, pipeline_run, tmp_path):
-        with pytest.raises(
-            ValueError, match=r"tokens\.bin: sample \d+ has \d+ tokens, a context longer than max_seq 10$"
-        ):
-            main([
-                "train", "--dataset", str(pipeline_run["dataset"]), "--plans", str(pipeline_run["plans"]),
-                "--out", str(tmp_path / "t"), *SMALL_SETTINGS, "--set", "max_seq=10",
-            ])
-        assert not (tmp_path / "t").exists()
+    def test_train_refuses_a_sample_longer_than_the_context(self, pipeline_run, tmp_path, capsys):
+        tokens = pipeline_run["dataset"] / "tokens.bin"
+        i, n = next((i, len(s.tokens)) for i, s in enumerate(read_token_stream(tokens))
+                    if len(s.tokens) - 1 > 10)
+        out = tmp_path / "t"
+        assert_refused(capsys, [
+            "train", "--dataset", str(pipeline_run["dataset"]), "--plans", str(pipeline_run["plans"]),
+            "--out", str(out), *SMALL_SETTINGS, "--set", "max_seq=10",
+        ], out, f"{tokens}: sample {i} has {n} tokens, a context longer than max_seq 10")
 
     def test_train_reads_only_plans_named_by_the_manifest(self, pipeline_run, tmp_path):
         plans = tmp_path / "plans"

@@ -1,5 +1,6 @@
 """Each experiment script's ``run()`` at a tiny size."""
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -67,10 +68,16 @@ def test_drift_scripts(name, tmp_path, capsys, monkeypatch):
     assert out.endswith(report)
 
 
-def test_ablation_rejects_a_split_that_selects_nothing(tmp_path, monkeypatch):
+def test_ablation_rejects_a_split_that_selects_nothing(tmp_path, capsys, monkeypatch):
     # at depth 3 the temporally adjusted probabilities sum below 1, so no
     # epoch selects a sequence; sample-plan must say so
     script = load_script("run_weighting_ablation", monkeypatch)
-    with pytest.raises(SystemExit, match=r"sum to 0\.\d+ < 1: an epoch selects nothing"):
-        script.run(["--out", str(tmp_path), "--depth", "3", "--steps", "1"])
+    assert script.run(["--out", str(tmp_path), "--depth", "3", "--steps", "1"]) == 2
+    weights = tmp_path / "temporal" / "dataset" / "weights.csv"
+    with open(weights, newline="") as f:
+        p_sum = sum(float(row["p_adjusted"]) for row in csv.DictReader(f))
+    assert p_sum < 1
+    assert capsys.readouterr().err == (
+        f"error: sampling probabilities in {weights} sum to {p_sum:.4g} < 1: an epoch selects nothing\n"
+    )
     assert not (tmp_path / "temporal" / "plans").exists()

@@ -188,7 +188,12 @@ def _checked_model(stage: _Stage) -> Transformer:
 
 def _ranked_table(path: str, config: PipelineConfig, k: int, tok: Tokenizer) -> tuple[str, list]:
     """An estimator table's kind and its ``k`` best entries with their scores:
-    token ids for a nucleotide table, amino-acid mutations otherwise, or refused."""
+    token ids for a nucleotide table, amino-acid mutations otherwise, or refused.
+    ``k`` and the mode are checked first, so a refusal of either names them."""
+    if k < 1:
+        raise Refused("-k: k must be at least 1")
+    if config.baseline_mode not in baseline_mod.MODES:
+        raise Refused(f"baseline_mode: unknown baseline mode {config.baseline_mode!r}")
     with _refusing(path):
         table = baseline_mod.load_bloom_table(path)
         if table.kind == "nt":

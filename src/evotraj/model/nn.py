@@ -1,8 +1,11 @@
 """Neural-net building blocks in numpy with hand-written backward passes.
 
 Everything runs in float64. Layers cache what their backward pass needs; call
-order must be forward then backward, once per step. Gradients accumulate into
-Parameter.grad until zero_grad().
+order must be forward then backward, once per step. Each module runs once per
+forward, so its backward writes Parameter.grad rather than adding to it: no
+gradient needs zeroing between steps, and a second backward of the same
+forward leaves the same gradients. An embedding writes only the rows of its
+ids and names them in Parameter.rows.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ DTYPE = np.float64
 
 
 class Parameter:
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "grad", "rows")
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=DTYPE)
@@ -23,6 +26,9 @@ class Parameter:
         # OS on first touch, so a model used only for inference never pays
         # for its gradients
         self.grad = np.zeros(self.value.shape, dtype=DTYPE)
+        # the rows the last backward wrote, when it wrote only those; the
+        # rest of grad is zero. None: backward writes every row
+        self.rows: np.ndarray | None = None
 
 
 class Module:
@@ -42,10 +48,6 @@ class Module:
                             out[f"{name}.{i}.{sub}"] = p
         return out
 
-    def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.grad[...] = 0.0
-
 
 class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
@@ -57,7 +59,11 @@ class Embedding(Module):
         return self.weight.value[ids]
 
     def backward(self, grad_out: np.ndarray) -> None:
-        np.add.at(self.weight.grad, self._ids, grad_out)
+        w = self.weight
+        if w.rows is not None:
+            w.grad[w.rows] = 0.0
+        np.add.at(w.grad, self._ids, grad_out)
+        w.rows = np.unique(self._ids)
 
 
 class Linear(Module):
@@ -78,9 +84,9 @@ class Linear(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x2 = self._x.reshape(-1, self._x.shape[-1])
         g2 = grad_out.reshape(-1, grad_out.shape[-1])
-        self.weight.grad += x2.T @ g2
+        np.matmul(x2.T, g2, out=self.weight.grad)
         if self.bias is not None:
-            self.bias.grad += g2.sum(axis=0)
+            np.sum(g2, axis=0, out=self.bias.grad)
         return (g2 @ self.weight.value.T).reshape(self._x.shape)
 
 
@@ -100,8 +106,8 @@ class LayerNorm(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, std = self._xhat, self._std
         axes = tuple(range(grad_out.ndim - 1))
-        self.gain.grad += (grad_out * xhat).sum(axis=axes)
-        self.shift.grad += grad_out.sum(axis=axes)
+        np.sum(grad_out * xhat, axis=axes, out=self.gain.grad)
+        np.sum(grad_out, axis=axes, out=self.shift.grad)
         dxhat = grad_out * self.gain.value
         return (
             dxhat

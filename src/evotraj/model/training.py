@@ -44,6 +44,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
         if self.lr_end >= self.lr_start:
             raise ValueError("lr_end must be below lr_start")
         if self.schedule not in ("linear", "cosine"):
@@ -64,7 +69,13 @@ class Adam:
     """Adam with bias correction. A step updates each parameter block by
     block through two reused scratch buffers, with the same operations in
     the same order as the textbook formula, so the results are the same to
-    the bit; it allocates nothing of parameter size."""
+    the bit; it allocates nothing of parameter size.
+
+    A parameter whose backward names the rows it wrote (``Parameter.rows``)
+    is updated only on the rows that have ever had a gradient, copied out
+    and back. Every other row has m = v = g = 0, so the formula would
+    subtract lr * 0 / (0 + eps), which is 0: skipping it changes no bit,
+    given eps > 0."""
 
     # elements per block: the six blocks one pass touches (parameter,
     # gradient, both moments, two scratch) take 1.5 MB, within a 2 MB L2
@@ -77,6 +88,8 @@ class Adam:
         # lazily zeroed pages, as for Parameter.grad
         self.m = {k: np.zeros(p.value.shape, dtype=DTYPE) for k, p in params.items()}
         self.v = {k: np.zeros(p.value.shape, dtype=DTYPE) for k, p in params.items()}
+        # per row-wise parameter, the rows that have had a gradient
+        self.live: dict[str, np.ndarray] = {}
         self._scratch = np.empty((2, self.BLOCK), dtype=DTYPE)
 
     def step(self, lr: float) -> None:
@@ -85,8 +98,14 @@ class Adam:
         bc1 = 1.0 - c.beta1**self.step_count
         bc2 = 1.0 - c.beta2**self.step_count
         for k, p in self.params.items():
-            flat = [a.reshape(-1, copy=False) for a in (p.value, p.grad, self.m[k], self.v[k])]
-            for lo in range(0, p.value.size, self.BLOCK):
+            arrays = [p.value, p.grad, self.m[k], self.v[k]]
+            if p.rows is not None:
+                live = self.live.setdefault(k, np.zeros(len(p.value), dtype=bool))
+                live[p.rows] = True
+                idx = np.flatnonzero(live)
+                arrays = [a[idx] for a in arrays]
+            flat = [a.reshape(-1, copy=False) for a in arrays]
+            for lo in range(0, flat[0].size, self.BLOCK):
                 w, g, m, v = (a[lo : lo + self.BLOCK] for a in flat)
                 a, b = (buf[: len(w)] for buf in self._scratch)
                 # m = beta1 * m + (1 - beta1) * g
@@ -101,6 +120,8 @@ class Adam:
                 a += c.eps
                 np.multiply(np.divide(m, bc1, out=b), lr, out=b)
                 w -= np.divide(b, a, out=b)
+            if p.rows is not None:
+                p.value[idx], self.m[k][idx], self.v[k][idx] = arrays[0], arrays[2], arrays[3]
 
 
 def check_samples_fit(
@@ -171,7 +192,6 @@ def train(
         batch_ids = plan_batch(flat_plan, train_config.batch_size, step)
         batch = [arrays[i] for i in batch_ids]
         inputs, targets, mask = batch_arrays(batch)
-        model.zero_grad()
         result = trajectory_loss(model, inputs, targets, mask)
         if not math.isfinite(result.loss):
             raise TrainingDiverged(

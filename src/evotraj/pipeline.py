@@ -253,15 +253,22 @@ def verify_against_manifest(
     a missing manifest or an unlisted ``only`` (otherwise those give no
     entries)."""
     out_dir = Path(out_dir)
-    if not (out_dir / "manifest.json").exists():
+    manifest_path = out_dir / "manifest.json"
+    if not manifest_path.exists():
         if not required:
             return {}
         raise StaleArtifactError(f"stage directory {out_dir} has no manifest.json")
     try:
-        manifest = json.loads((out_dir / "manifest.json").read_text())
+        manifest = json.loads(manifest_path.read_text())
     except ValueError as e:
-        raise StaleArtifactError(f"{out_dir / 'manifest.json'}: not a manifest: {e}") from None
-    outputs = {n: e for n, e in manifest["outputs"].items() if only in (None, e["path"])}
+        raise StaleArtifactError(f"{manifest_path}: not a manifest: {e}") from None
+    listed = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(listed, dict):
+        raise StaleArtifactError(f"{manifest_path}: not a manifest: no 'outputs' object")
+    for name, entry in listed.items():
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(f), str) for f in ("path", "sha256"))):
+            raise StaleArtifactError(f"{manifest_path}: output {name!r} needs 'path' and 'sha256' strings")
+    outputs = {n: e for n, e in listed.items() if only in (None, e["path"])}
     if only is not None and not outputs and required:
         raise StaleArtifactError(f"artifact {out_dir / only} is not listed in its manifest.json")
     for name, entry in outputs.items():

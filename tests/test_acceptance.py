@@ -312,7 +312,6 @@ class TestCriterion5ModelNumerics:
             mask = rng.random((2, 10)) < 0.6
             mask[0, 0] = True
 
-            model.zero_grad()
             res = trajectory_loss(model, inputs, targets, mask)
             model.backward(res.grad_logits)
 

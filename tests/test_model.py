@@ -199,7 +199,6 @@ class TestGradients:
         def loss_fn():
             return trajectory_loss(model, inputs, targets, mask, compute_grad=False).loss
 
-        model.zero_grad()
         res = trajectory_loss(model, inputs, targets, mask)
         model.backward(res.grad_logits)
 
@@ -253,10 +252,8 @@ class TestLossRows:
     def test_equals_full_logits_path(self):
         inputs, targets, mask = prefixed_batch(seed=1)
         rows_model, full_model = Transformer(DESK, seed=6), Transformer(DESK, seed=6)
-        rows_model.zero_grad()
         rows = trajectory_loss(rows_model, inputs, targets, mask)
         rows_model.backward(rows.grad_logits)
-        full_model.zero_grad()
         full = masked_cross_entropy(full_model.logits(inputs), targets, mask)
         assert full.grad_logits.shape == inputs.shape + (VOCAB,)
         full_model.backward(full.grad_logits)
@@ -288,7 +285,6 @@ class TestLossRows:
         def f():
             return float((weights * model.logits(ids, rows=rows)).sum())
 
-        model.zero_grad()
         f()
         model.backward(weights)
         rng = np.random.default_rng(10)
@@ -310,6 +306,36 @@ class TestLossRows:
                 fd = (up - down) / (2 * h)
                 rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
                 assert rel < 1e-4, f"{name}[{i}]: analytic {gflat[i]:.3e} vs fd {fd:.3e}"
+
+
+class TestBackwardWrites:
+    """Backward writes each gradient, so none is zeroed between steps."""
+
+    def test_second_backward_leaves_same_gradients(self):
+        model = Transformer(DESK, seed=14)
+        inputs, targets, mask = prefixed_batch(seed=15)
+        res = trajectory_loss(model, inputs, targets, mask)
+        model.backward(res.grad_logits)
+        once = {name: p.grad.copy() for name, p in model.parameters().items()}
+        model.backward(res.grad_logits)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.grad, once[name]), name
+
+    def test_disjoint_ids_clear_earlier_rows(self):
+        model, fresh = Transformer(DESK, seed=16), Transformer(DESK, seed=16)
+        rng = np.random.default_rng(17)
+        first = rng.integers(0, 40, size=(2, 10))
+        second = rng.integers(50, VOCAB, size=(2, 10))
+        targets, mask = rng.integers(0, VOCAB, size=(2, 10)), np.ones((2, 10), dtype=bool)
+        for ids in (first, second):
+            model.backward(trajectory_loss(model, ids, targets, mask).grad_logits)
+        fresh.backward(trajectory_loss(fresh, second, targets, mask).grad_logits)
+        embed = model.parameters()["embed.weight"]
+        assert not embed.grad[np.unique(first)].any()
+        assert np.array_equal(embed.rows, np.unique(second))
+        fresh_params = fresh.parameters()
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.grad, fresh_params[name].grad), name
 
 
 class TestLayers:
@@ -375,6 +401,42 @@ class TestAdam:
                 assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), (step, k)
 
 
+    def test_row_path_matches_dense_formula(self):
+        rng = np.random.default_rng(13)
+        rows, cols = 50, 4
+        emb, dense = Parameter(rng.normal(size=(rows, cols))), Parameter(rng.normal(size=(3, 5)))
+        params = {"emb": emb, "dense": dense}
+        start = emb.value.copy()
+        ref = {k: p.value.copy() for k, p in params.items()}
+        m = {k: np.zeros(p.value.shape) for k, p in params.items()}
+        v = {k: np.zeros(p.value.shape) for k, p in params.items()}
+        c = TrainConfig()
+        opt = Adam(params, c)
+        # row 0 has a gradient at step 1 only; row 49 never has one
+        touched = [[0, 3, 7], [3, 8, 9, 20], [21, 22], [7, 48], [1, 2, 3, 4, 5]]
+        for step, live in enumerate(touched, start=1):
+            lr = 0.01 / step
+            bc1, bc2 = 1.0 - c.beta1**step, 1.0 - c.beta2**step
+            # as an embedding's backward leaves it: zero outside the rows
+            emb.grad[...] = 0.0
+            emb.grad[live] = rng.normal(size=(len(live), cols))
+            emb.rows = np.array(live)
+            dense.grad[...] = rng.normal(size=dense.value.shape)
+            for k, p in params.items():
+                m[k] = c.beta1 * m[k] + (1 - c.beta1) * p.grad
+                v[k] = c.beta2 * v[k] + (1 - c.beta2) * p.grad**2
+                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + c.eps)
+            before = emb.value[0].copy()
+            opt.step(lr)
+            for k, p in params.items():
+                assert np.array_equal(p.value, ref[k]), (step, k)
+                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), (step, k)
+            # the row touched at step 1 keeps moving on its decaying moments
+            assert not np.array_equal(emb.value[0], before), step
+        assert np.array_equal(emb.value[-1], start[-1])
+        assert not opt.m["emb"][-1].any() and not opt.v["emb"][-1].any()
+
+
 def toy_dataset(tok: Tokenizer, n=64, seed=0):
     """Trajectories whose second mutation is a fixed function of the first."""
     rng = np.random.default_rng(seed)
@@ -423,6 +485,56 @@ class TestTraining:
         tcfg = TrainConfig(steps=3, batch_size=4, seed=0, lr_start=1e100, lr_end=1e99)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged, match="step 1"):
             train(samples, list(range(8)), cfg, tcfg)
+
+
+    def test_equals_dense_reference_loop(self):
+        # the reference zeroes every gradient before each backward and runs
+        # the textbook Adam over every row of every parameter
+        tok = self.make_tok()
+        samples = toy_dataset(tok, n=24, seed=3)
+        plan = list(range(len(samples)))
+        cfg = ModelConfig(vocab_size=tok.vocab_size, layers=1, hidden=16, heads=2, max_seq=16)
+        tcfg = TrainConfig(steps=6, batch_size=5, lr_start=0.01, lr_end=0.001, seed=4)
+        state = train(samples, plan, cfg, tcfg)
+
+        model = Transformer(cfg, seed=tcfg.seed)
+        params = model.parameters()
+        m = {k: np.zeros(p.value.shape) for k, p in params.items()}
+        v = {k: np.zeros(p.value.shape) for k, p in params.items()}
+        arrays = [(np.asarray(s.tokens, dtype=np.int64), len(s.prefix_tokens)) for s in samples]
+        losses = []
+        for step in range(tcfg.steps):
+            batch = [arrays[i] for i in plan_batch(plan, tcfg.batch_size, step)]
+            inputs, targets, mask = batch_arrays(batch)
+            for p in params.values():
+                p.grad[...] = 0.0
+            res = trajectory_loss(model, inputs, targets, mask)
+            model.backward(res.grad_logits)
+            losses.append(res.loss)
+            lr = tcfg.lr_at(step)
+            bc1, bc2 = 1.0 - tcfg.beta1 ** (step + 1), 1.0 - tcfg.beta2 ** (step + 1)
+            for k, p in params.items():
+                m[k] = tcfg.beta1 * m[k] + (1 - tcfg.beta1) * p.grad
+                v[k] = tcfg.beta2 * v[k] + (1 - tcfg.beta2) * p.grad**2
+                p.value -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + tcfg.eps)
+        assert [loss for _, _, loss in state.log] == losses
+        trained = state.model.parameters()
+        # some embedding rows never had a gradient: the row path was taken
+        assert len(np.unique(np.concatenate([a for a, _ in arrays]))) < cfg.vocab_size
+        for name, p in params.items():
+            assert np.array_equal(trained[name].value, p.value), name
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("eps", 0.0, "eps must be positive"),
+        ("eps", -1e-8, "eps must be positive"),
+        ("beta1", 1.0, r"beta1 must be in \[0, 1\)"),
+        ("beta2", -0.1, r"beta2 must be in \[0, 1\)"),
+        ("beta2", float("nan"), r"beta2 must be in \[0, 1\)"),
+    ], ids=["eps-zero", "eps-negative", "beta1-one", "beta2-negative", "beta2-nan"])
+    def test_optimizer_constants_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+        TrainConfig(beta1=0.0, beta2=0.0)
 
 
 class TestCheckpoint:
@@ -717,6 +829,16 @@ class TestAllocation:
         assert probs.shape == (self.ROWS, self.V)
         # the output itself, plus a margin far below a second block
         assert peak < self.BLOCK * 5 // 4, f"peak {peak / 2**20:.1f} MB"
+
+    def test_head_backward_makes_no_hidden_by_v_array(self):
+        # the weight gradient is written in place, not made and then added
+        model = Transformer(ModelConfig(vocab_size=self.V, layers=1, hidden=16, heads=2), seed=0)
+        head = model.head.weight.value.nbytes
+        ids = np.arange(self.ROWS).reshape(8, 8)
+        grad_logits = model.logits(ids, np.nonzero(np.ones((8, 8), dtype=bool)))
+        peak, dx = traced_peak(model.head.backward, grad_logits)
+        assert dx.shape == (self.ROWS, 16)
+        assert peak < head // 4, f"peak {peak / 2**20:.1f} MB"
 
     def test_save_checkpoint_copies_no_parameter(self, tmp_path):
         # at the production vocabulary the (hidden, V) head is larger than

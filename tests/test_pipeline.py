@@ -497,6 +497,35 @@ class TestRefusals:
         assert_refused(capsys, ["ingest", "--tree", str(tree), "--out", str(out)], out,
                        f"{manifest}: not a manifest: Expecting value: line 1 column 1 (char 0)")
 
+    @pytest.mark.parametrize("manifest, message", [
+        ({}, "not a manifest: no 'outputs' object"),
+        ({"outputs": []}, "not a manifest: no 'outputs' object"),
+        ({"outputs": {"tree": {"sha256": "0" * 64}}}, "output 'tree' needs 'path' and 'sha256' strings"),
+        ({"outputs": {"tree": {"path": "tree.jsonl"}}}, "output 'tree' needs 'path' and 'sha256' strings"),
+    ], ids=["no-outputs", "outputs-not-an-object", "entry-without-path", "entry-without-sha256"])
+    def test_malformed_manifest_refused_by_name(self, tmp_path, capsys, manifest, message):
+        tree = tmp_path / "tree.jsonl"
+        tree.write_text('{"id":"root","parent":null}\n')
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert_refused(capsys, ["ingest", "--tree", str(tree), "--out", str(out)], out,
+                       f"{tmp_path / 'manifest.json'}: {message}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["baseline-rank", "--table", "{table}", "-k", "0"], "-k: k must be at least 1"),
+        (["baseline-rank", "--table", "{table}", "--set", "baseline_mode=foo"],
+         "baseline_mode: unknown baseline mode 'foo'"),
+        (["evaluate", "--tree", "{tree}", "--layout", "{layout}", "--baseline", "{table}",
+          "--set", "baseline_mode=foo"], "baseline_mode: unknown baseline mode 'foo'"),
+    ], ids=["baseline-rank-k-zero", "baseline-rank-mode", "evaluate-baseline-mode"])
+    def test_ranking_flag_refused_by_name_not_the_table(self, pipeline_run, tmp_path, capsys, argv, message):
+        table = tmp_path / "table.csv"
+        table.write_text("mutation,expected_count,fitness\nC10T,5,0\n")
+        paths = self.paths(pipeline_run, table=str(table))
+        out = tmp_path / "out"
+        stage, *flags = (a.format(**paths) for a in argv)
+        assert_refused(capsys, [stage, *SMALL_SETTINGS, *flags, "--out", str(out)], out, message)
+
     def test_missing_config_file_refused_by_name(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert_refused(capsys, ["simulate", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)],

@@ -25,7 +25,6 @@ from .model import (
     check_samples_fit,
     load_checkpoint,
     rank_next_mutations,
-    rank_without_location,
     save_checkpoint,
     train,
     write_training_log,
@@ -138,18 +137,20 @@ def _weight_config(config: PipelineConfig, **overrides) -> weighting.WeightConfi
 
 
 def _synth_config(config: PipelineConfig) -> synth.SynthConfig:
-    cfg = synth.SynthConfig(
-        genome_length=config.genome_length,
-        depth=config.synth_depth,
-        variant_prob=config.synth_variant_prob,
-        private_mut_rate=config.synth_private_mut_rate,
-        month_advance=config.synth_month_advance,
-        collection_lag_months=config.synth_collection_lag,
-        noise_rate=config.synth_noise_rate,
-        seed=config.seed,
-    )
+    with _refusing("config"):
+        cfg = synth.SynthConfig(
+            genome_length=config.genome_length,
+            depth=config.synth_depth,
+            variant_prob=config.synth_variant_prob,
+            private_mut_rate=config.synth_private_mut_rate,
+            month_advance=config.synth_month_advance,
+            collection_lag_months=config.synth_collection_lag,
+            noise_rate=config.synth_noise_rate,
+            seed=config.seed,
+        )
     if config.synth_shift_month >= 0:
-        cfg = synth.plant_temporal_shift(cfg, config.synth_shift_month, config.synth_ramp_months)
+        with _refusing("synth_ramp_months"):
+            cfg = synth.plant_temporal_shift(cfg, config.synth_shift_month, config.synth_ramp_months)
     return cfg
 
 
@@ -305,6 +306,8 @@ def cmd_sample_plan(args) -> int:
         )
     # a sum of at least 1 can still leave every worker's shard below 1, so
     # every epoch is checked before any plan is written
+    if config.epochs < 1:
+        raise Refused("epochs: need at least one epoch")
     with _refusing("workers"):
         selections = [
             sampler.run_epoch(probs, seed=config.seed + epoch, n_workers=config.workers)
@@ -374,7 +377,9 @@ def cmd_predict(args) -> int:
             muts[flag] = tuple(NtMutation.parse(m) for m in (text or "").split(",") if m.strip())
             for m in muts[flag]:
                 tok.mutation_token(m.site, m.to)
-    meta = SequenceMeta("", collected=date, country=args.country, region=args.region)
+    # without location, the prefix's location tokens are the unknown token
+    location = {} if args.no_location else {"country": args.country, "region": args.region}
+    meta = SequenceMeta("", collected=date, **location)
     context = Trajectory(meta, "", muts["--variant-muts"], muts["--observed"])
     tokens = list(tok.tokenize(context).tokens)
     if len(tokens) > model.config.max_seq:
@@ -382,9 +387,8 @@ def cmd_predict(args) -> int:
             f"--variant-muts and --observed give a context of {len(tokens)} tokens,"
             f" more than the checkpoint's max_seq {model.config.max_seq}"
         )
-    rank_fn = rank_without_location if args.no_location else rank_next_mutations
     with _refusing("-k"):
-        pred = rank_fn(model, tok, tokens, k=args.k)
+        pred = rank_next_mutations(model, tok, tokens, k=args.k)
     ranked_out = stage.output("ranked", "ranked.csv")
     write_csv(
         ranked_out,
@@ -437,7 +441,7 @@ def cmd_evaluate(args) -> int:
 
     if args.checkpoint:
         model = _checked_model(stage)
-        predictor = evaluation.ModelPredictor(model, tok, use_location=not args.no_location)
+        predictor = evaluation.ModelPredictor(model, tok)
     else:
         kind, ranked = _ranked_table(args.baseline, config, max(ks), tok)
         if kind == "aa" and config.task != "spike":
@@ -453,7 +457,12 @@ def cmd_evaluate(args) -> int:
     populations = _read(args.population, weighting.load_population_table, {})
     weights, _ = weighting.sequence_weights(eval_trajs, populations, wcfg, config.base_year)
 
-    samples = [tok.tokenize(t) for t in eval_trajs]
+    # without location, the prefix's location tokens are the unknown token;
+    # weights and month slices still read the real metadata
+    tokenized = eval_trajs
+    if args.no_location:
+        tokenized = [replace(t, meta=replace(t.meta, country=None, region=None)) for t in eval_trajs]
+    samples = [tok.tokenize(t) for t in tokenized]
     result = evaluation.evaluate_sequences(
         eval_trajs,
         samples,

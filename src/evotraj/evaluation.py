@@ -4,7 +4,8 @@ Each private mutation becomes one prediction step: the predictor sees the
 prefix, the variant mutations, and all earlier private mutations, and its
 top-k candidates are checked against the true next mutation. A sequence's
 recall is the mean over its steps; aggregates are reported unweighted and
-weighted by representativeness.
+weighted by representativeness. Every predictor ranks through its one
+method, ``rank_at_positions``; location is withheld by tokenizing without it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .genome import AaMutation, SpikeMap, SpikeState
 from .tokenizer import PREFIX_LENGTH, TokenizedSample, Tokenizer
 from .tree import Trajectory, spike_aa_steps, spike_replay
-from .model.ranking import rank_contexts, strip_location
+from .model.ranking import rank_contexts
 from .pipeline import write_csv
 from .model.transformer import Transformer
 
@@ -30,7 +31,7 @@ class NtPredictor(Protocol):
 
     max_context: int | None  # None: any length
 
-    def rank_batch(
+    def rank_at_positions(
         self, contexts: Sequence[Sequence[int]], positions: Sequence[Sequence[int]], k: int
     ) -> list[list[tuple[int | AaMutation, ...]]]:
         """Top-k candidates, mutation tokens or spike amino-acid mutations,
@@ -41,23 +42,17 @@ class ModelPredictor:
     """Ranks with a trained model; one forward pass serves every step of a
     batch of sequences because the distributions at all positions are causal."""
 
-    def __init__(self, model: Transformer, tokenizer: Tokenizer, use_location: bool = True):
+    def __init__(self, model: Transformer, tokenizer: Tokenizer):
         self.model = model
         self.tokenizer = tokenizer
-        self.use_location = use_location
 
     @property
     def max_context(self) -> int:
         return self.model.config.max_seq
 
-    def rank_batch(self, contexts, positions, k):
-        if not self.use_location:
-            contexts = [strip_location(self.tokenizer, c) for c in contexts]
+    def rank_at_positions(self, contexts, positions, k):
         ranked = rank_contexts(self.model, self.tokenizer, contexts, positions, k)
         return [[tuple(tokens.tolist()) for tokens, _ in seq] for seq in ranked]
-
-    def rank_at_positions(self, tokens, positions, k):
-        return self.rank_batch([tokens], [positions], k)[0]
 
 
 class StaticPredictor:
@@ -69,11 +64,8 @@ class StaticPredictor:
     def __init__(self, ranked: Sequence[int | AaMutation]):
         self.ranked = tuple(ranked)
 
-    def rank_batch(self, contexts, positions, k):
+    def rank_at_positions(self, contexts, positions, k):
         return [[self.ranked[:k] for _ in p] for p in positions]
-
-    def rank_at_positions(self, tokens, positions, k):
-        return self.rank_batch([tokens], [positions], k)[0]
 
 
 class RandomPredictor:
@@ -85,7 +77,7 @@ class RandomPredictor:
         self.candidates = np.asarray(candidate_tokens)
         self.rng = np.random.default_rng(seed)
 
-    def rank_batch(self, contexts, positions, k):
+    def rank_at_positions(self, contexts, positions, k):
         k_eff = min(k, self.candidates.size)
         return [
             [
@@ -94,9 +86,6 @@ class RandomPredictor:
             ]
             for p in positions
         ]
-
-    def rank_at_positions(self, tokens, positions, k):
-        return self.rank_batch([tokens], [positions], k)[0]
 
 
 def nucleotide_candidate_count(genome_length: int) -> int:
@@ -167,7 +156,7 @@ def _hit_ranks(
         contexts.append(list(sample.tokens[:-1]))
         positions.append([base + i - 1 for i in steps])
 
-    for idx, ranked in zip(kept, predictor.rank_batch(contexts, positions, k)):
+    for idx, ranked in zip(kept, predictor.rank_at_positions(contexts, positions, k)):
         if task == "nucleotide":
             if any(isinstance(c, AaMutation) for cands in ranked for c in cands):
                 raise ValueError("amino-acid candidates score task=spike only, not task=nucleotide")

@@ -15,7 +15,7 @@ from .training import (
     train,
     write_training_log,
 )
-from .ranking import rank_next_mutations, rank_without_location
+from .ranking import rank_next_mutations
 
 __all__ = [
     "Adam",
@@ -28,7 +28,6 @@ __all__ = [
     "load_checkpoint",
     "masked_cross_entropy",
     "rank_next_mutations",
-    "rank_without_location",
     "save_checkpoint",
     "train",
     "trajectory_loss",

@@ -5,7 +5,8 @@ mutation block, best first, with the tokens already seen in the context
 trajectory left out. ``rank_contexts`` feeds it from batched forwards.
 It walks the rows one at a time through one reused row of scores, so at
 the production vocabulary it makes no (rows, V) copy of the probabilities
-and no (rows, V) index array.
+and no (rows, V) index array. Neither knows location: a caller withholds
+it by tokenizing without it.
 """
 
 from __future__ import annotations
@@ -131,20 +132,3 @@ def rank_next_mutations(
     )[0]
     return RankedPrediction(tokens=tuple(tokens.tolist()), scores=tuple(scores.tolist()))
 
-
-def strip_location(tokenizer: Tokenizer, context_tokens: list[int]) -> list[int]:
-    """Replace the prefix's location tokens with the unknown token."""
-    out = list(context_tokens)
-    out[0] = tokenizer.unknown_token
-    out[1] = tokenizer.unknown_token
-    return out
-
-
-def rank_without_location(
-    model: Transformer,
-    tokenizer: Tokenizer,
-    context_tokens: list[int],
-    k: int,
-) -> RankedPrediction:
-    """As rank_next_mutations, with location information withheld."""
-    return rank_next_mutations(model, tokenizer, strip_location(tokenizer, context_tokens), k)

@@ -13,7 +13,7 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         for name in ("beta1", "beta2"):
@@ -174,7 +177,6 @@ def train(
     flat_plan: Sequence[int],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    on_step: Callable[[int, float, float], None] | None = None,
 ) -> TrainState:
     """Run training over the plan stream.
 
@@ -206,8 +208,6 @@ def train(
         lr = train_config.lr_at(step)
         opt.step(lr)
         state.log.append((step, lr, loss))
-        if on_step is not None:
-            on_step(step, lr, loss)
     return state
 
 
@@ -274,17 +274,14 @@ def _entry(zf: zipfile.ZipFile, path: Path | str, name: str):
 
 def _read_npy_into(f, dest: np.ndarray, where: str) -> None:
     """Fill ``dest`` from the ``.npy`` stream ``f`` without an array in
-    between. The header must give dest's shape, float64 and C order, else
-    the entry is refused, naming ``where``, before any data is read. The
-    entry is then read to its end, so its CRC is checked."""
+    between. Its header must be a 1.0 one giving dest's shape, float64
+    and C order, else the entry is refused, naming ``where``, before any
+    data is read. The entry is then read to its end, so its CRC is checked."""
     try:
         version = np.lib.format.read_magic(f)
-        if version == (1, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
-        elif version == (2, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(f)
-        else:
+        if version != (1, 0):
             raise ValueError(f"unsupported .npy version {version}")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
     except ValueError as e:
         raise Refused(f"{where}: {e}") from None
     if shape != dest.shape:

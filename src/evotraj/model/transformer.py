@@ -24,6 +24,9 @@ class ModelConfig:
     max_seq: int = 256
 
     def __post_init__(self):
+        for name in ("layers", "hidden", "heads", "max_seq"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.hidden % self.heads != 0:
             raise ValueError("hidden must be divisible by heads")
         if self.vocab_size < 2:

@@ -22,6 +22,9 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
 CONFIG_HEADER = "evotraj-config v1"
+# the words a boolean config value may be, in any case
+BOOLEAN_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                 **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 class Refused(ValueError):
@@ -93,7 +96,9 @@ class PipelineConfig:
         elif f.type in ("float", float):
             parsed = float(value)
         elif f.type in ("bool", bool):
-            parsed = value.lower() in ("1", "true", "yes", "on")
+            if value.lower() not in BOOLEAN_WORDS:
+                raise ValueError(f"expected one of {'/'.join(BOOLEAN_WORDS)}, got {value!r}")
+            parsed = BOOLEAN_WORDS[value.lower()]
         else:
             parsed = value
         setattr(self, key, parsed)

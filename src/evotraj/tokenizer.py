@@ -64,10 +64,6 @@ class TokenizedSample:
     def tokens(self) -> tuple[int, ...]:
         return self.prefix_tokens + self.trajectory_tokens
 
-    @property
-    def loss_mask(self) -> tuple[bool, ...]:
-        return (False,) * len(self.prefix_tokens) + (True,) * len(self.trajectory_tokens)
-
 
 @dataclass(frozen=True, slots=True)
 class DetokenizedSample:
@@ -289,6 +285,9 @@ def write_token_stream(samples: Iterable[TokenizedSample], path: Path | str) -> 
 
 
 def read_token_stream(path: Path | str) -> list[TokenizedSample]:
+    """The samples of a token stream; a sample whose prefix is not
+    PREFIX_LENGTH tokens, or whose split index is beyond its trajectory, is
+    refused, naming the file and the sample index."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4, path)
         if magic != STREAM_MAGIC:
@@ -297,8 +296,13 @@ def read_token_stream(path: Path | str) -> list[TokenizedSample]:
         if version != STREAM_VERSION:
             raise Refused(f"{path}: unsupported stream version {version}")
         out = []
-        for _ in range(n_samples):
+        for i in range(n_samples):
             n_prefix, split_index, n_traj = struct.unpack("<III", read_exact(f, 12, path))
+            if n_prefix != PREFIX_LENGTH:
+                raise Refused(f"{path}: sample {i} has a prefix of {n_prefix} tokens, not {PREFIX_LENGTH}")
+            if split_index > n_traj:
+                raise Refused(f"{path}: sample {i} has split index {split_index}"
+                              f" beyond its {n_traj} trajectory tokens")
             n = n_prefix + n_traj
             ids = struct.unpack(f"<{n}I", read_exact(f, 4 * n, path))
             out.append(

@@ -461,7 +461,7 @@ class TestCriterion9Baseline:
             assert round(expected * 100, 2) == 0.08  # percent, as reported
             predictor = RandomPredictor(np.arange(n_candidates), seed=8)
             n_trials = 100_000
-            ranked = predictor.rank_at_positions([], range(n_trials), k=100)
+            ranked = predictor.rank_at_positions([[]], [range(n_trials)], k=100)[0]
             trues = rng.integers(0, n_candidates, size=n_trials)
             hits = np.fromiter(
                 (t in set(r) for t, r in zip(trues, ranked)), bool, count=n_trials

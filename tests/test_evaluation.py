@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,12 @@ def sample_for(variant_sites, private_sites, date=None, country=None):
         sequence_mutations=tuple(NtMutation(s, b) for s, b in private_sites),
     )
     return traj, TOK.tokenize(traj)
+
+
+def withheld(trajectories):
+    """The samples of trajectories tokenized without their location."""
+    return [TOK.tokenize(replace(t, meta=replace(t.meta, country=None, region=None)))
+            for t in trajectories]
 
 
 class TestNucleotideRecall:
@@ -311,8 +319,7 @@ class TestEvaluateSequences:
 class TestStaticPredictorStructure:
     def test_context_independent(self):
         predictor = StaticPredictor([5, 6, 7])
-        a = predictor.rank_at_positions([1, 2, 3], [0, 1], k=2)
-        b = predictor.rank_at_positions([9, 9, 9, 9], [2], k=2)
+        a, b = predictor.rank_at_positions([[1, 2, 3], [9, 9, 9, 9]], [[0, 1], [2]], k=2)
         assert a[0] == a[1] == b[0] == (5, 6)
 
 
@@ -326,12 +333,9 @@ class TestNoLocationMode:
             t, s = sample_for([(1, "T")], [(10 + i, "G")], date="2025-03-01", country="Xanadu")
             trajs.append(t)
             samples.append(s)
-        with_loc = evaluate_sequences(
-            trajs, samples, ModelPredictor(model, TOK, use_location=True), ks=(5,)
-        )
-        without = evaluate_sequences(
-            trajs, samples, ModelPredictor(model, TOK, use_location=False), ks=(5,)
-        )
+        predictor = ModelPredictor(model, TOK)
+        with_loc = evaluate_sequences(trajs, samples, predictor, ks=(5,))
+        without = evaluate_sequences(trajs, withheld(trajs), predictor, ks=(5,))
         a = next(r for r in with_loc.reports if r.slice_label == "all")
         b = next(r for r in without.reports if r.slice_label == "all")
         assert a.n_sequences == b.n_sequences == 4
@@ -385,21 +389,24 @@ class TestBatchedRanking:
         cfg = ModelConfig(vocab_size=TOK.vocab_size, layers=2, hidden=32, heads=4, max_seq=64)
         return Transformer(cfg, seed=11)
 
-    @pytest.mark.parametrize("use_location", [True, False])
+    @pytest.mark.parametrize("located", [True, False])
     @pytest.mark.parametrize("batch_contexts, batch_rows", [(64, 128), (3, 128), (64, 5)])
     def test_batch_equals_each_context_alone(
-        self, monkeypatch, use_location, batch_contexts, batch_rows
+        self, monkeypatch, located, batch_contexts, batch_rows
     ):
         monkeypatch.setattr(ranking, "BATCH_CONTEXTS", batch_contexts)
         monkeypatch.setattr(ranking, "BATCH_ROWS", batch_rows)
-        predictor = ModelPredictor(self.model(), TOK, use_location=use_location)
-        _, samples = mixed_sequences()
+        predictor = ModelPredictor(self.model(), TOK)
+        trajs, samples = mixed_sequences()
+        if not located:
+            samples = withheld(trajs)
         contexts = [list(s.tokens[:-1]) for s in samples]
+        assert any(c[0] != TOK.unknown_token for c in contexts) == located
         positions = [list(range(4, len(c))) for c in contexts]
-        batched = predictor.rank_batch(contexts, positions, 30)
+        batched = predictor.rank_at_positions(contexts, positions, 30)
         lo, hi = TOK.mutation_block
         for context, pos, ranked in zip(contexts, positions, batched):
-            assert ranked == predictor.rank_at_positions(context, pos, 30)
+            assert [ranked] == predictor.rank_at_positions([context], [pos], 30)
             for p, candidates in zip(pos, ranked):
                 seen = {t for t in context[5 : p + 1] if lo <= t < hi}
                 assert not seen & set(candidates)

@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 import zipfile
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,6 @@ from evotraj.model import (
     load_checkpoint,
     masked_cross_entropy,
     rank_next_mutations,
-    rank_without_location,
     save_checkpoint,
     train,
     trajectory_loss,
@@ -35,7 +35,9 @@ from evotraj.model.nn import (
     softmax,
 )
 from evotraj.model.training import Adam, TrainingDiverged, TrainState, plan_batch
+from evotraj.genome import NtMutation
 from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, TokenizedSample, Tokenizer
+from evotraj.tree import SequenceMeta, Trajectory
 
 VOCAB = 97
 DESK = ModelConfig(vocab_size=VOCAB, layers=2, hidden=64, heads=4, max_seq=64)
@@ -590,9 +592,9 @@ class TestCheckpoint:
             load_checkpoint(p)
 
 
-def npy_bytes(arr: np.ndarray) -> bytes:
+def npy_bytes(arr: np.ndarray, version=None) -> bytes:
     buf = io.BytesIO()
-    np.save(buf, arr)
+    np.lib.format.write_array(buf, arr, version=version)
     return buf.getvalue()
 
 
@@ -678,7 +680,9 @@ class TestStrictCheckpoint:
         (lambda v: npy_bytes(v)[:-8], "is truncated"),
         (lambda v: npy_bytes(v) + b"\0", "has data past its array"),
         (lambda v: b"not an array", "the magic string is not correct"),
-    ], ids=["float32", "fortran-order", "truncated", "trailing-data", "not-npy"])
+        # save_checkpoint writes 1.0 headers only
+        (lambda v: npy_bytes(v, version=(2, 0)), "unsupported .npy version (2, 0)"),
+    ], ids=["float32", "fortran-order", "truncated", "trailing-data", "not-npy", "npy-2.0"])
     def test_bad_entry_refused_by_name(self, ckpt, tmp_path, entry_bytes, message):
         path, state = ckpt
         entry = "param/blocks.0.attn.wq.weight.npy"
@@ -901,17 +905,29 @@ class TestRanking:
             assert list(pred.tokens) == [t + lo for t in tokens]
             assert pred.scores == pytest.approx(scores, rel=1e-12, abs=0)
 
+    def located_and_withheld(self) -> tuple[list[int], list[int]]:
+        """self.context's trajectory from Bavaria, tokenized with its location
+        and without it."""
+        for name in ("Germany", "Bavaria"):
+            self.tok.register_location(name)
+        traj = Trajectory(SequenceMeta("s", country="Germany", region="Bavaria"), "V", (),
+                          (NtMutation(3, "T"),))
+        withheld = replace(traj, meta=replace(traj.meta, country=None, region=None))
+        return list(self.tok.tokenize(traj).tokens), list(self.tok.tokenize(withheld).tokens)
+
     def test_without_location_ignores_location_fields(self):
-        t = self.tok
-        t.register_location("Germany")
-        with_loc = [t.location_tokens("Germany", None)[0], t.unknown_token] + self.context[2:]
-        a = rank_without_location(self.model, t, with_loc, k=10)
-        b = rank_without_location(self.model, t, self.context, k=10)
-        assert a.tokens == b.tokens and a.scores == b.scores
+        # withholding location is tokenizing without it: both location
+        # tokens are the unknown token, so the model ranks the context of a
+        # sample with no location, whatever the sample's location was
+        located, withheld = self.located_and_withheld()
+        assert located[:2] == list(self.tok.location_tokens("Germany", "Bavaria"))
+        assert self.tok.unknown_token not in located[:2]
+        assert withheld == self.context
 
     def test_shapes_match_between_modes(self):
-        a = rank_next_mutations(self.model, self.tok, self.context, k=10)
-        b = rank_without_location(self.model, self.tok, self.context, k=10)
+        located, withheld = self.located_and_withheld()
+        a = rank_next_mutations(self.model, self.tok, located, k=10)
+        b = rank_next_mutations(self.model, self.tok, withheld, k=10)
         assert len(a.tokens) == len(b.tokens) == 10
 
 

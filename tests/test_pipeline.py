@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from evotraj import cli, pipeline
+from evotraj import cli, evaluation, pipeline
 from evotraj.cli import main
 from evotraj.model import load_checkpoint
-from evotraj.tokenizer import read_token_stream
+from evotraj.tokenizer import Tokenizer, read_token_stream
 from evotraj.pipeline import (
     CONFIG_HEADER,
     PipelineConfig,
@@ -42,6 +42,15 @@ class TestPipelineConfig:
         assert loaded.steps == 77
         assert loaded.temporal_weighting is False
         assert loaded.to_text() == c.to_text()
+
+    @pytest.mark.parametrize("value, parsed", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), ("NO", False), ("off", False),
+    ])
+    def test_boolean_words_in_any_case(self, value, parsed):
+        c = PipelineConfig()
+        c.set("temporal_weighting", value)
+        assert c.temporal_weighting is parsed
 
     def test_unknown_key_rejected(self):
         with pytest.raises(KeyError):
@@ -315,6 +324,38 @@ class TestEndToEnd:
             "--out", str(out), *SMALL_SETTINGS,
         ], out, f"{table} is an amino-acid table: it scores task=spike only, not task=nucleotide")
 
+    @pytest.mark.parametrize("no_location", [False, True], ids=["located", "no-location"])
+    @pytest.mark.parametrize("source", ["checkpoint", "baseline"])
+    def test_evaluate_ranks_through_rank_at_positions(self, pipeline_run, tmp_path, monkeypatch,
+                                                      source, no_location):
+        # the benchmark's evaluation.rank_self_s times rank_at_positions, so
+        # the stage must rank through it; without location, every context's
+        # location tokens are the unknown token
+        cls = evaluation.ModelPredictor if source == "checkpoint" else evaluation.StaticPredictor
+        rank = vars(cls)["rank_at_positions"]
+        calls = []
+
+        def spy(self, contexts, positions, k):
+            calls.append(contexts)
+            return rank(self, contexts, positions, k)
+
+        monkeypatch.setattr(cls, "rank_at_positions", spy)
+        table = tmp_path / "table.csv"
+        table.write_text("mutation,expected_count,fitness\nC10T,5,0\n")
+        sources = {"checkpoint": pipeline_run["train"] / "checkpoint.ckpt", "baseline": table}
+        assert main([
+            "evaluate",
+            "--tree", str(pipeline_run["sim"] / "tree.jsonl"),
+            "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+            f"--{source}", str(sources[source]),
+            *(["--no-location"] if no_location else []),
+            "--out", str(tmp_path / "eval"), *SMALL_SETTINGS,
+        ]) == 0
+        assert calls
+        unknown = Tokenizer.load(pipeline_run["dataset"] / "layout.txt").unknown_token
+        locations = {tuple(c[:2]) for contexts in calls for c in contexts}
+        assert (locations == {(unknown, unknown)}) == no_location
+
     def test_predict_command(self, pipeline_run, tmp_path):
         out = tmp_path / "pred"
         assert main([
@@ -450,6 +491,25 @@ CONFIG_CASES = {
         ["sample-plan", "--dataset", "{dataset}", "--set", "workers=0"], "workers: need at least one worker"),
     "predict-k-zero": (
         ["predict", *MODEL, "-k", "0"], "-k: k must be at least 1"),
+    "genome-shorter-than-buckets": (
+        ["simulate", "--set", "genome_length=5"], "config: genome_length must be at least n_buckets"),
+    "ramp-below-one": (
+        ["simulate", "--set", "synth_shift_month=2", "--set", "synth_ramp_months=0"],
+        "synth_ramp_months: ramp_months must be at least 1"),
+    "misspelt-boolean": (
+        ["build-dataset", "--tree", "{tree}", "--set", "temporal_weighting=ture"],
+        "--set 'temporal_weighting=ture': expected one of 1/true/yes/on/0/false/no/off, got 'ture'"),
+    "no-heads": (
+        ["train", "--dataset", "{dataset}", "--plans", "{plans}", "--set", "heads=0"],
+        "config: heads must be at least 1"),
+    "no-batch": (
+        ["train", "--dataset", "{dataset}", "--plans", "{plans}", "--set", "batch_size=0"],
+        "config: batch_size must be at least 1"),
+    "no-steps": (
+        ["train", "--dataset", "{dataset}", "--plans", "{plans}", "--set", "steps=0"],
+        "config: steps must be at least 1"),
+    "no-epochs": (
+        ["sample-plan", "--dataset", "{dataset}", "--set", "epochs=0"], "epochs: need at least one epoch"),
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evotraj.genome import NT_STATES, NtMutation
+from evotraj.pipeline import Refused
 from evotraj.tokenizer import (
     PREFIX_LENGTH,
     LayoutSpec,
@@ -150,13 +151,11 @@ class TestTokenizeDetokenize:
         sample = tok.tokenize(mk_trajectory(variant=0, private=0))
         assert len(sample.prefix_tokens) == PREFIX_LENGTH
         assert sample.trajectory_tokens == ()
-        assert not any(sample.loss_mask)
 
     def test_split_index_and_mask(self, tok):
         sample = tok.tokenize(mk_trajectory(variant=2, private=1))
         assert sample.split_index == 2
-        assert sum(sample.loss_mask) == 3
-        assert sample.loss_mask[:PREFIX_LENGTH] == (False,) * PREFIX_LENGTH
+        assert len(sample.trajectory_tokens) == 3
 
     def test_roundtrip_simple(self, tok):
         tok.register_location("Germany")
@@ -291,6 +290,21 @@ class TestTokenStream:
                 read_token_stream(path)
             assert str(path) in str(err.value)
             assert f"file ends at byte {cut}" in str(err.value)
+
+    @pytest.mark.parametrize("n_prefix, split_index, message", [
+        (3, 0, "sample 1 has a prefix of 3 tokens, not 5"),
+        (PREFIX_LENGTH, 3, "sample 1 has split index 3 beyond its 2 trajectory tokens"),
+    ], ids=["short-prefix", "split-beyond-trajectory"])
+    def test_unmeant_sample_header_refused(self, tmp_path, tok, n_prefix, split_index, message):
+        # a header the tokenizer cannot have written: training would mask its
+        # loss by this prefix, while ranking and evaluation assume PREFIX_LENGTH
+        good = tok.tokenize(mk_trajectory(variant=1, private=1))
+        bad = TokenizedSample(good.tokens[:n_prefix], good.tokens[n_prefix:][:2], split_index)
+        path = tmp_path / "tokens.bin"
+        write_token_stream([good, bad], path)
+        with pytest.raises(Refused) as err:
+            read_token_stream(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_deterministic_bytes(self, tmp_path, tok):
         samples = [tok.tokenize(mk_trajectory())]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -33,6 +34,8 @@ from .pipeline import (
     PipelineConfig,
     Refused,
     StaleArtifactError,
+    check_digest,
+    manifest_entries,
     read_csv,
     sha256_file,
     verify_against_manifest,
@@ -75,7 +78,11 @@ def _refusing(name: str):
 def _input_hash(key: str, path: Path) -> str:
     """The sha256 of an input, checked against the manifest of the directory
     holding it whenever that lists it. An upstream input must be listed
-    there; an outside one that is not is only hashed."""
+    there; an outside one that is not is only hashed. The checkpoint is not
+    read here: this is the digest its manifest records, which
+    ``_checked_model`` checks in the one pass that loads the file."""
+    if key == "checkpoint":
+        return manifest_entries(path.parent, only=path.name).popitem()[1]["sha256"]
     listed = verify_against_manifest(path.parent, only=path.name, required=key in UPSTREAM_INPUTS)
     with _refusing(str(path)):
         return listed.popitem()[1]["sha256"] if listed else sha256_file(path)
@@ -83,9 +90,10 @@ def _input_hash(key: str, path: Path) -> str:
 
 class _Stage:
     """One stage run: its config (``--config``, then ``--set`` and ``--seed``),
-    its input files (``None`` for one not given), each hashed once before any
-    work, the outputs named so far in the output directory (created on first
-    use), and the manifest recording them all."""
+    refused if a float value is not finite, its input files (``None`` for one
+    not given), each hashed once before any work but the checkpoint, hashed
+    as it loads, the outputs named so far in the output directory (created
+    on first use), and the manifest recording them all."""
 
     def __init__(self, args, name: str, **inputs: Path | str | None):
         self.args = args
@@ -100,6 +108,10 @@ class _Stage:
                 self.config.set(key, value)
         if args.seed is not None:
             self.config.seed = args.seed
+        for f in fields(self.config):
+            value = getattr(self.config, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise Refused(f"{f.name}: expected a finite number, got {value}")
         self.inputs = {
             key: {"path": str(path), "sha256": _input_hash(key, Path(path))}
             for key, path in inputs.items() if path
@@ -176,9 +188,12 @@ def _split(args, config: PipelineConfig, **kwargs):
 
 
 def _checked_model(stage: _Stage) -> Transformer:
-    """The ``checkpoint`` input's model, refused unless it was trained on the
-    ``layout`` input's tokenizer layout."""
-    model, meta = load_checkpoint(stage.args.checkpoint)
+    """The ``checkpoint`` input's model, refused unless the file's sha256,
+    taken as it loads, is the one its manifest records, and unless it was
+    trained on the ``layout`` input's tokenizer layout."""
+    with _refusing(stage.args.checkpoint):
+        model, meta, digest = load_checkpoint(stage.args.checkpoint)
+    check_digest("checkpoint", Path(stage.args.checkpoint), stage.inputs["checkpoint"]["sha256"], digest)
     expected, actual = meta["layout_hash"], stage.inputs["layout"]["sha256"]
     if expected and expected != actual:
         raise StaleArtifactError(
@@ -475,6 +490,12 @@ def cmd_evaluate(args) -> int:
         base_year=config.base_year,
         max_context=config.max_seq,
     )
+    if not result.weights:
+        bound = min(b for b in (config.max_seq, predictor.max_context) if b is not None)
+        raise Refused(
+            f"max_seq: all {result.n_excluded_too_long} evaluation sequences have a context"
+            f" longer than {bound} tokens, so none is evaluated"
+        )
     reports = result.reports
     if args.no_location:
         reports = [replace(r, slice_label=f"no-location:{r.slice_label}") for r in reports]

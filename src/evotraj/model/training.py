@@ -7,9 +7,15 @@ optimizer's state.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
+import mmap
+import struct
 import zipfile
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -24,7 +30,10 @@ from .transformer import ModelConfig, Transformer, batch_arrays, trajectory_loss
 
 CHECKPOINT_MAGIC = "evotraj-checkpoint-v2"
 ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # every checkpoint entry's timestamp
-READ_CHUNK = 1 << 20  # bytes per read of a checkpoint entry
+# a zip local file header: signature, versions, flags, method, time, date,
+# CRC, sizes, then the lengths of the name and the extra field that follow
+LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+NPY_PREAMBLE_MAX = 10 + 0xFFFF  # magic, version and length, then the longest 1.0 header
 
 
 class TrainingDiverged(RuntimeError):
@@ -262,26 +271,43 @@ class _NoDraw(np.random.Generator):
 
 
 @contextmanager
-def _entry(zf: zipfile.ZipFile, path: Path | str, name: str):
-    """An archive entry open for reading; a damaged entry, such as one
-    failing its CRC check, is refused, naming the file and the entry."""
-    try:
-        with zf.open(name) as f:
-            yield f
-    except zipfile.BadZipFile as e:
-        raise Refused(f"{path}: checkpoint entry {name}: {e}") from None
+def _stored_entry(view: memoryview, info: zipfile.ZipInfo, where: str):
+    """The stored bytes of an archive entry, as a view of the mapped file
+    released on exit. The entry is refused, naming ``where``, unless its
+    local header is sound, it is stored uncompressed, it lies within the
+    file and its CRC-32 holds."""
+    start = info.header_offset
+    header = bytes(view[start : start + LOCAL_HEADER.size])
+    if len(header) < LOCAL_HEADER.size:
+        raise Refused(f"{where}: local header runs past the end of the file")
+    magic, *_, name_len, extra_len = LOCAL_HEADER.unpack(header)
+    if magic != zipfile.stringFileHeader:
+        raise Refused(f"{where}: Bad magic number for file header")
+    name = bytes(view[start + LOCAL_HEADER.size : start + LOCAL_HEADER.size + name_len])
+    if name != info.orig_filename.encode("utf-8" if info.flag_bits & 0x800 else "cp437"):
+        raise Refused(f"{where}: File name in directory {info.orig_filename!r} and header {name!r} differ.")
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise Refused(f"{where} is compressed (method {info.compress_type}), expected stored")
+    data = start + LOCAL_HEADER.size + name_len + extra_len
+    if data + info.compress_size > len(view):
+        raise Refused(f"{where} runs past the end of the file")
+    with view[data : data + info.compress_size] as entry:
+        if zlib.crc32(entry) != info.CRC:
+            raise Refused(f"{where}: Bad CRC-32 for file {info.filename!r}")
+        yield entry
 
 
-def _read_npy_into(f, dest: np.ndarray, where: str) -> None:
-    """Fill ``dest`` from the ``.npy`` stream ``f`` without an array in
-    between. Its header must be a 1.0 one giving dest's shape, float64
-    and C order, else the entry is refused, naming ``where``, before any
-    data is read. The entry is then read to its end, so its CRC is checked."""
+def _fill_from_npy(entry: memoryview, dest: np.ndarray, where: str) -> None:
+    """Fill ``dest`` from the ``.npy`` bytes of ``entry``. Its header must be
+    a 1.0 one giving dest's shape, float64 and C order, and the data must be
+    exactly dest's size, else the entry is refused, naming ``where``; the
+    data is then copied straight into dest."""
+    head = io.BytesIO(entry[:NPY_PREAMBLE_MAX])
     try:
-        version = np.lib.format.read_magic(f)
+        version = np.lib.format.read_magic(head)
         if version != (1, 0):
             raise ValueError(f"unsupported .npy version {version}")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(head)
     except ValueError as e:
         raise Refused(f"{where}: {e}") from None
     if shape != dest.shape:
@@ -290,46 +316,60 @@ def _read_npy_into(f, dest: np.ndarray, where: str) -> None:
         raise Refused(f"{where} has dtype {dtype}, expected {np.dtype(DTYPE)}")
     if fortran_order:
         raise Refused(f"{where} is in Fortran order, expected C order")
-    view = memoryview(dest).cast("B")
-    for lo in range(0, len(view), READ_CHUNK):
-        want = min(READ_CHUNK, len(view) - lo)
-        if f.readinto(view[lo : lo + want]) != want:
-            raise Refused(f"{where} is truncated")
-    if f.read(1):
+    offset = head.tell()
+    if len(entry) - offset < dest.nbytes:
+        raise Refused(f"{where} is truncated")
+    if len(entry) - offset > dest.nbytes:
         raise Refused(f"{where} has data past its array")
+    np.copyto(dest, np.frombuffer(entry, DTYPE, dest.size, offset).reshape(dest.shape))
 
 
-def load_checkpoint(path: Path | str) -> tuple[Transformer, dict]:
-    """The one checkpoint reader: returns (model, metadata).
+def load_checkpoint(path: Path | str) -> tuple[Transformer, dict, str]:
+    """The one checkpoint reader: returns (model, metadata, the file's sha256).
+
+    The file is mapped once. One worker thread hashes the whole mapping
+    while this one checks and reads the entries from it, so a stage checks
+    the digest against its manifest without reading the file again.
 
     The archive must hold ``meta.json`` of this format and exactly one
-    ``param/<name>.npy`` per parameter. Each entry's header must give the
-    parameter's shape, float64 and C order; its data is then read straight
-    into the parameter, and its CRC is checked. Anything else, a damaged
-    archive included, is refused, naming the file, and the entry where
-    there is one.
+    ``param/<name>.npy`` per parameter, each stored uncompressed with a
+    CRC-32 that holds. Each entry's header must give the parameter's shape,
+    float64 and C order; its data is then copied straight from the mapping
+    into the parameter. Anything else, a damaged archive included,
+    is refused, naming the file, and the entry where there is one.
     """
-    try:
-        zf = zipfile.ZipFile(path)
-    except zipfile.BadZipFile as e:
-        raise Refused(f"{path}: not a readable zip archive: {e}") from None
-    with zf:
-        names = set(zf.namelist())
-        if "meta.json" not in names:
-            raise Refused(f"{path}: not a checkpoint file")
-        with _entry(zf, path, "meta.json") as f:
-            meta = json.loads(f.read())
-        if meta.get("format") != CHECKPOINT_MAGIC:
-            raise Refused(f"{path}: not a checkpoint file")
-        # every parameter is read below, so none is drawn
-        model = Transformer(ModelConfig(**meta["model_config"]), seed=_NoDraw(np.random.PCG64(0)))
-        params = {f"param/{name}.npy": p.value for name, p in model.parameters().items()}
-        missing, extra = sorted(params.keys() - names), sorted(names - params.keys() - {"meta.json"})
-        if missing:
-            raise Refused(f"{path}: checkpoint entry {missing[0]} is missing")
-        if extra:
-            raise Refused(f"{path}: unexpected checkpoint entry {extra[0]}")
-        for entry, dest in params.items():
-            with _entry(zf, path, entry) as f:
-                _read_npy_into(f, dest, f"{path}: checkpoint entry {entry}")
+    with open(path, "rb") as f:
+        try:
+            with zipfile.ZipFile(f) as zf:
+                infos = {info.filename: info for info in zf.infolist()}
+        except zipfile.BadZipFile as e:
+            raise Refused(f"{path}: not a readable zip archive: {e}") from None
+        # the worker is joined, and every view released, before the mapping closes
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mapped, \
+                ThreadPoolExecutor(max_workers=1) as pool, memoryview(mapped) as view:
+            digest = pool.submit(lambda: hashlib.sha256(mapped).hexdigest())
+            model, meta = _read_entries(view, infos, path)
+            return model, meta, digest.result()
+
+
+def _read_entries(view: memoryview, infos: dict[str, zipfile.ZipInfo], path: Path | str):
+    if "meta.json" not in infos:
+        raise Refused(f"{path}: not a checkpoint file")
+    where = f"{path}: checkpoint entry meta.json"
+    with _stored_entry(view, infos["meta.json"], where) as entry:
+        meta = json.loads(bytes(entry))
+    if meta.get("format") != CHECKPOINT_MAGIC:
+        raise Refused(f"{path}: not a checkpoint file")
+    # every parameter is read below, so none is drawn
+    model = Transformer(ModelConfig(**meta["model_config"]), seed=_NoDraw(np.random.PCG64(0)))
+    params = {f"param/{name}.npy": p.value for name, p in model.parameters().items()}
+    missing, extra = sorted(params.keys() - infos.keys()), sorted(infos.keys() - params.keys() - {"meta.json"})
+    if missing:
+        raise Refused(f"{path}: checkpoint entry {missing[0]} is missing")
+    if extra:
+        raise Refused(f"{path}: unexpected checkpoint entry {extra[0]}")
+    for name, dest in params.items():
+        where = f"{path}: checkpoint entry {name}"
+        with _stored_entry(view, infos[name], where) as entry:
+            _fill_from_npy(entry, dest, where)
     return model, meta

@@ -249,14 +249,14 @@ def _relative_to_stage(path: Path | str, out_dir: Path) -> str:
         raise ValueError(f"output {path} is outside the stage directory {out_dir}") from None
 
 
-def verify_against_manifest(
+def manifest_entries(
     out_dir: Path | str, only: str | None = None, required: bool = True
 ) -> dict[str, dict]:
-    """Re-hash the outputs in ``out_dir`` named by its manifest, or only the
-    one stored at file name ``only``, and return their entries by name; raise
-    ``StaleArtifactError`` naming any stale artifact, and, when ``required``,
-    a missing manifest or an unlisted ``only`` (otherwise those give no
-    entries)."""
+    """The outputs the manifest in ``out_dir`` names, or only the one stored
+    at file name ``only``, by name, without hashing them. Raises
+    ``StaleArtifactError`` naming a malformed manifest or a listed file that
+    is missing, and, when ``required``, a missing manifest or an unlisted
+    ``only`` (otherwise those give no entries)."""
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
@@ -280,10 +280,25 @@ def verify_against_manifest(
         path = out_dir / entry["path"]
         if not path.exists():
             raise StaleArtifactError(f"artifact {name!r} at {path} is missing")
-        actual = sha256_file(path)
-        if actual != entry["sha256"]:
-            raise StaleArtifactError(
-                f"artifact {name!r} at {path} is stale: "
-                f"recorded {entry['sha256'][:12]}, found {actual[:12]}"
-            )
+    return outputs
+
+
+def check_digest(name: str, path: Path | str, recorded: str, actual: str) -> None:
+    """Raise ``StaleArtifactError`` naming artifact ``name`` at ``path``
+    unless the sha256 its manifest records is the one it has."""
+    if actual != recorded:
+        raise StaleArtifactError(
+            f"artifact {name!r} at {path} is stale: recorded {recorded[:12]}, found {actual[:12]}"
+        )
+
+
+def verify_against_manifest(
+    out_dir: Path | str, only: str | None = None, required: bool = True
+) -> dict[str, dict]:
+    """``manifest_entries``, each re-hashed and checked against its
+    recorded sha256."""
+    outputs = manifest_entries(out_dir, only, required)
+    for name, entry in outputs.items():
+        path = Path(out_dir) / entry["path"]
+        check_digest(name, path, entry["sha256"], sha256_file(path))
     return outputs

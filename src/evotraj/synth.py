@@ -81,6 +81,15 @@ class SynthConfig:
             raise ValueError("region sample_weights must not be negative and must sum above 0")
         if self.ramp_months < 1:
             raise ValueError("ramp_months must be at least 1")
+        for name in ("leaf_rate", "internal_mut_rate", "private_mut_rate", "noise_rate",
+                     "collection_lag_months"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must not be negative")
+        if self.depth < 0:
+            raise ValueError("depth must not be negative")
+        for name in ("variant_prob", "month_advance"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
 
     @property
     def bucket_width(self) -> int:

@@ -332,6 +332,41 @@ def serialize_tree(tree: PhyloTree) -> str:
     return "\n".join(out) + "\n"
 
 
+# what a node passes down: the nearest variant tag at or above it (None
+# below an untagged root path), the mutations from the root through that
+# tagged node, and the mutations after it
+_Carry = tuple[str | None, tuple[NtMutation, ...], tuple[NtMutation, ...]]
+_ROOT_CARRY: _Carry = (None, (), ())
+
+
+def _carry(above: _Carry, node: TreeNode) -> _Carry:
+    """What ``node`` passes down, given what its parent passed: a tagged node
+    starts a variant whose path is every mutation so far; an untagged one
+    adds its mutations to the private ones."""
+    name, variant_muts, private = above
+    if node.variant_name is not None:
+        return node.variant_name, variant_muts + private + node.branch_mutations, ()
+    return name, variant_muts, private + node.branch_mutations
+
+
+def _trajectory(
+    carried: _Carry,
+    leaf: TreeNode,
+    variant_definitions: Mapping[str, Sequence[NtMutation]] | None,
+) -> Trajectory:
+    name, variant_muts, private = carried
+    if name is None:
+        name = "root"
+    elif variant_definitions is not None and name in variant_definitions:
+        variant_muts = tuple(variant_definitions[name])
+    return Trajectory(
+        meta=leaf.leaf_meta or SequenceMeta(name=leaf.node_id),
+        variant_name=name,
+        variant_mutations=variant_muts,
+        sequence_mutations=private,
+    )
+
+
 def extract_trajectory(
     tree: PhyloTree,
     leaf_id: str,
@@ -347,43 +382,25 @@ def extract_trajectory(
         raise KeyError(f"leaf {leaf_id!r} not in tree")
     if not tree.is_leaf(leaf_id):
         raise ValueError(f"node {leaf_id!r} is not a leaf")
-    path = tree.path_from_root(leaf_id)
-    variant_idx = None
-    for i in range(len(path) - 1, -1, -1):
-        if path[i].variant_name is not None:
-            variant_idx = i
-            break
-
-    if variant_idx is None:
-        variant_name = "root"
-        variant_muts: tuple[NtMutation, ...] = ()
-        seq_nodes = path
-    else:
-        variant_name = path[variant_idx].variant_name
-        if variant_definitions is not None and variant_name in variant_definitions:
-            variant_muts = tuple(variant_definitions[variant_name])
-        else:
-            variant_muts = tuple(m for node in path[: variant_idx + 1] for m in node.branch_mutations)
-        seq_nodes = path[variant_idx + 1 :]
-
-    seq_muts = tuple(m for node in seq_nodes for m in node.branch_mutations)
-    meta = path[-1].leaf_meta or SequenceMeta(name=leaf_id)
-    return Trajectory(
-        meta=meta,
-        variant_name=variant_name,
-        variant_mutations=variant_muts,
-        sequence_mutations=seq_muts,
-    )
+    carried = _ROOT_CARRY
+    for node in tree.path_from_root(leaf_id):
+        carried = _carry(carried, node)
+    return _trajectory(carried, tree.nodes[leaf_id], variant_definitions)
 
 
 def extract_all_trajectories(
     tree: PhyloTree,
     variant_definitions: Mapping[str, Sequence[NtMutation]] | None = None,
 ) -> list[Trajectory]:
-    return [
-        extract_trajectory(tree, node.node_id, variant_definitions)
-        for node in tree.leaves()
-    ]
+    """Every leaf's trajectory, in leaf order, from one top-down pass that
+    carries each node's split to its children."""
+    carried = {tree.root_id: _carry(_ROOT_CARRY, tree.nodes[tree.root_id])}
+    order = [tree.root_id]
+    for nid in order:  # breadth first; the loop visits what it appends
+        for child in tree._children[nid]:
+            carried[child] = _carry(carried[nid], tree.nodes[child])
+            order.append(child)
+    return [_trajectory(carried[leaf.node_id], leaf, variant_definitions) for leaf in tree.leaves()]
 
 
 def replay_genome_state(mutations: Iterable[NtMutation]) -> dict[int, str]:

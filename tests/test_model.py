@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import threading
 import time
 import tracemalloc
 import zipfile
@@ -36,6 +37,7 @@ from evotraj.model.nn import (
 )
 from evotraj.model.training import Adam, TrainingDiverged, TrainState, plan_batch
 from evotraj.genome import NtMutation
+from evotraj.pipeline import sha256_file
 from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, TokenizedSample, Tokenizer
 from evotraj.tree import SequenceMeta, Trajectory
 
@@ -547,7 +549,7 @@ class TestCheckpoint:
         state = train(samples, list(range(16)), cfg, TrainConfig(steps=5, batch_size=4, seed=2))
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path, layout_hash="lh", config_hash="ch")
-        loaded, meta = load_checkpoint(path)
+        loaded, meta, _ = load_checkpoint(path)
         assert meta["layout_hash"] == "lh"
         ids = np.arange(10) % cfg.vocab_size
         assert np.array_equal(state.model.logits(ids), loaded.logits(ids))
@@ -556,7 +558,7 @@ class TestCheckpoint:
         model = Transformer(DESK, seed=4)
         path = tmp_path / "model.ckpt"
         save_checkpoint(TrainState(model=model, config=TrainConfig()), path)
-        loaded, _ = load_checkpoint(path)
+        loaded, _, _ = load_checkpoint(path)
         want, got = model.parameters(), loaded.parameters()
         assert want.keys() == got.keys()
         for name, p in want.items():
@@ -612,8 +614,10 @@ def rewrite_checkpoint(src, dst, drop=(), replace=None):
 
 def load_model(path):
     """The model as ``predict`` and ``evaluate`` load it: the checkpoint read
-    through the CLI's stage loader, which also checks the tokenizer layout."""
-    stage = SimpleNamespace(args=SimpleNamespace(checkpoint=path), inputs={"layout": {"sha256": ""}})
+    through the CLI's stage loader, which also checks the tokenizer layout
+    and the file's digest, here against a manifest recording it as it is."""
+    inputs = {"layout": {"sha256": ""}, "checkpoint": {"sha256": sha256_file(path)}}
+    stage = SimpleNamespace(args=SimpleNamespace(checkpoint=path), inputs=inputs)
     return cli._checked_model(stage)
 
 
@@ -707,6 +711,55 @@ class TestStrictCheckpoint:
         with pytest.raises(ValueError, match="Bad CRC-32") as err:
             load_checkpoint(bad)
         assert f"{bad}: checkpoint entry {entry}" in str(err.value)
+
+    @pytest.mark.parametrize("loader", [load_checkpoint, load_model])
+    def test_empty_file_refused_by_name(self, tmp_path, loader):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"")
+        with pytest.raises(ValueError, match="not a readable zip archive") as err:
+            loader(bad)
+        assert str(bad) in str(err.value)
+
+    def test_digest_is_the_files_sha256(self, ckpt):
+        assert load_checkpoint(ckpt[0])[2] == sha256_file(ckpt[0])
+
+    def test_refusal_leaves_no_worker_running(self, ckpt, tmp_path):
+        path, state = ckpt
+        bad = tmp_path / "bad.ckpt"
+        value = state.model.parameters()["head.weight"].value
+        rewrite_checkpoint(path, bad, replace={"param/head.weight.npy": npy_bytes(value)[:-8]})
+        before = threading.active_count()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="is truncated"):
+                load_checkpoint(bad)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("at, message", [
+        (0, "Bad magic number for file header"),
+        (30, "File name in directory 'param/head.weight.npy' and header b'Xaram/head.weight.npy' differ."),
+    ], ids=["signature", "name"])
+    def test_damaged_local_header_refused_by_name(self, ckpt, tmp_path, at, message):
+        path, _ = ckpt
+        entry = "param/head.weight.npy"
+        with zipfile.ZipFile(path) as zf:
+            offset = zf.getinfo(entry).header_offset
+        raw = bytearray(path.read_bytes())
+        raw[offset + at] = ord("X")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            load_checkpoint(bad)
+        assert f"{bad}: checkpoint entry {entry}" in str(err.value)
+
+    def test_compressed_entry_refused_by_name(self, ckpt, tmp_path):
+        path, _ = ckpt
+        bad = tmp_path / "bad.ckpt"
+        with zipfile.ZipFile(path) as zin, zipfile.ZipFile(bad, "w", zipfile.ZIP_DEFLATED) as zout:
+            for name in zin.namelist():
+                zout.writestr(name, zin.read(name))
+        with pytest.raises(ValueError, match="is compressed \\(method 8\\), expected stored") as err:
+            load_checkpoint(bad)
+        assert f"{bad}: checkpoint entry meta.json" in str(err.value)
 
     def test_truncated_archive_refused_by_name(self, ckpt, tmp_path):
         path, _ = ckpt

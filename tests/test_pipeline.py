@@ -1,5 +1,6 @@
 import ast
 import collections
+import hashlib
 import json
 import shutil
 import struct
@@ -510,6 +511,16 @@ CONFIG_CASES = {
         "config: steps must be at least 1"),
     "no-epochs": (
         ["sample-plan", "--dataset", "{dataset}", "--set", "epochs=0"], "epochs: need at least one epoch"),
+    "lam-nan": (
+        ["build-dataset", "--tree", "{tree}", "--set", "lam=nan"], "lam: expected a finite number, got nan"),
+    "d2-infinite": (
+        ["build-dataset", "--tree", "{tree}", "--set", "d2=inf"], "d2: expected a finite number, got inf"),
+    "negative-private-rate": (
+        ["simulate", "--set", "synth_private_mut_rate=-1"], "config: private_mut_rate must not be negative"),
+    "negative-depth": (
+        ["simulate", "--set", "synth_depth=-1"], "config: depth must not be negative"),
+    "variant-prob-above-one": (
+        ["simulate", "--set", "synth_variant_prob=2"], "config: variant_prob must be in [0, 1]"),
 }
 
 
@@ -547,6 +558,67 @@ class TestRefusals:
         out = tmp_path / "out"
         stage, *flags = (a.format(**paths) for a in argv)
         assert_refused(capsys, [stage, *SMALL_SETTINGS, *flags, "--out", str(out)], out, message)
+
+    def test_non_finite_value_in_a_config_file_refused_by_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{CONFIG_HEADER}\nlr_start -inf\n")
+        out = tmp_path / "out"
+        assert_refused(capsys, ["simulate", "--config", str(cfg), "--out", str(out)], out,
+                       "lr_start: expected a finite number, got -inf")
+
+    def test_evaluate_refuses_when_every_sequence_is_too_long(self, pipeline_run, tmp_path, capsys):
+        stats = json.loads((pipeline_run["eval"] / "eval_stats.json").read_text())
+        n = stats["n_evaluated"] + stats["n_excluded_too_long"]
+        paths = self.paths(pipeline_run)
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            "evaluate", "--tree", paths["tree"], "--layout", paths["layout"],
+            "--checkpoint", paths["checkpoint"], *SMALL_SETTINGS, "--set", "max_seq=0", "--out", str(out),
+        ], out, f"max_seq: all {n} evaluation sequences have a context longer than 0 tokens,"
+                " so none is evaluated")
+
+    @pytest.mark.parametrize("stage", ["predict", "evaluate"])
+    def test_checkpoint_changed_since_train_refused_as_stale(self, pipeline_run, tmp_path, capsys, stage):
+        train = tmp_path / "train"
+        shutil.copytree(pipeline_run["train"], train)
+        ckpt = train / "checkpoint.ckpt"
+        flip_head_weight_byte(pipeline_run["train"] / "checkpoint.ckpt", ckpt)
+        recorded = sha256_file(pipeline_run["train"] / "checkpoint.ckpt")
+        paths = self.paths(pipeline_run, checkpoint=str(ckpt))
+        argv = {"predict": ["predict", "--date", "2024-06-05"], "evaluate": ["evaluate", "--tree", paths["tree"]]}
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            *argv[stage], "--checkpoint", str(ckpt), "--layout", paths["layout"],
+            *SMALL_SETTINGS, "--out", str(out),
+        ], out, f"artifact 'checkpoint' at {ckpt} is stale:"
+                f" recorded {recorded[:12]}, found {sha256_file(ckpt)[:12]}")
+
+    @pytest.mark.parametrize("damage", ["empty", "half", "flipped-data-byte"])
+    def test_damaged_checkpoint_refused_by_name(self, pipeline_run, tmp_path, capsys, damage):
+        # the train manifest is rewritten to match, so the loader must refuse it
+        train = tmp_path / "train"
+        shutil.copytree(pipeline_run["train"], train)
+        ckpt = train / "checkpoint.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        entry = "param/head.weight.npy"
+        if damage == "flipped-data-byte":
+            with zipfile.ZipFile(ckpt) as zf:
+                data = zf.read(entry)
+            raw[bytes(raw).index(data) + len(data) - 1] ^= 0x01
+            message = f"checkpoint entry {entry}: Bad CRC-32 for file {entry!r}"
+        else:
+            raw = raw[: len(raw) // 2 if damage == "half" else 0]
+            message = "not a readable zip archive: File is not a zip file"
+        ckpt.write_bytes(bytes(raw))
+        manifest = json.loads((train / "manifest.json").read_text())
+        manifest["outputs"]["checkpoint"]["sha256"] = sha256_file(ckpt)
+        (train / "manifest.json").write_text(json.dumps(manifest))
+        paths = self.paths(pipeline_run)
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            "predict", "--checkpoint", str(ckpt), "--layout", paths["layout"], "--date", "2024-06-05",
+            *SMALL_SETTINGS, "--out", str(out),
+        ], out, f"{ckpt}: {message}")
 
     def test_unreadable_manifest_refused_by_name(self, tmp_path, capsys):
         tree = tmp_path / "tree.jsonl"
@@ -845,17 +917,33 @@ class TestUpstreamVerification:
         assert (tmp_path / "t" / "train_log.csv").read_text() == expected
 
 
+def count_hashes(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
+    """Counters of the files ``sha256_file`` hashes, by resolved path, and of
+    the digests of the buffers ``hashlib.sha256`` is given whole, as the
+    checkpoint loader gives it the mapped file."""
+    paths: collections.Counter = collections.Counter()
+    digests: collections.Counter = collections.Counter()
+    real_file, real_sha256 = pipeline.sha256_file, hashlib.sha256
+
+    def counting_file(path):
+        paths[Path(path).resolve()] += 1
+        return real_file(path)
+
+    def counting_sha256(*args, **kwargs):
+        h = real_sha256(*args, **kwargs)
+        if args:
+            digests[h.hexdigest()] += 1
+        return h
+
+    monkeypatch.setattr(pipeline, "sha256_file", counting_file)
+    monkeypatch.setattr(cli, "sha256_file", counting_file)
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    return paths, digests
+
+
 class TestOneHashPerInput:
     def test_no_file_is_hashed_twice_within_a_stage(self, tmp_path, monkeypatch):
-        counts: collections.Counter = collections.Counter()
-        real = pipeline.sha256_file
-
-        def counting(path):
-            counts[Path(path).resolve()] += 1
-            return real(path)
-
-        monkeypatch.setattr(pipeline, "sha256_file", counting)
-        monkeypatch.setattr(cli, "sha256_file", counting)
+        counts, digests = count_hashes(monkeypatch)
         d = {name: tmp_path / name for name in
              ("sim", "ingest", "defs", "dataset", "plans", "train", "pred", "eval")}
         tree = str(d["ingest"] / "tree.jsonl")
@@ -875,9 +963,30 @@ class TestOneHashPerInput:
         ]
         for argv, out in zip(stages, d.values()):
             counts.clear()
+            digests.clear()
             assert main([*argv, "--out", str(out), *SMALL_SETTINGS]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             for name, entry in manifest["inputs"].items():
-                assert counts[Path(entry["path"]).resolve()] == 1, (argv[0], name)
+                hashed = counts[Path(entry["path"]).resolve()] + digests[entry["sha256"]]
+                assert hashed == 1, (argv[0], name)
             path, n = counts.most_common(1)[0]
             assert n == 1, (argv[0], path, n)
+
+    @pytest.mark.parametrize("stage", ["predict", "evaluate"])
+    def test_checkpoint_is_hashed_in_the_pass_that_loads_it(self, pipeline_run, tmp_path, monkeypatch, stage):
+        ckpt = pipeline_run["train"] / "checkpoint.ckpt"
+        digest = sha256_file(ckpt)
+        counts, digests = count_hashes(monkeypatch)
+        argv = {
+            "predict": ["predict", "--date", "2024-06-05"],
+            "evaluate": ["evaluate", "--tree", str(pipeline_run["ingest"] / "tree.jsonl")],
+        }[stage]
+        out = tmp_path / "out"
+        assert main([
+            *argv, "--checkpoint", str(ckpt), "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+            "--out", str(out), *SMALL_SETTINGS,
+        ]) == 0
+        assert counts[ckpt.resolve()] == 0
+        assert digests[digest] == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"]["checkpoint"] == {"path": str(ckpt), "sha256": digest}

@@ -227,6 +227,21 @@ class TestOutputs:
         with pytest.raises(ValueError, match="branching_probs must not be negative"):
             SynthConfig(branching=(2, 3), branching_probs=(1.5, -0.5))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("private_mut_rate", -1.0, "private_mut_rate must not be negative"),
+        ("internal_mut_rate", float("nan"), "internal_mut_rate must not be negative"),
+        ("leaf_rate", -0.1, "leaf_rate must not be negative"),
+        ("noise_rate", -1.0, "noise_rate must not be negative"),
+        ("collection_lag_months", -1.0, "collection_lag_months must not be negative"),
+        ("depth", -1, "depth must not be negative"),
+        ("variant_prob", 2.0, r"variant_prob must be in \[0, 1\]"),
+        ("month_advance", -0.5, r"month_advance must be in \[0, 1\]"),
+    ])
+    def test_rates_depth_and_probabilities_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(**{field: value})
+        SynthConfig(depth=0, variant_prob=1.0, month_advance=0.0, private_mut_rate=0.0)
+
     @pytest.mark.parametrize("weights", [(0.5, -0.1), (0.0, 0.0)], ids=["negative", "zero-sum"])
     def test_region_weights_refused(self, weights):
         regions = tuple(RegionSpec(name, 1.0, w) for name, w in zip("AB", weights))

@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .genome import AaMutation, NtMutation
-from .pipeline import Refused, read_csv, write_csv
+from .pipeline import Refused, read_csv
 from .tokenizer import Tokenizer
 
 MODES = ("count", "fitness", "mixed")
@@ -106,11 +105,3 @@ def rank_aa_table(
     scored = [(AaMutation.parse(r.mutation), record_score(r, mode, alpha)) for r in table.records]
     scored.sort(key=lambda ms: (-ms[1], ms[0].pos, ms[0].to_aa, ms[0].from_aa))
     return scored[:k]
-
-
-def write_bloom_table(records: Iterable[BloomRecord], path: Path | str) -> None:
-    write_csv(
-        path,
-        ["mutation", "expected_count", "fitness"],
-        ([r.mutation, f"{r.expected_count:.10g}", f"{r.fitness:.10g}"] for r in records),
-    )

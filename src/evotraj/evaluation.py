@@ -19,7 +19,7 @@ import numpy as np
 
 from .genome import AaMutation, SpikeMap, SpikeState
 from .tokenizer import PREFIX_LENGTH, TokenizedSample, Tokenizer
-from .tree import Trajectory, spike_aa_steps, spike_replay
+from .tree import Trajectory, spike_replay
 from .model.ranking import rank_contexts
 from .pipeline import write_csv
 from .model.transformer import Transformer
@@ -119,7 +119,7 @@ def _aa_effect(candidate: int | AaMutation, state: SpikeState, tokenizer: Tokeni
 
 
 def _hit_ranks(
-    trajectories: Sequence[Trajectory | None],
+    trajectories: Sequence[Trajectory],
     samples: Sequence[TokenizedSample],
     predictor: NtPredictor,
     k: int,
@@ -147,7 +147,7 @@ def _hit_ranks(
             if not steps:
                 raise ValueError("sequence has no private mutations to predict")
         else:
-            steps = [i for i, _ in spike_aa_steps(traj, spike_map)]
+            steps = [i for i, _, _ in spike_replay(traj, spike_map)]
             if not steps:
                 raise ValueError("sequence has no private spike amino-acid mutations")
         if bound is not None and len(sample.tokens) - 1 > bound:
@@ -170,18 +170,6 @@ def _hit_ranks(
                 for (_, target, state), cands in zip(replay, ranked)
             ]
     return out
-
-
-def nucleotide_recall_at_k(
-    sample: TokenizedSample, predictor: NtPredictor, k: int, max_context: int | None = None
-) -> SequenceRecall | None:
-    """Teacher-forced recall over a tokenized sample's private mutations.
-
-    Returns None when the longest context would exceed the context bound; the
-    caller counts and reports such exclusions.
-    """
-    [ranks] = _hit_ranks([None], [sample], predictor, k, "nucleotide", max_context=max_context)
-    return None if ranks is None else _recall(ranks, k)
 
 
 def spike_recall_at_k(

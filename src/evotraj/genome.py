@@ -244,13 +244,6 @@ class SpikeMap:
         rel = (codon_idx - 1) * 3
         return self._ref[rel : rel + 3]
 
-    def classify_site(self, site: int) -> str:
-        """One of 'outside', 'spike', 'spike-stop'."""
-        loc = self.codon_of_site(site)
-        if loc is None:
-            return "outside"
-        return "spike-stop" if loc[0] == self.orf.n_codons else "spike"
-
     def aa_mutation_of(
         self, mut: NtMutation, codon_context: str
     ) -> AaMutation | Frameshift | None:

@@ -352,16 +352,37 @@ def load_checkpoint(path: Path | str) -> tuple[Transformer, dict, str]:
             return model, meta, digest.result()
 
 
+def _checked_meta(raw: bytes, path: Path | str, where: str) -> tuple[dict, ModelConfig]:
+    """``meta.json``'s metadata and the model configuration it records. A
+    file of another format is not a checkpoint file; any other fault is
+    refused, naming ``where``."""
+    try:
+        meta = json.loads(raw)
+    except ValueError as e:
+        raise Refused(f"{where}: not JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise Refused(f"{where}: not a JSON object")
+    if meta.get("format") != CHECKPOINT_MAGIC:
+        raise Refused(f"{path}: not a checkpoint file")
+    config = meta.get("model_config")
+    if not isinstance(config, dict) or not all(type(v) is int for v in config.values()):
+        raise Refused(f"{where}: model_config is not an object of integers: {config!r}")
+    if not isinstance(meta.get("layout_hash"), str):
+        raise Refused(f"{where}: layout_hash is not a string: {meta.get('layout_hash')!r}")
+    try:
+        return meta, ModelConfig(**config)
+    except (TypeError, ValueError) as e:
+        raise Refused(f"{where}: model_config: {e}") from None
+
+
 def _read_entries(view: memoryview, infos: dict[str, zipfile.ZipInfo], path: Path | str):
     if "meta.json" not in infos:
         raise Refused(f"{path}: not a checkpoint file")
     where = f"{path}: checkpoint entry meta.json"
     with _stored_entry(view, infos["meta.json"], where) as entry:
-        meta = json.loads(bytes(entry))
-    if meta.get("format") != CHECKPOINT_MAGIC:
-        raise Refused(f"{path}: not a checkpoint file")
+        meta, config = _checked_meta(bytes(entry), path, where)
     # every parameter is read below, so none is drawn
-    model = Transformer(ModelConfig(**meta["model_config"]), seed=_NoDraw(np.random.PCG64(0)))
+    model = Transformer(config, seed=_NoDraw(np.random.PCG64(0)))
     params = {f"param/{name}.npy": p.value for name, p in model.parameters().items()}
     missing, extra = sorted(params.keys() - infos.keys()), sorted(infos.keys() - params.keys() - {"meta.json"})
     if missing:

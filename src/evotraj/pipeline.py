@@ -111,19 +111,23 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "PipelineConfig":
-        """The config a file holds; a bad header, an unknown key or an
-        unparsable value raises ValueError naming the file, and the line
-        and the key."""
+        """The config a file holds; a bad header, an unknown or repeated key
+        or an unparsable value raises ValueError naming the file, and the
+        line and the key."""
         lines = Path(path).read_text().splitlines()
         if not lines or lines[0] != CONFIG_HEADER:
             raise ValueError(f"{path}: not a pipeline config file")
         config = cls()
+        first_line: dict[str, int] = {}
         for lineno, line in enumerate(lines[1:], start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition(" ")
             try:
+                if key in first_line:
+                    raise ValueError(f"repeated, first set on line {first_line[key]}")
+                first_line[key] = lineno
                 config.set(key, value)
             except (KeyError, ValueError) as e:
                 raise ValueError(f"{path}, line {lineno}, key {key!r}: {e.args[0]}") from None

@@ -119,6 +119,10 @@ class Trajectory:
 
 
 class PhyloTree:
+    """Nodes by id, and one root-first walk over them: each node's children,
+    the order the walk visits them in, and each node's depth. A node the
+    walk cannot reach from the root is in neither the order nor the depths."""
+
     def __init__(self, nodes: dict[str, TreeNode], root_id: str):
         self.nodes = nodes
         self.root_id = root_id
@@ -126,12 +130,15 @@ class PhyloTree:
         for node in nodes.values():
             if node.parent_id is not None:
                 self._children[node.parent_id].append(node.node_id)
+        self._depth = {root_id: 0}
+        self._order = [root_id]
+        for nid in self._order:  # breadth first; the loop visits what it appends
+            for child in self._children[nid]:
+                self._depth[child] = self._depth[nid] + 1
+                self._order.append(child)
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def is_leaf(self, node_id: str) -> bool:
-        return not self._children[node_id]
 
     def leaves(self) -> Iterator[TreeNode]:
         for nid, node in self.nodes.items():
@@ -149,19 +156,11 @@ class PhyloTree:
         path.reverse()
         return path
 
-    def depth(self, node_id: str) -> int:
-        return len(self.path_from_root(node_id)) - 1
-
     @cached_property
     def variant_roots(self) -> dict[str, str]:
-        """Each variant name's shallowest tagged node id, from one pass over
-        the nodes; among equally shallow nodes the first in node order."""
-        depth = {self.root_id: 0}
-        order = [self.root_id]
-        for nid in order:  # breadth first; the loop visits what it appends
-            for child in self._children[nid]:
-                depth[child] = depth[nid] + 1
-                order.append(child)
+        """Each variant name's shallowest tagged node id; among equally
+        shallow nodes the first in node order."""
+        depth = self._depth
         roots: dict[str, str] = {}
         for nid, node in self.nodes.items():
             name = node.variant_name
@@ -288,23 +287,17 @@ def parse_tree(source: Path | str | Iterable[str]) -> PhyloTree:
                 f"line {line_of[nid]}: node {nid!r} has dangling parent {node.parent_id!r}"
             )
 
-    # cycle check: every node must reach the root
-    state: dict[str, int] = {}  # 0 in-progress, 1 done
-    for start in nodes:
-        chain = []
-        nid: str | None = start
-        while nid is not None and nid not in state:
-            state[nid] = 0
-            chain.append(nid)
+    tree = PhyloTree(nodes, root_id)
+    if len(tree._order) < len(nodes):
+        # a node the walk from the root missed hangs from a cycle: climb from
+        # the first one in file order to the node the climb meets twice
+        nid = next(nid for nid in nodes if nid not in tree._depth)
+        climbed = set()
+        while nid not in climbed:
+            climbed.add(nid)
             nid = nodes[nid].parent_id
-        if nid is not None and state[nid] == 0:
-            raise TreeFormatError(
-                f"line {line_of[nid]}: cycle through node {nid!r}"
-            )
-        for c in chain:
-            state[c] = 1
-
-    return PhyloTree(nodes, root_id)
+        raise TreeFormatError(f"line {line_of[nid]}: cycle through node {nid!r}")
+    return tree
 
 
 def serialize_tree(tree: PhyloTree) -> str:
@@ -367,48 +360,23 @@ def _trajectory(
     )
 
 
-def extract_trajectory(
-    tree: PhyloTree,
-    leaf_id: str,
-    variant_definitions: Mapping[str, Sequence[NtMutation]] | None = None,
-) -> Trajectory:
-    """Split the root-to-leaf mutation path at the nearest variant-tagged ancestor.
-
-    When a refined definition exists for that variant, it replaces the raw
-    root-to-variant-node path. Mutations keep path order; back-mutations stay
-    as separate entries.
-    """
-    if leaf_id not in tree.nodes:
-        raise KeyError(f"leaf {leaf_id!r} not in tree")
-    if not tree.is_leaf(leaf_id):
-        raise ValueError(f"node {leaf_id!r} is not a leaf")
-    carried = _ROOT_CARRY
-    for node in tree.path_from_root(leaf_id):
-        carried = _carry(carried, node)
-    return _trajectory(carried, tree.nodes[leaf_id], variant_definitions)
-
-
 def extract_all_trajectories(
     tree: PhyloTree,
     variant_definitions: Mapping[str, Sequence[NtMutation]] | None = None,
 ) -> list[Trajectory]:
-    """Every leaf's trajectory, in leaf order, from one top-down pass that
-    carries each node's split to its children."""
+    """Every leaf's trajectory, in leaf order: its root-to-leaf mutation path
+    split at the nearest variant-tagged node at or above it.
+
+    When a refined definition exists for that variant, it replaces the raw
+    root-to-variant-node path. Mutations keep path order; back-mutations stay
+    as separate entries. One top-down pass carries each node's split to its
+    children.
+    """
     carried = {tree.root_id: _carry(_ROOT_CARRY, tree.nodes[tree.root_id])}
-    order = [tree.root_id]
-    for nid in order:  # breadth first; the loop visits what it appends
-        for child in tree._children[nid]:
-            carried[child] = _carry(carried[nid], tree.nodes[child])
-            order.append(child)
+    for nid in tree._order[1:]:  # root first, so a parent precedes its children
+        node = tree.nodes[nid]
+        carried[nid] = _carry(carried[node.parent_id], node)
     return [_trajectory(carried[leaf.node_id], leaf, variant_definitions) for leaf in tree.leaves()]
-
-
-def replay_genome_state(mutations: Iterable[NtMutation]) -> dict[int, str]:
-    """Final per-site state after applying mutations in order (last one wins)."""
-    state: dict[int, str] = {}
-    for m in mutations:
-        state[m.site] = m.to
-    return state
 
 
 def spike_replay(
@@ -425,14 +393,6 @@ def spike_replay(
         if isinstance(effect, AaMutation):
             yield i, effect, state
         state.write(m)
-
-
-def spike_aa_steps(
-    trajectory: Trajectory, spike_map: SpikeMap
-) -> list[tuple[int, AaMutation]]:
-    """(index into sequence_mutations, amino-acid mutation) for each private
-    mutation that produces a spike amino-acid change, replayed in path order."""
-    return [(i, effect) for i, effect, _ in spike_replay(trajectory, spike_map)]
 
 
 @dataclass
@@ -481,7 +441,7 @@ def split_train_eval(
         if task == "nucleotide":
             has_signal = len(traj.sequence_mutations) > 0
         else:
-            has_signal = len(spike_aa_steps(traj, spike_map)) > 0
+            has_signal = any(spike_replay(traj, spike_map))
         if not has_signal:
             result.n_excluded_no_signal += 1
             continue

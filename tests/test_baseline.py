@@ -11,12 +11,21 @@ from evotraj.baseline import (
     rank_aa_table,
     rank_nt_table,
     record_score,
-    write_bloom_table,
 )
 from evotraj.genome import AaMutation
+from evotraj.pipeline import write_csv
 from evotraj.tokenizer import LayoutSpec, Tokenizer
 
 TOK = Tokenizer(LayoutSpec(genome_length=2000))
+
+
+def write_bloom_table(records, path):
+    """A table in the format ``load_bloom_table`` reads."""
+    write_csv(
+        path,
+        ["mutation", "expected_count", "fitness"],
+        ([r.mutation, f"{r.expected_count:.10g}", f"{r.fitness:.10g}"] for r in records),
+    )
 
 
 def nt_table(rows):

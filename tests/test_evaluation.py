@@ -10,7 +10,6 @@ from evotraj.evaluation import (
     aggregate,
     evaluate_sequences,
     nucleotide_candidate_count,
-    nucleotide_recall_at_k,
     slice_by_month,
     spike_recall_at_k,
     write_report_csv,
@@ -18,7 +17,7 @@ from evotraj.evaluation import (
 from evotraj.genome import AaMutation, GENETIC_CODE, NtMutation, SpikeMap, load_annotation
 from evotraj.model import ModelConfig, Transformer, ranking
 from evotraj.tokenizer import LayoutSpec, TokenizedSample, Tokenizer
-from evotraj.tree import PartialDate, SequenceMeta, Trajectory, spike_aa_steps
+from evotraj.tree import PartialDate, SequenceMeta, Trajectory, spike_replay
 
 TOK = Tokenizer(LayoutSpec(genome_length=120))
 
@@ -43,41 +42,45 @@ def withheld(trajectories):
             for t in trajectories]
 
 
+def recalls(sequences, predictor, k, **kw):
+    """Each (trajectory, sample)'s nucleotide recall at k, as
+    ``evaluate_sequences`` scores it."""
+    trajs, samples = zip(*sequences)
+    return evaluate_sequences(trajs, samples, predictor, ks=(k,), **kw).per_k[k]
+
+
 class TestNucleotideRecall:
     def test_half_hit(self):
-        _, sample = sample_for([(1, "T")], [(10, "G"), (20, "G")])
+        seq = sample_for([(1, "T")], [(10, "G"), (20, "G")])
         predictor = StaticPredictor([TOK.mutation_token(10, "G"), TOK.mutation_token(99, "A")])
-        r = nucleotide_recall_at_k(sample, predictor, k=2)
-        assert r.recall == 0.5
-        assert r.n_steps == 2
+        assert recalls([seq], predictor, k=2) == [0.5]
 
     def test_exhaustive_k_gives_full_recall(self):
         cfg = ModelConfig(vocab_size=TOK.vocab_size, layers=1, hidden=32, heads=4, max_seq=64)
         model = Transformer(cfg, seed=0)
         predictor = ModelPredictor(model, TOK)
-        _, sample = sample_for([(1, "T")], [(10, "G"), (20, "G"), (30, "-")])
-        r = nucleotide_recall_at_k(sample, predictor, k=TOK.mutation_block[1])
-        assert r.recall == 1.0
+        seq = sample_for([(1, "T")], [(10, "G"), (20, "G"), (30, "-")])
+        assert recalls([seq], predictor, k=TOK.mutation_block[1]) == [1.0]
 
     def test_monotone_in_k(self):
         cfg = ModelConfig(vocab_size=TOK.vocab_size, layers=1, hidden=32, heads=4, max_seq=64)
         predictor = ModelPredictor(Transformer(cfg, seed=1), TOK)
-        _, sample = sample_for([(5, "A")], [(10, "G"), (20, "C"), (40, "T")])
+        seq = sample_for([(5, "A")], [(10, "G"), (20, "C"), (40, "T")])
         last = 0.0
         for k in (1, 5, 20, 100, 480):
-            r = nucleotide_recall_at_k(sample, predictor, k)
-            assert r.recall >= last
-            last = r.recall
+            [r] = recalls([seq], predictor, k)
+            assert r >= last
+            last = r
 
     def test_context_too_long_returns_none(self):
-        _, sample = sample_for([], [(i + 1, "T") for i in range(30)])
-        predictor = StaticPredictor([0])
-        assert nucleotide_recall_at_k(sample, predictor, k=1, max_context=20) is None
+        traj, sample = sample_for([], [(i + 1, "T") for i in range(30)])
+        res = evaluate_sequences([traj], [sample], StaticPredictor([0]), ks=(1,), max_context=20)
+        assert res.n_excluded_too_long == 1 and res.per_k[1] == []
 
     def test_no_private_mutations_rejected(self):
-        _, sample = sample_for([(1, "T")], [])
+        seq = sample_for([(1, "T")], [])
         with pytest.raises(ValueError):
-            nucleotide_recall_at_k(sample, StaticPredictor([0]), k=1)
+            recalls([seq], StaticPredictor([0]), k=1)
 
     def test_random_guess_matches_candidate_ratio(self):
         rng = np.random.default_rng(5)
@@ -86,13 +89,12 @@ class TestNucleotideRecall:
         k = 12
         candidates = np.arange(TOK.mutation_block[1])
         predictor = RandomPredictor(candidates[: n_candidates], seed=6)
-        hits = []
+        sequences = []
         for _ in range(3000):
             site = int(rng.integers(1, 121))
             state = "ATCG-"[rng.integers(0, 4)]
-            _, sample = sample_for([], [(site, state)])
-            r = nucleotide_recall_at_k(sample, predictor, k)
-            hits.append(r.recall)
+            sequences.append(sample_for([], [(site, state)]))
+        hits = recalls(sequences, predictor, k)
         p = k / n_candidates
         sigma = np.sqrt(p * (1 - p) / len(hits))
         assert abs(np.mean(hits) - p) < 3 * sigma + 0.005
@@ -292,7 +294,8 @@ class TestEvaluateSequences:
         res = evaluate_sequences(trajs, samples, predictor, ks=(1,), max_context=max_context)
         assert res.n_excluded_too_long == (3 if max_context == 18 else 2)
         assert len(res.per_k[1]) == 4 - res.n_excluded_too_long
-        assert nucleotide_recall_at_k(samples[-1], predictor, k=1, max_context=max_context) is None
+        longest = evaluate_sequences(trajs[-1:], samples[-1:], predictor, ks=(1,), max_context=max_context)
+        assert longest.n_excluded_too_long == 1
 
     def test_amino_acid_ranking_refused_on_the_nucleotide_task(self):
         # an amino-acid candidate never equals a mutation token, so scoring it
@@ -301,8 +304,6 @@ class TestEvaluateSequences:
         predictor = StaticPredictor([AaMutation("S", 3, "L", "V")])
         with pytest.raises(ValueError, match="not task=nucleotide"):
             evaluate_sequences([traj], [sample], predictor, ks=(1,))
-        with pytest.raises(ValueError, match="not task=nucleotide"):
-            nucleotide_recall_at_k(sample, predictor, k=1)
 
     def test_report_csv(self, tmp_path):
         trajs, samples = self.make_batch()
@@ -427,7 +428,7 @@ class TestRankOnceAtMaxK:
     def check_equal_to_separate_ks(self, predictor, task="nucleotide", **kw):
         trajs, samples = mixed_sequences(n=12, seed=3)
         if task == "spike":
-            keep = [i for i, t in enumerate(trajs) if spike_aa_steps(t, kw["spike_map"])]
+            keep = [i for i, t in enumerate(trajs) if any(spike_replay(t, kw["spike_map"]))]
             trajs, samples = [trajs[i] for i in keep], [samples[i] for i in keep]
             assert len(trajs) >= 3
         together = evaluate_sequences(trajs, samples, predictor, ks=(1, 10, 100), task=task, **kw)

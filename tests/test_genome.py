@@ -231,6 +231,7 @@ class TestAnnotationLoading:
 
 class TestClassifySite:
     def test_classification(self, spike_map):
-        assert spike_map.classify_site(100) == "outside"
-        assert spike_map.classify_site(spike_map.site_of_codon(614, 1)) == "spike"
-        assert spike_map.classify_site(spike_map.site_of_codon(1274, 0)) == "spike-stop"
+        assert spike_map.codon_of_site(100) is None
+        assert spike_map.codon_of_site(spike_map.site_of_codon(614, 1)) == (614, 1)
+        assert spike_map.orf.n_codons == 1274
+        assert spike_map.codon_of_site(spike_map.site_of_codon(1274, 0)) == (1274, 0)

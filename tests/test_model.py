@@ -770,6 +770,33 @@ class TestStrictCheckpoint:
             load_checkpoint(bad)
         assert str(bad) in str(err.value)
 
+    @pytest.mark.parametrize("loader", [load_checkpoint, load_model])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: b"{nope", "not JSON: Expecting property name enclosed in double quotes"),
+        (lambda meta: [1], "not a JSON object"),
+        (lambda meta: {**meta, "model_config": None}, "model_config is not an object of integers: None"),
+        (lambda meta: {**meta, "model_config": 3}, "model_config is not an object of integers: 3"),
+        (lambda meta: {**meta, "model_config": {**meta["model_config"], "hidden": "32"}},
+         "model_config is not an object of integers"),
+        (lambda meta: {**meta, "model_config": {**meta["model_config"], "bogus": 1}},
+         "model_config: ModelConfig.__init__() got an unexpected keyword argument 'bogus'"),
+        (lambda meta: {**meta, "model_config": {**meta["model_config"], "heads": 0}},
+         "model_config: heads must be at least 1"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "layout_hash"},
+         "layout_hash is not a string: None"),
+        (lambda meta: {**meta, "layout_hash": 5}, "layout_hash is not a string: 5"),
+    ], ids=["not-json", "list", "no-model-config", "model-config-number", "string-size",
+            "unknown-model-key", "no-heads", "no-layout-hash", "layout-hash-number"])
+    def test_malformed_meta_refused_by_name(self, ckpt, tmp_path, loader, edit, message):
+        path, _ = ckpt
+        with zipfile.ZipFile(path) as zf:
+            meta = edit(json.loads(zf.read("meta.json")))
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(path, bad, replace={
+            "meta.json": meta if isinstance(meta, bytes) else json.dumps(meta).encode()})
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: checkpoint entry meta.json: {message}")):
+            loader(bad)
+
 
 def two_d_top_k(probs: np.ndarray, seen: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ranking rule over the whole (rows, V) block at once: a masked copy

@@ -2,6 +2,7 @@ import ast
 import collections
 import hashlib
 import json
+import re
 import shutil
 import struct
 import zipfile
@@ -52,6 +53,14 @@ class TestPipelineConfig:
         c = PipelineConfig()
         c.set("temporal_weighting", value)
         assert c.temporal_weighting is parsed
+
+    def test_key_repeated_in_a_file_rejected(self, tmp_path):
+        # a later line must not silently override an earlier one
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{CONFIG_HEADER}\nlam 0.1\n\nlam 0.5\n")
+        with pytest.raises(ValueError) as err:
+            PipelineConfig.from_file(p)
+        assert str(err.value) == f"{p}, line 4, key 'lam': repeated, first set on line 2"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(KeyError):
@@ -620,6 +629,29 @@ class TestRefusals:
             *SMALL_SETTINGS, "--out", str(out),
         ], out, f"{ckpt}: {message}")
 
+    def test_checkpoint_meta_without_layout_hash_refused_by_name(self, pipeline_run, tmp_path, capsys):
+        # the train manifest is rewritten to match, so the loader must refuse it
+        train = tmp_path / "train"
+        shutil.copytree(pipeline_run["train"], train)
+        ckpt = train / "checkpoint.ckpt"
+        with zipfile.ZipFile(pipeline_run["train"] / "checkpoint.ckpt") as zin, \
+                zipfile.ZipFile(ckpt, "w") as zout:
+            for info in zin.infolist():
+                data = zin.read(info)
+                if info.filename == "meta.json":
+                    meta = json.loads(data)
+                    del meta["layout_hash"]
+                    data = json.dumps(meta).encode()
+                zout.writestr(info, data)
+        manifest = json.loads((train / "manifest.json").read_text())
+        manifest["outputs"]["checkpoint"]["sha256"] = sha256_file(ckpt)
+        (train / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            "predict", "--checkpoint", str(ckpt), "--layout", self.paths(pipeline_run)["layout"],
+            "--date", "2024-06-05", *SMALL_SETTINGS, "--out", str(out),
+        ], out, f"{ckpt}: checkpoint entry meta.json: layout_hash is not a string: None")
+
     def test_unreadable_manifest_refused_by_name(self, tmp_path, capsys):
         tree = tmp_path / "tree.jsonl"
         tree.write_text('{"id":"root","parent":null}\n')
@@ -671,6 +703,28 @@ class TestRefusals:
         [main_def] = [n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
         handlers = [h for n in ast.walk(main_def) if isinstance(n, ast.Try) for h in n.handlers]
         assert [ast.unparse(h.type) for h in handlers] == ["Refused"]
+
+    def test_every_public_definition_is_reached_outside_the_tests(self):
+        # a top-level def or class that only tests call is a second path to
+        # keep: the package must name it, a script or the benchmark must,
+        # or the acceptance tests must import it
+        root = Path(__file__).resolve().parents[1]
+        modules = {p: ast.parse(p.read_text()) for p in sorted(Path(cli.__file__).parent.rglob("*.py"))}
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+        named = {
+            getattr(n, field[type(n)])
+            for module in modules.values() for n in ast.walk(module) if type(n) in field
+        }
+        outside = "\n".join(p.read_text() for d in ("scripts", "perfbench") for p in sorted((root / d).rglob("*.py")))
+        acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+        imported = {a.name for n in ast.walk(acceptance) if isinstance(n, ast.ImportFrom) for a in n.names}
+        unreached = [
+            f"{p.name}:{n.name}"
+            for p, module in modules.items() for n in module.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+            and n.name not in named | imported and not re.search(rf"\b{n.name}\b", outside)
+        ]
+        assert unreached == []
 
 
 class TestBaselineRank:

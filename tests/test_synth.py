@@ -280,10 +280,16 @@ class TestNoiseAndReplay:
         assert off > 0
 
     def test_trajectory_replay_matches_raw_path(self, small_output):
-        from evotraj.tree import extract_trajectory, replay_genome_state
+        from evotraj.tree import extract_all_trajectories
+
+        def replay(mutations):
+            return {m.site: m.to for m in mutations}
 
         tree = small_output.tree
-        for leaf in tree.leaves():
-            traj = extract_trajectory(tree, leaf.node_id)
+        trajectories = extract_all_trajectories(tree)
+        leaves = list(tree.leaves())
+        assert len(trajectories) == len(leaves)
+        for leaf, traj in zip(leaves, trajectories):
+            assert traj.meta == leaf.leaf_meta
             raw = [m for node in tree.path_from_root(leaf.node_id) for m in node.branch_mutations]
-            assert replay_genome_state(traj.all_mutations) == replay_genome_state(raw)
+            assert replay(traj.all_mutations) == replay(raw)

@@ -12,9 +12,8 @@ from evotraj.tree import (
     Trajectory,
     TreeFormatError,
     TreeNode,
-    extract_trajectory,
+    extract_all_trajectories,
     parse_tree,
-    replay_genome_state,
     serialize_tree,
     split_train_eval,
 )
@@ -36,7 +35,7 @@ class TestParse:
         tree = parse_tree(CHAIN)
         assert len(tree) == 3
         assert tree.root_id == "root"
-        assert tree.depth("leaf") == 2
+        assert [n.node_id for n in tree.path_from_root("leaf")] == ["root", "A", "leaf"]
         assert [n.node_id for n in tree.leaves()] == ["leaf"]
 
     def test_dangling_parent(self):
@@ -65,6 +64,20 @@ class TestParse:
             '{"id":"b","parent":"a"}',
         )
         with pytest.raises(TreeFormatError, match="cycle"):
+            parse_tree(bad)
+
+    def test_cycle_names_the_first_node_climbed_twice(self):
+        # x hangs below the cycle a -> b -> c -> a; the climb from x, the
+        # first node in file order that the root does not reach, meets c twice
+        bad = lines(
+            '{"id":"root","parent":null}',
+            '{"id":"x","parent":"c"}',
+            '{"id":"a","parent":"b"}',
+            '{"id":"b","parent":"c"}',
+            '{"id":"c","parent":"a"}',
+            '{"id":"leaf","parent":"root"}',
+        )
+        with pytest.raises(TreeFormatError, match="^line 5: cycle through node 'c'$"):
             parse_tree(bad)
 
     def test_malformed_mutation(self):
@@ -124,7 +137,7 @@ class TestParse:
 
     def test_forward_parent_reference_allowed(self):
         tree = parse_tree(lines('{"id":"child","parent":"root"}', '{"id":"root","parent":null}'))
-        assert tree.depth("child") == 1
+        assert [n.node_id for n in tree.path_from_root("child")] == ["root", "child"]
 
 
 class TestParseOnce:
@@ -212,9 +225,17 @@ class TestRoundTrip:
         assert once == again
 
 
+def replay(mutations):
+    """Each site's final state after applying mutations in order."""
+    return {m.site: m.to for m in mutations}
+
+
 class TestExtractTrajectory:
+    """The split of a one-leaf tree's path, as ``extract_all_trajectories``
+    makes it."""
+
     def test_leaf_under_variant(self):
-        traj = extract_trajectory(parse_tree(CHAIN), "leaf")
+        [traj] = extract_all_trajectories(parse_tree(CHAIN))
         assert traj.variant_name == "V"
         assert traj.variant_mutations == (NtMutation(100, "T"),)
         assert traj.sequence_mutations == (NtMutation(200, "G"),)
@@ -223,7 +244,7 @@ class TestExtractTrajectory:
         tree = parse_tree(
             lines('{"id":"root","parent":null}', '{"id":"leaf","parent":"root","muts":["500A"]}')
         )
-        traj = extract_trajectory(tree, "leaf")
+        [traj] = extract_all_trajectories(tree)
         assert traj.variant_name == "root"
         assert traj.variant_mutations == ()
         assert traj.sequence_mutations == (NtMutation(500, "A"),)
@@ -237,14 +258,14 @@ class TestExtractTrajectory:
                 '{"id":"leaf","parent":"b","muts":["300C"]}',
             )
         )
-        traj = extract_trajectory(tree, "leaf")
+        [traj] = extract_all_trajectories(tree)
         assert traj.variant_name == "inner"
         assert traj.variant_mutations == (NtMutation(100, "T"), NtMutation(200, "G"))
         assert traj.sequence_mutations == (NtMutation(300, "C"),)
 
     def test_refined_definition_substitutes_variant_path(self):
         defs = {"V": [NtMutation(100, "T"), NtMutation(150, "-")]}
-        traj = extract_trajectory(parse_tree(CHAIN), "leaf", defs)
+        [traj] = extract_all_trajectories(parse_tree(CHAIN), defs)
         assert traj.variant_mutations == (NtMutation(100, "T"), NtMutation(150, "-"))
         assert traj.sequence_mutations == (NtMutation(200, "G"),)
 
@@ -255,22 +276,15 @@ class TestExtractTrajectory:
                 '{"id":"leaf","parent":"root","muts":["300C"]}',
             )
         )
-        traj = extract_trajectory(tree, "leaf")
+        [traj] = extract_all_trajectories(tree)
         assert traj.all_mutations == (NtMutation(300, "T"), NtMutation(300, "C"))
-        assert replay_genome_state(traj.all_mutations) == {300: "C"}
-
-    def test_non_leaf_rejected(self):
-        tree = parse_tree(CHAIN)
-        with pytest.raises(ValueError, match="not a leaf"):
-            extract_trajectory(tree, "A")
-        with pytest.raises(KeyError):
-            extract_trajectory(tree, "nope")
+        assert replay(traj.all_mutations) == {300: "C"}
 
     def test_replay_equals_raw_path_replay(self):
         tree = parse_tree(CHAIN)
-        traj = extract_trajectory(tree, "leaf")
+        [traj] = extract_all_trajectories(tree)
         raw = [m for node in tree.path_from_root("leaf") for m in node.branch_mutations]
-        assert replay_genome_state(traj.all_mutations) == replay_genome_state(raw)
+        assert replay(traj.all_mutations) == replay(raw)
 
 
 def mk_traj(collected, released, n_private=1, name="s"):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .genome import AaMutation, NtMutation
-from .pipeline import Refused, read_csv
+from .pipeline import Refused, parse_number, read_csv
 from .tokenizer import Tokenizer
 
 MODES = ("count", "fitness", "mixed")
@@ -64,8 +64,8 @@ def load_bloom_table(path: Path | str) -> BloomTable:
     records = [
         BloomRecord(
             mutation=row["mutation"],
-            expected_count=float(row["expected_count"]),
-            fitness=float(row["fitness"]),
+            expected_count=parse_number(row["expected_count"], path, row["mutation"], "expected_count"),
+            fitness=parse_number(row["fitness"], path, row["mutation"], "fitness"),
         )
         for row in read_csv(path, ("mutation", "expected_count", "fitness"))
     ]

@@ -195,7 +195,7 @@ def _checked_model(stage: _Stage) -> Transformer:
         model, meta, digest = load_checkpoint(stage.args.checkpoint)
     check_digest("checkpoint", Path(stage.args.checkpoint), stage.inputs["checkpoint"]["sha256"], digest)
     expected, actual = meta["layout_hash"], stage.inputs["layout"]["sha256"]
-    if expected and expected != actual:
+    if expected != actual:
         raise StaleArtifactError(
             f"hash mismatch for tokenizer layout: expected {expected[:12]}, found {actual[:12]}"
         )
@@ -491,10 +491,9 @@ def cmd_evaluate(args) -> int:
         max_context=config.max_seq,
     )
     if not result.weights:
-        bound = min(b for b in (config.max_seq, predictor.max_context) if b is not None)
         raise Refused(
             f"max_seq: all {result.n_excluded_too_long} evaluation sequences have a context"
-            f" longer than {bound} tokens, so none is evaluated"
+            f" longer than {result.context_bound} tokens, so none is evaluated"
         )
     reports = result.reports
     if args.no_location:

@@ -100,9 +100,10 @@ class SequenceRecall:
     n_steps: int
 
 
-# A step's hit rank is the index of the first candidate matching its target;
-# the step is a hit at every k above it. Top-k lists are nested, so one
-# ranking at the largest k scores every smaller k.
+# A step's hits are the candidates that score it; its hit rank is the index
+# of the first ranked candidate among them, and the step is a hit at every k
+# above it. Top-k lists are nested, so one ranking at the largest k scores
+# every smaller k.
 MISS = math.inf
 
 
@@ -110,12 +111,11 @@ def _recall(ranks: Sequence[float], k: int) -> SequenceRecall:
     return SequenceRecall(recall=sum(r < k for r in ranks) / len(ranks), n_steps=len(ranks))
 
 
-def _aa_effect(candidate: int | AaMutation, state: SpikeState, tokenizer: Tokenizer):
-    """A spike candidate's amino-acid change at a step: an AaMutation as it
-    is, a token through the codon context in force at the step."""
-    if isinstance(candidate, AaMutation):
-        return candidate
-    return state.effect_of(tokenizer.mutation_of_token(candidate))
+def _spike_hits(target: AaMutation, state: SpikeState, tokenizer: Tokenizer) -> set[int | AaMutation]:
+    """The amino-acid change itself and every mutation token that makes it
+    against the codons in force; a site beyond the layout has no token."""
+    return {target, *(tokenizer.mutation_token(m.site, m.to) for m in state.sources_of(target)
+                      if m.site <= tokenizer.spec.genome_length)}
 
 
 def _hit_ranks(
@@ -124,51 +124,44 @@ def _hit_ranks(
     predictor: NtPredictor,
     k: int,
     task: str,
-    tokenizer: Tokenizer | None = None,
-    spike_map: SpikeMap | None = None,
-    max_context: int | None = None,
+    tokenizer: Tokenizer | None,
+    spike_map: SpikeMap | None,
+    bound: int | None,
 ) -> list[list[float] | None]:
     """Every sequence's step hit ranks from one batched ranking at k; None
-    for a sequence whose context is longer than the bound, the smaller of
-    max_context and the predictor's own.
+    for a sequence whose context is longer than ``bound``.
 
-    A step is a private mutation (nucleotide task) or a private mutation that
-    changes a spike residue (spike task); its context is the prefix, the
-    variant mutations and all earlier private mutations. Amino-acid
-    candidates are refused on the nucleotide task.
+    A step is a private mutation (nucleotide task), hit by its own token, or
+    a private mutation that changes a spike residue (spike task), hit by the
+    change and by every token that makes it at that step; its context is the
+    prefix, the variant mutations and all earlier private mutations.
+    Amino-acid candidates are refused on the nucleotide task.
     """
-    bound = min((b for b in (max_context, predictor.max_context) if b is not None), default=None)
     out: list[list[float] | None] = [None] * len(samples)
-    kept, contexts, positions = [], [], []
+    kept, contexts, positions, hits = [], [], [], []
     for idx, (traj, sample) in enumerate(zip(trajectories, samples)):
         base = PREFIX_LENGTH + sample.split_index
         if task == "nucleotide":
-            steps = range(len(sample.tokens) - base)
+            steps = [(i, {t}) for i, t in enumerate(sample.tokens[base:])]
             if not steps:
                 raise ValueError("sequence has no private mutations to predict")
         else:
-            steps = [i for i, _, _ in spike_replay(traj, spike_map)]
+            steps = [(i, _spike_hits(target, state, tokenizer))
+                     for i, target, state in spike_replay(traj, spike_map)]
             if not steps:
                 raise ValueError("sequence has no private spike amino-acid mutations")
         if bound is not None and len(sample.tokens) - 1 > bound:
             continue
         kept.append(idx)
         contexts.append(list(sample.tokens[:-1]))
-        positions.append([base + i - 1 for i in steps])
+        positions.append([base + i - 1 for i, _ in steps])
+        hits.append([h for _, h in steps])
 
-    for idx, ranked in zip(kept, predictor.rank_at_positions(contexts, positions, k)):
-        if task == "nucleotide":
-            if any(isinstance(c, AaMutation) for cands in ranked for c in cands):
-                raise ValueError("amino-acid candidates score task=spike only, not task=nucleotide")
-            sample = samples[idx]
-            targets = sample.tokens[PREFIX_LENGTH + sample.split_index :]
-            out[idx] = [c.index(t) if t in c else MISS for t, c in zip(targets, ranked)]
-        else:
-            replay = spike_replay(trajectories[idx], spike_map)
-            out[idx] = [
-                next((j for j, c in enumerate(cands) if _aa_effect(c, state, tokenizer) == target), MISS)
-                for (_, target, state), cands in zip(replay, ranked)
-            ]
+    for idx, step_hits, ranked in zip(kept, hits, predictor.rank_at_positions(contexts, positions, k)):
+        if task == "nucleotide" and any(isinstance(c, AaMutation) for cands in ranked for c in cands):
+            raise ValueError("amino-acid candidates score task=spike only, not task=nucleotide")
+        out[idx] = [next((j for j, c in enumerate(cands) if c in h), MISS)
+                    for h, cands in zip(step_hits, ranked)]
     return out
 
 
@@ -179,16 +172,15 @@ def spike_recall_at_k(
     k: int,
     tokenizer: Tokenizer,
     spike_map: SpikeMap,
-    max_context: int | None = None,
 ) -> SequenceRecall | None:
     """Teacher-forced spike recall: a step for each private mutation that
-    changes a spike residue.
+    changes a spike residue, bounded by the predictor's context.
 
-    An amino-acid candidate is matched directly; a token candidate is mapped
-    through the codon context in force at the step.
+    An amino-acid candidate hits a step that is its change; a token
+    candidate hits a step whose change it makes against the codons in force.
     """
     [ranks] = _hit_ranks(
-        [trajectory], [sample], predictor, k, "spike", tokenizer, spike_map, max_context
+        [trajectory], [sample], predictor, k, "spike", tokenizer, spike_map, predictor.max_context
     )
     return None if ranks is None else _recall(ranks, k)
 
@@ -225,6 +217,7 @@ class EvalResult:
     months: list[int | None]
     reports: list[RecallReport] = field(default_factory=list)
     n_excluded_too_long: int = 0
+    context_bound: int | None = None  # longest context scored; None: any
 
 
 def evaluate_sequences(
@@ -239,15 +232,18 @@ def evaluate_sequences(
     base_year: int = 2019,
     max_context: int | None = None,
 ) -> EvalResult:
-    """Recall@k for every sequence, plus aggregate and per-month reports."""
+    """Recall@k for every sequence, plus aggregate and per-month reports. A
+    sequence whose context is longer than the smaller of max_context and the
+    predictor's own bound is counted as excluded, not scored."""
     if task == "spike" and (spike_map is None or tokenizer is None):
         raise ValueError("spike task needs tokenizer and spike_map")
     if not ks:
         raise ValueError("no k to evaluate")
 
-    result = EvalResult(task=task, per_k={k: [] for k in ks}, weights=[], months=[])
+    bound = min((b for b in (max_context, predictor.max_context) if b is not None), default=None)
+    result = EvalResult(task=task, per_k={k: [] for k in ks}, weights=[], months=[], context_bound=bound)
     ranks_all = _hit_ranks(
-        trajectories, samples, predictor, max(ks), task, tokenizer, spike_map, max_context
+        trajectories, samples, predictor, max(ks), task, tokenizer, spike_map, bound
     )
     for idx, (traj, ranks) in enumerate(zip(trajectories, ranks_all)):
         if ranks is None:

@@ -309,6 +309,13 @@ class SpikeState:
             return None
         return self.map.aa_mutation_of(mut, self.codon_context(loc[0]))
 
+    def sources_of(self, change: AaMutation) -> list[NtMutation]:
+        """Every single-site mutation whose effect, against the codons in
+        force, is ``change``; only the three sites of its codon can make it."""
+        sites = (self.map.site_of_codon(change.pos, offset) for offset in range(3))
+        candidates = (NtMutation(site, state) for site in sites for state in NT_STATES)
+        return [m for m in candidates if self.effect_of(m) == change]
+
     def write(self, mut: NtMutation) -> None:
         """Apply mut without computing its effect; a site outside the spike
         span changes nothing."""
@@ -321,18 +328,16 @@ class SpikeState:
         return effect
 
 
-def reachable_aa_mutations(spike_map: SpikeMap, state: SpikeState | None = None) -> set[AaMutation]:
-    """All distinct amino-acid mutations reachable by one nucleotide substitution.
+def reachable_aa_mutations(spike_map: SpikeMap) -> set[AaMutation]:
+    """All distinct amino-acid mutations reachable from the reference by one
+    nucleotide substitution.
 
-    Computed against the current codon contexts (reference contexts when
-    ``state`` is None). Frameshifts and stop-codon-site changes are excluded;
-    substitutions to a stop are included as nonsense mutations.
+    Frameshifts and stop-codon-site changes are excluded; substitutions to a
+    stop are included as nonsense mutations.
     """
     out: set[AaMutation] = set()
     for codon_idx in range(1, spike_map.orf.n_codons):
-        context = state.codon_context(codon_idx) if state else spike_map.reference_codon(codon_idx)
-        if "-" in context:
-            continue
+        context = spike_map.reference_codon(codon_idx)
         for offset in range(3):
             site = spike_map.site_of_codon(codon_idx, offset)
             for base in BASES:

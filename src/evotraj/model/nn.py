@@ -15,6 +15,8 @@ import math
 import numpy as np
 
 DTYPE = np.float64
+LAYER_NORM_EPS = 1e-5
+ROPE_BASE = 10_000.0
 
 
 class Parameter:
@@ -91,15 +93,14 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Parameter(np.ones(dim))
         self.shift = Parameter(np.zeros(dim))
-        self.eps = eps
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        self._std = np.sqrt(var + self.eps)
+        self._std = np.sqrt(var + LAYER_NORM_EPS)
         self._xhat = (x - mu) / self._std
         return self.gain.value * self._xhat + self.shift.value
 
@@ -133,9 +134,9 @@ class Gelu(Module):
         return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
 
 
-def rope_angles(positions: np.ndarray, head_dim: int, base: float = 10_000.0) -> np.ndarray:
+def rope_angles(positions: np.ndarray, head_dim: int) -> np.ndarray:
     """(len(positions), head_dim/2) rotation angles."""
-    inv_freq = base ** (-np.arange(0, head_dim, 2, dtype=DTYPE) / head_dim)
+    inv_freq = ROPE_BASE ** (-np.arange(0, head_dim, 2, dtype=DTYPE) / head_dim)
     return positions[:, None].astype(DTYPE) * inv_freq[None, :]
 
 
@@ -149,12 +150,12 @@ def rope_rotate(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax along ``axis``, written to ``out`` when given (``out=x``
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis, written to ``out`` when given (``out=x``
     computes it in place)."""
-    shifted = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    shifted = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=axis, keepdims=True)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
     return shifted
 
 
@@ -246,8 +247,8 @@ class Block(Module):
         self.ln2 = LayerNorm(dim)
         self.mlp = FeedForward(dim, 4 * dim, rng)
 
-    def forward(self, x: np.ndarray, positions: np.ndarray | None = None) -> np.ndarray:
-        x = x + self.attn.forward(self.ln1.forward(x), positions)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = x + self.attn.forward(self.ln1.forward(x))
         return x + self.mlp.forward(self.ln2.forward(x))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -232,8 +232,8 @@ def write_training_log(state: TrainState, path: Path | str) -> None:
 def save_checkpoint(
     state: TrainState,
     path: Path | str,
-    layout_hash: str = "",
-    config_hash: str = "",
+    layout_hash: str,
+    config_hash: str,
 ) -> None:
     """Self-describing zip of ``meta.json`` plus one float64 ``param/<name>.npy``
     per parameter; entries carry a fixed timestamp, so equal states give

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -194,6 +195,17 @@ def read_csv(path: Path | str, columns: Sequence[str]) -> list[dict[str, str]]:
         if missing:
             raise Refused(f"{path}: no {missing[0]!r} column")
         return list(reader)
+
+
+def parse_number(text: str, path: Path | str, key: str, column: str, positive: bool = False) -> float:
+    """A table cell as a float. Text that is not a number raises float's
+    ValueError; a value that is not finite, or not above 0 when ``positive``,
+    is refused, naming the file, the row's key and the column."""
+    value = float(text)
+    if not math.isfinite(value) or positive and not value > 0:
+        expected = "a finite number above 0" if positive else "a finite number"
+        raise Refused(f"{path}: row {key!r}, column {column!r}: expected {expected}, got {text!r}")
+    return value
 
 
 def write_json(path: Path | str, obj: object) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .genome import NT_STATES, NtMutation
-from .pipeline import read_csv, write_json
+from .pipeline import parse_number, read_csv, write_json
 from .tree import PhyloTree
 
 
@@ -76,10 +76,9 @@ class FrequencyTable:
         also be written as ``-``)."""
         table = cls()
         for row in read_csv(path, ("variant", "site")):
-            counts = {s: float(row[s]) for s in ("A", "T", "C", "G") if row.get(s)}
-            deletion = row.get("Del", row.get("-"))
-            if deletion:
-                counts["-"] = float(deletion)
+            key = f"{row['variant']},{row['site']}"
+            columns = {"A": "A", "T": "T", "C": "C", "G": "G", "-": "Del" if "Del" in row else "-"}
+            counts = {s: parse_number(row[c], path, key, c) for s, c in columns.items() if row.get(c)}
             table.set_counts(row["variant"], int(row["site"]), counts)
         return table
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .pipeline import read_csv, write_csv
+from .pipeline import parse_number, read_csv, write_csv
 from .tree import Trajectory
 
 PER_MILLION = 1e6
@@ -188,7 +188,10 @@ def sequence_weights(
 
 def load_population_table(path: Path | str) -> dict[str, float]:
     columns = ("region_key", "population")
-    return {row["region_key"]: float(row["population"]) for row in read_csv(path, columns)}
+    return {
+        row["region_key"]: parse_number(row["population"], path, row["region_key"], "population", positive=True)
+        for row in read_csv(path, columns)
+    }
 
 
 def write_density_report(

@@ -14,7 +14,7 @@ from evotraj.evaluation import (
     spike_recall_at_k,
     write_report_csv,
 )
-from evotraj.genome import AaMutation, GENETIC_CODE, NtMutation, SpikeMap, load_annotation
+from evotraj.genome import AaMutation, GENETIC_CODE, NtMutation, SpikeMap, SpikeState, load_annotation
 from evotraj.model import ModelConfig, Transformer, ranking
 from evotraj.tokenizer import LayoutSpec, TokenizedSample, Tokenizer
 from evotraj.tree import PartialDate, SequenceMeta, Trajectory, spike_replay
@@ -199,6 +199,53 @@ class TestSpikeRecall:
             self.traj, self.sample, predictor, k=2, tokenizer=TOK, spike_map=self.spike_map
         )
         assert r.recall == 1.0
+
+    def test_replay_cost_does_not_grow_with_k(self, tmp_path, monkeypatch):
+        # each step's hits come from the one replay; the ranked candidates
+        # are only looked up in them, never mapped through the codons
+        self.setup_mini(tmp_path)
+        calls = []
+        effect_of = SpikeState.effect_of
+        monkeypatch.setattr(SpikeState, "effect_of", lambda s, m: calls.append(m) or effect_of(s, m))
+        misses = StaticPredictor([TOK.mutation_token(site, b) for site in range(1, 21) for b in "ATCG-"])
+        counts = []
+        for k in (1, 100):
+            calls.clear()
+            r = spike_recall_at_k(self.traj, self.sample, misses, k, TOK, self.spike_map)
+            assert r.recall == 0.0 and r.n_steps == 2
+            counts.append(len(calls))
+        # three private mutations replayed, and each of the two steps' codons
+        # offers three sites x five states
+        assert counts == [3 + 2 * 15] * 2
+
+    def test_every_token_making_the_change_hits(self, tmp_path):
+        # codon 2 is AGA (R): a third-site T and a third-site C both give R2S,
+        # so the other token ranked first scores the step at rank 0
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("genome\t1\t120\nS\t31\t42\n")
+        fa = tmp_path / "ref.fasta"
+        fa.write_text(">S\nATGAGACTATAA\n")  # M R L *
+        spike_map = SpikeMap(load_annotation(ann, fa))
+        traj, sample = sample_for([], [(36, "T")])
+        [(_, target, _)] = spike_replay(traj, spike_map)
+        assert target == AaMutation("S", 2, "R", "S")
+        predictor = StaticPredictor([TOK.mutation_token(36, "C"), TOK.mutation_token(36, "T")])
+        r = spike_recall_at_k(traj, sample, predictor, k=1, tokenizer=TOK, spike_map=spike_map)
+        assert r.recall == 1.0
+
+    def test_site_beyond_the_layout_has_no_token(self, tmp_path):
+        # the annotation's genome is longer than the 120-site layout: codon 3,
+        # TTT at sites 119-121, becomes L by a first-site C or a third-site A,
+        # and site 121 has no token to rank
+        ann = tmp_path / "ann.tsv"
+        ann.write_text("genome\t1\t200\nS\t113\t127\n")
+        fa = tmp_path / "ref.fasta"
+        fa.write_text(">S\nATGGATTTTGGGTAA\n")  # M D F G *
+        spike_map = SpikeMap(load_annotation(ann, fa))
+        traj, sample = sample_for([], [(119, "C")])
+        predictor = StaticPredictor([TOK.mutation_token(119, "C")])
+        r = spike_recall_at_k(traj, sample, predictor, k=1, tokenizer=TOK, spike_map=spike_map)
+        assert (r.n_steps, r.recall) == (1, 1.0)
 
     def test_no_spike_steps_rejected(self, tmp_path):
         spike_map = SpikeMap(mini_spike_annotation(tmp_path))

@@ -557,7 +557,7 @@ class TestCheckpoint:
     def test_roundtrip_is_bitwise(self, tmp_path):
         model = Transformer(DESK, seed=4)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(TrainState(model=model, config=TrainConfig()), path)
+        save_checkpoint(TrainState(model=model, config=TrainConfig()), path, layout_hash="lh", config_hash="ch")
         loaded, _, _ = load_checkpoint(path)
         want, got = model.parameters(), loaded.parameters()
         assert want.keys() == got.keys()
@@ -571,11 +571,11 @@ class TestCheckpoint:
         cfg = ModelConfig(vocab_size=tok.vocab_size, layers=1, hidden=32, heads=4, max_seq=16)
         state = train(samples, list(range(16)), cfg, TrainConfig(steps=3, batch_size=4, seed=2))
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(state, a, layout_hash="lh")
+        save_checkpoint(state, a, layout_hash="lh", config_hash="ch")
         # a save an hour later: the wall clock must not reach the file
         now = time.time
         monkeypatch.setattr(time, "time", lambda: now() + 3600)
-        save_checkpoint(state, b, layout_hash="lh")
+        save_checkpoint(state, b, layout_hash="lh", config_hash="ch")
         assert a.read_bytes() == b.read_bytes()
         # each array entry holds exactly what np.save writes
         with zipfile.ZipFile(a) as zf:
@@ -616,7 +616,7 @@ def load_model(path):
     """The model as ``predict`` and ``evaluate`` load it: the checkpoint read
     through the CLI's stage loader, which also checks the tokenizer layout
     and the file's digest, here against a manifest recording it as it is."""
-    inputs = {"layout": {"sha256": ""}, "checkpoint": {"sha256": sha256_file(path)}}
+    inputs = {"layout": {"sha256": "lh"}, "checkpoint": {"sha256": sha256_file(path)}}
     stage = SimpleNamespace(args=SimpleNamespace(checkpoint=path), inputs=inputs)
     return cli._checked_model(stage)
 
@@ -629,7 +629,7 @@ class TestStrictCheckpoint:
         tcfg = TrainConfig(steps=2, batch_size=4)
         state = train(toy_dataset(tok, n=8), list(range(8)), cfg, tcfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(state, path, layout_hash="lh", config_hash="ch")
         return path, state
 
     @pytest.mark.parametrize("loader", [load_checkpoint, load_model])
@@ -931,7 +931,7 @@ class TestAllocation:
         model = Transformer(ModelConfig(vocab_size=150_210, layers=1, hidden=16, heads=2), seed=0)
         head = model.parameters()["head.weight"].value.nbytes
         path = tmp_path / "model.ckpt"
-        peak, _ = traced_peak(save_checkpoint, TrainState(model=model, config=TrainConfig()), path)
+        peak, _ = traced_peak(save_checkpoint, TrainState(model=model, config=TrainConfig()), path, "lh", "ch")
         assert peak < head // 8, f"peak {peak / 2**20:.1f} MB"
         with zipfile.ZipFile(path) as zf:
             for name, p in model.parameters().items():

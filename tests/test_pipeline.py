@@ -446,6 +446,10 @@ OUTSIDE_FILE_CASES = {
     "population-without-region-key": (
         ["build-dataset", "--tree", "{tree}", "--population", "{file}"],
         "pop.csv", "country,population\nAlandia,1000\n", "no 'region_key' column"),
+    "population-not-above-zero": (
+        ["build-dataset", "--tree", "{tree}", "--population", "{file}"],
+        "pop.csv", "region_key,population\nAlandia,0\n",
+        "row 'Alandia', column 'population': expected a finite number above 0, got '0'"),
     "empty-table": (
         ["baseline-rank", "--table", "{file}"],
         "table.csv", "mutation,expected_count,fitness\n", "empty baseline table"),
@@ -455,6 +459,10 @@ OUTSIDE_FILE_CASES = {
     "non-numeric-baseline-fitness": (
         ["evaluate", "--tree", "{tree}", "--layout", "{layout}", "--baseline", "{file}"],
         "table.csv", "mutation,expected_count,fitness\nC10T,1,x\n", "could not convert string to float: 'x'"),
+    "non-finite-count": (
+        ["baseline-rank", "--table", "{file}"],
+        "table.csv", "mutation,expected_count,fitness\nC10T,inf,0\n",
+        "row 'C10T', column 'expected_count': expected a finite number, got 'inf'"),
     "nextstrain-not-json": (
         ["refine-variants", "--tree", "{tree}", "--nextstrain", "{file}"],
         "ns.json", "V: 150-152\n", "Expecting value: line 1 column 1 (char 0)"),
@@ -464,6 +472,10 @@ OUTSIDE_FILE_CASES = {
     "freq-non-integer-site": (
         ["refine-variants", "--tree", "{tree}", "--freq", "{file}"],
         "freq.csv", "variant,site,A,T,C,G,Del\nV,ten,1,0,0,0,0\n", "invalid literal for int() with base 10: 'ten'"),
+    "freq-non-finite-count": (
+        ["refine-variants", "--tree", "{tree}", "--freq", "{file}"],
+        "freq.csv", "variant,site,A,T,C,G,Del\nV,10,nan,0,0,0,0\n",
+        "row 'V,10', column 'A': expected a finite number, got 'nan'"),
     "annotation-without-genome-row": (
         ["evaluate", "--tree", "{tree}", *MODEL, "--annotation", "{file}", "--set", "task=spike"],
         "orfs.tsv", "S\t21563\t25384\n", "annotation missing the 'genome' length row"),
@@ -725,6 +737,51 @@ class TestRefusals:
             and n.name not in named | imported and not re.search(rf"\b{n.name}\b", outside)
         ]
         assert unreached == []
+
+    def test_every_defaulted_parameter_is_passed_somewhere(self):
+        # a default that no call overrides is a knob without a caller: a
+        # constant, or nothing. Calls are matched by name; cls(...) in a
+        # classmethod calls its class, and *args or **kwargs may pass anything
+        root = Path(__file__).resolve().parents[1]
+        package = sorted(Path(cli.__file__).parent.rglob("*.py"))
+        callers = package + [p for d in ("scripts", "perfbench", "tests") for p in sorted((root / d).rglob("*.py"))]
+        defaulted = []  # (callee, parameter, positional index or None)
+        for path in package:
+            for node in ast.parse(path.read_text()).body:
+                skip = 0
+                if isinstance(node, ast.ClassDef):
+                    init = [n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+                    if not init:
+                        continue
+                    name, args, skip = node.name, init[0].args, 1
+                elif isinstance(node, ast.FunctionDef):
+                    name, args = node.name, node.args
+                else:
+                    continue
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaulted += [(name, a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+                defaulted += [(name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        passed = collections.defaultdict(set)  # callee -> keywords, positional indexes, "*" or "**"
+        for path in callers:
+            tree = ast.parse(path.read_text())
+            owner = {}
+            for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and any(
+                            isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list):
+                        owner.update({id(n): cls.name for n in ast.walk(fn)})
+            for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if callee == "cls":
+                    callee = owner.get(id(call), callee)
+                passed[callee] |= {"*" if isinstance(a, ast.Starred) else i for i, a in enumerate(call.args)}
+                passed[callee] |= {"**" if k.arg is None else k.arg for k in call.keywords}
+        uncalled = [
+            f"{name}({param}=)" for name, param, index in defaulted
+            if not passed[name] & {param, index, "*", "**"}
+        ]
+        assert uncalled == []
 
 
 class TestBaselineRank:

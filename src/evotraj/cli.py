@@ -12,6 +12,7 @@ import argparse
 import datetime
 import math
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from .model import (
     train,
     write_training_log,
 )
+from .model.training import _load_checkpoint
 from .pipeline import (
     PipelineConfig,
     Refused,
@@ -187,12 +189,26 @@ def _split(args, config: PipelineConfig, **kwargs):
         return split_train_eval(trajectories, *cutoffs, **kwargs)
 
 
-def _checked_model(stage: _Stage) -> Transformer:
-    """The ``checkpoint`` input's model, refused unless the file's sha256,
-    taken as it loads, is the one its manifest records, and unless it was
-    trained on the ``layout`` input's tokenizer layout."""
+@contextmanager
+def _loading(checkpoint: str | None):
+    """The load of ``checkpoint``, begun at once on one worker thread, as a
+    future for ``_checked_model``; ``None`` without a checkpoint. The worker
+    is joined on exit, whatever the block raised, so its refusal surfaces
+    only where ``_checked_model`` asks for the model."""
+    if not checkpoint:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool.submit(_load_checkpoint, checkpoint)
+
+
+def _checked_model(stage: _Stage, loading: Future | None = None) -> Transformer:
+    """The ``checkpoint`` input's model, from ``loading`` when its load was
+    begun earlier, refused unless the file's sha256, taken as it loads, is
+    the one its manifest records, and unless it was trained on the
+    ``layout`` input's tokenizer layout."""
     with _refusing(stage.args.checkpoint):
-        model, meta, digest = load_checkpoint(stage.args.checkpoint)
+        model, meta, digest = loading.result() if loading else load_checkpoint(stage.args.checkpoint)
     check_digest("checkpoint", Path(stage.args.checkpoint), stage.inputs["checkpoint"]["sha256"], digest)
     expected, actual = meta["layout_hash"], stage.inputs["layout"]["sha256"]
     if expected != actual:
@@ -441,30 +457,33 @@ def cmd_evaluate(args) -> int:
                    baseline=args.baseline, population=args.population, definitions=args.definitions,
                    annotation=args.annotation, reference=args.reference)
     config = stage.config
-    with _refusing("ks"):
-        ks = config.k_list
-    tok = Tokenizer.load(args.layout)
-    spike_map = None
-    if config.task == "spike":
-        annotation = args.annotation or DEFAULT_ANNOTATION
-        with _refusing(annotation):
-            spike_map = SpikeMap(load_annotation(annotation, args.reference or DEFAULT_REFERENCE))
-    split = _split(args, config, task=config.task, spike_map=spike_map)
-    eval_trajs = split.eval
-    if not eval_trajs:
-        raise Refused("evaluation set is empty for the configured cutoffs")
+    # the checkpoint loads while this thread reads the tree, and is checked
+    # after it, so a bad tree is still refused first
+    with _loading(args.checkpoint) as loading:
+        with _refusing("ks"):
+            ks = config.k_list
+        tok = Tokenizer.load(args.layout)
+        spike_map = None
+        if config.task == "spike":
+            annotation = args.annotation or DEFAULT_ANNOTATION
+            with _refusing(annotation):
+                spike_map = SpikeMap(load_annotation(annotation, args.reference or DEFAULT_REFERENCE))
+        split = _split(args, config, task=config.task, spike_map=spike_map)
+        eval_trajs = split.eval
+        if not eval_trajs:
+            raise Refused("evaluation set is empty for the configured cutoffs")
 
-    if args.checkpoint:
-        model = _checked_model(stage)
-        predictor = evaluation.ModelPredictor(model, tok)
-    else:
-        kind, ranked = _ranked_table(args.baseline, config, max(ks), tok)
-        if kind == "aa" and config.task != "spike":
-            raise Refused(
-                f"{args.baseline} is an amino-acid table: it scores task=spike only,"
-                f" not task={config.task}"
-            )
-        predictor = evaluation.StaticPredictor([entry for entry, _ in ranked])
+        if args.checkpoint:
+            model = _checked_model(stage, loading)
+            predictor = evaluation.ModelPredictor(model, tok)
+        else:
+            kind, ranked = _ranked_table(args.baseline, config, max(ks), tok)
+            if kind == "aa" and config.task != "spike":
+                raise Refused(
+                    f"{args.baseline} is an amino-acid table: it scores task=spike only,"
+                    f" not task={config.task}"
+                )
+            predictor = evaluation.StaticPredictor([entry for entry, _ in ranked])
 
     # recall is weighted by each sequence's representativeness r alone,
     # whatever the training switches

@@ -311,10 +311,14 @@ class SpikeState:
 
     def sources_of(self, change: AaMutation) -> list[NtMutation]:
         """Every single-site mutation whose effect, against the codons in
-        force, is ``change``; only the three sites of its codon can make it."""
-        sites = (self.map.site_of_codon(change.pos, offset) for offset in range(3))
-        candidates = (NtMutation(site, state) for site in sites for state in NT_STATES)
-        return [m for m in candidates if self.effect_of(m) == change]
+        force, is ``change``; only the three sites of its codon can make it,
+        each with a state other than the base in force there."""
+        context = self.codon_context(change.pos)
+        candidates = (
+            NtMutation(self.map.site_of_codon(change.pos, offset), state)
+            for offset, base in enumerate(context) for state in NT_STATES if state != base
+        )
+        return [m for m in candidates if self.map.aa_mutation_of(m, context) == change]
 
     def write(self, mut: NtMutation) -> None:
         """Apply mut without computing its effect; a site outside the spike

@@ -338,6 +338,13 @@ def load_checkpoint(path: Path | str) -> tuple[Transformer, dict, str]:
     into the parameter. Anything else, a damaged archive included,
     is refused, naming the file, and the entry where there is one.
     """
+    return _load_checkpoint(path)
+
+
+def _load_checkpoint(path: Path | str) -> tuple[Transformer, dict, str]:
+    # load_checkpoint's body, which calls no traced function: a stage may
+    # run it on a worker thread, and perfbench's tracer keeps one span stack
+    # for every thread
     with open(path, "rb") as f:
         try:
             with zipfile.ZipFile(f) as zf:

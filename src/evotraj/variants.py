@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .genome import NT_STATES, NtMutation
 from .pipeline import parse_number, read_csv, write_json
-from .tree import PhyloTree
+from .tree import PhyloTree, _ParsedOnce
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,5 +245,24 @@ def save_definitions(definitions: Iterable[VariantDefinition], path: Path | str)
 
 
 def load_definitions(path: Path | str) -> dict[str, list[NtMutation]]:
+    """Each variant's mutations from a ``save_definitions`` file; each
+    distinct mutation string is parsed once. A file that is not an object
+    of objects with a ``muts`` list of mutation strings raises ValueError,
+    naming the variant at fault."""
     raw = json.loads(Path(path).read_text())
-    return {name: [NtMutation.parse(m) for m in spec["muts"]] for name, spec in raw.items()}
+    if not isinstance(raw, dict):
+        raise ValueError("not a JSON object of variant definitions")
+    mutations = _ParsedOnce(NtMutation.parse)
+    out = {}
+    for name, spec in raw.items():
+        if not isinstance(spec, dict):
+            raise ValueError(f"variant {name!r}: not an object: {spec!r}")
+        if "muts" not in spec:
+            raise ValueError(f"variant {name!r}: no 'muts' list")
+        if not isinstance(spec["muts"], list):
+            raise ValueError(f"variant {name!r}: 'muts' is not a list: {spec['muts']!r}")
+        try:
+            out[name] = [mutations[m] for m in spec["muts"]]
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"variant {name!r}: {e}") from None
+    return out

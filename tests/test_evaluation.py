@@ -14,7 +14,7 @@ from evotraj.evaluation import (
     spike_recall_at_k,
     write_report_csv,
 )
-from evotraj.genome import AaMutation, GENETIC_CODE, NtMutation, SpikeMap, SpikeState, load_annotation
+from evotraj.genome import AaMutation, GENETIC_CODE, NtMutation, SpikeMap, load_annotation
 from evotraj.model import ModelConfig, Transformer, ranking
 from evotraj.tokenizer import LayoutSpec, TokenizedSample, Tokenizer
 from evotraj.tree import PartialDate, SequenceMeta, Trajectory, spike_replay
@@ -205,8 +205,8 @@ class TestSpikeRecall:
         # are only looked up in them, never mapped through the codons
         self.setup_mini(tmp_path)
         calls = []
-        effect_of = SpikeState.effect_of
-        monkeypatch.setattr(SpikeState, "effect_of", lambda s, m: calls.append(m) or effect_of(s, m))
+        aa_mutation_of = SpikeMap.aa_mutation_of
+        monkeypatch.setattr(SpikeMap, "aa_mutation_of", lambda s, m, c: calls.append(m) or aa_mutation_of(s, m, c))
         misses = StaticPredictor([TOK.mutation_token(site, b) for site in range(1, 21) for b in "ATCG-"])
         counts = []
         for k in (1, 100):
@@ -214,9 +214,10 @@ class TestSpikeRecall:
             r = spike_recall_at_k(self.traj, self.sample, misses, k, TOK, self.spike_map)
             assert r.recall == 0.0 and r.n_steps == 2
             counts.append(len(calls))
-        # three private mutations replayed, and each of the two steps' codons
-        # offers three sites x five states
-        assert counts == [3 + 2 * 15] * 2
+        # the two private mutations inside the ORF are mapped as replayed,
+        # and each of the two steps' codons offers three sites x the four
+        # states other than the base in force
+        assert counts == [2 + 2 * 12] * 2
 
     def test_every_token_making_the_change_hits(self, tmp_path):
         # codon 2 is AGA (R): a third-site T and a third-site C both give R2S,

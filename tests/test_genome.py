@@ -181,6 +181,23 @@ class TestSpikeState:
         state = SpikeState(spike_map)
         assert state.apply(NtMutation(5, "T")) is None
 
+    def test_sources_of_maps_only_states_that_change_a_base(self, spike_map, monkeypatch):
+        # codon 614 in force is GAC (D): GGC and GGT are both G, so only the
+        # second site's G makes D614G. One step maps its three sites with the
+        # four states other than the base in force there, and finds what all
+        # fifteen (site, state) pairs find
+        state = SpikeState(spike_map)
+        state.write(NtMutation(spike_map.site_of_codon(614, 2), "C"))
+        change = AaMutation("S", 614, "D", "G")
+        sites = [spike_map.site_of_codon(614, offset) for offset in range(3)]
+        every = [NtMutation(site, s) for site in sites for s in genome.NT_STATES]
+        assert [m for m in every if state.effect_of(m) == change] == [NtMutation(sites[1], "G")]
+        calls = []
+        aa_mutation_of = SpikeMap.aa_mutation_of
+        monkeypatch.setattr(SpikeMap, "aa_mutation_of", lambda s, m, c: calls.append(m) or aa_mutation_of(s, m, c))
+        assert state.sources_of(change) == [NtMutation(sites[1], "G")]
+        assert len(calls) == 12
+
 
 class TestMutationParsing:
     def test_origin_base_ignored(self):

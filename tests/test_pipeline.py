@@ -1,10 +1,12 @@
 import ast
 import collections
 import hashlib
+import importlib.util
 import json
 import re
 import shutil
 import struct
+import threading
 import zipfile
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 
 from evotraj import cli, evaluation, pipeline
 from evotraj.cli import main
+from evotraj.genome import GENETIC_CODE
 from evotraj.model import load_checkpoint
 from evotraj.tokenizer import Tokenizer, read_token_stream
 from evotraj.pipeline import (
@@ -195,13 +198,36 @@ DATA_STAGE_DIGESTS = {
     ("plans", "epoch_001.plan"): "2184f3a0cad1b797d2560a1e5ac53d453034ae59e5656ca8021e452b6c5136b6",
 }
 
+# sha256 of the train and evaluate outputs ``pipeline_run`` writes. They
+# come from float64 matrix products, yet read the same at one and two
+# OpenBLAS threads; the checkpoint does not, so it is not pinned.
+MODEL_STAGE_DIGESTS = {
+    ("train", "train_log.csv"): "d8d1de9e9e216e2f70db2d04c144dabd1e4735893fc3e219ba143ed37a8ae402",
+    ("eval", "report.csv"): "9c46739566353c43e35ed5743d0fa975c432ac7574fde7399b4aea4d61a26c12",
+    ("eval", "eval_stats.json"): "20d3e3d304f42a3accd55e32a2926a7a3747d8ac3237b4e36554f1f03b4e2044",
+    ("eval_spike", "report.csv"): "4df9ea8721c79b4c0c1f9d9a1bcb9d39cee06c8c77bce79d6d4a81706128d08a",
+    ("eval_spike", "eval_stats.json"): "22e887783b035d38509fd47452c704e2109690d748f9c0a085f2dc32472e16d2",
+}
+
+
+def write_spike_orf(root: Path) -> tuple[Path, Path]:
+    """An annotation and reference for a spike ORF on sites 11..199 of the
+    200-site synthetic genome: 62 sense codons, then a stop."""
+    sense = sorted(codon for codon, aa in GENETIC_CODE.items() if aa != "*")
+    seq = "".join(sense[7 * i % len(sense)] for i in range(62)) + "TAA"
+    annotation, reference = root / "orf_annotation.tsv", root / "reference_orfs.fasta"
+    annotation.write_text(f"genome\t1\t200\nS\t11\t{10 + len(seq)}\n")
+    reference.write_text(f">S\n{seq}\n")
+    return annotation, reference
+
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
-    """One full simulate -> ... -> evaluate chain shared by the CLI tests."""
+    """One full simulate -> ... -> evaluate chain shared by the CLI tests,
+    evaluated on the nucleotide task and, at k up to 100, the spike task."""
     root = tmp_path_factory.mktemp("pipe")
     dirs = {name: root / name for name in
-            ("sim", "ingest", "dataset", "plans", "train", "eval")}
+            ("sim", "ingest", "dataset", "plans", "train", "eval", "eval_spike")}
     assert main(["simulate", "--out", str(dirs["sim"]), *SMALL_SETTINGS]) == 0
     assert main([
         "ingest", "--tree", str(dirs["sim"] / "tree.jsonl"),
@@ -221,13 +247,18 @@ def pipeline_run(tmp_path_factory):
         "train", "--dataset", str(dirs["dataset"]), "--plans", str(dirs["plans"]),
         "--out", str(dirs["train"]), *SMALL_SETTINGS,
     ]) == 0
-    assert main([
+    evaluate = [
         "evaluate",
         "--tree", str(dirs["sim"] / "tree.jsonl"),
         "--layout", str(dirs["dataset"] / "layout.txt"),
         "--checkpoint", str(dirs["train"] / "checkpoint.ckpt"),
         "--population", str(dirs["sim"] / "population.csv"),
-        "--out", str(dirs["eval"]), *SMALL_SETTINGS,
+    ]
+    assert main([*evaluate, "--out", str(dirs["eval"]), *SMALL_SETTINGS]) == 0
+    annotation, reference = write_spike_orf(root)
+    assert main([
+        *evaluate, "--annotation", str(annotation), "--reference", str(reference),
+        "--out", str(dirs["eval_spike"]), *SMALL_SETTINGS, "--set", "task=spike", "--set", "ks=1,10,100",
     ]) == 0
     return dirs
 
@@ -259,6 +290,10 @@ class TestEndToEnd:
         plans = sorted(p.name for p in pipeline_run["plans"].glob("epoch_*.plan"))
         assert plans == [name for stage, name in DATA_STAGE_DIGESTS if stage == "plans"]
         for (stage, name), digest in DATA_STAGE_DIGESTS.items():
+            assert sha256_file(pipeline_run[stage] / name) == digest, f"{stage}/{name}"
+
+    def test_model_stage_bytes_are_pinned(self, pipeline_run):
+        for (stage, name), digest in MODEL_STAGE_DIGESTS.items():
             assert sha256_file(pipeline_run[stage] / name) == digest, f"{stage}/{name}"
 
     def test_train_records_the_plans_it_read(self, pipeline_run):
@@ -486,6 +521,17 @@ OUTSIDE_FILE_CASES = {
         "absent.fasta", None, "No such file or directory"),
 }
 
+# (the text of a definitions file its manifest lists, and the refusal after
+# "<file>: ")
+DEFINITIONS_CASES = {
+    "not-an-object": ("[1, 2]", "not a JSON object of variant definitions"),
+    "variant-not-an-object": ('{"V1": 3}', "variant 'V1': not an object: 3"),
+    "mutation-not-a-string": ('{"V1": {"muts": [5]}}', "variant 'V1': not a string: 5"),
+    "malformed-mutation": ('{"V1": {"muts": ["11439T", "zz"]}}', "variant 'V1': malformed mutation string 'zz'"),
+    "muts-not-a-list": ('{"V1": {"muts": "11439T"}}', "variant 'V1': 'muts' is not a list: '11439T'"),
+    "no-muts": ('{"V1": {"recombinant": false}}', "variant 'V1': no 'muts' list"),
+}
+
 # (stage arguments, then the refusal); the config cases' --set flags come
 # after SMALL_SETTINGS, so they override it
 CONFIG_CASES = {
@@ -572,6 +618,22 @@ class TestRefusals:
         assert_refused(capsys, [*(a.format(**paths) for a in argv), *SMALL_SETTINGS, "--out", str(out)],
                        out, f"{bad}: {message}")
 
+    @pytest.mark.parametrize("case", DEFINITIONS_CASES)
+    def test_malformed_definitions_refused_by_variant(self, pipeline_run, tmp_path, capsys, case):
+        text, message = DEFINITIONS_CASES[case]
+        defs = tmp_path / "defs" / "definitions.json"
+        defs.parent.mkdir()
+        defs.write_text(text)
+        write_manifest(defs.parent, "refine-variants", PipelineConfig(), {}, {"definitions": defs})
+        table = tmp_path / "table.csv"
+        table.write_text("mutation,expected_count,fitness\nC10T,5,0\n")
+        paths = self.paths(pipeline_run)
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            "evaluate", "--tree", paths["tree"], "--layout", paths["layout"], "--baseline", str(table),
+            "--definitions", str(defs), *SMALL_SETTINGS, "--out", str(out),
+        ], out, f"{defs}: {message}")
+
     @pytest.mark.parametrize("case", CONFIG_CASES)
     def test_config_value_refused_by_name(self, pipeline_run, tmp_path, capsys, case):
         argv, message = CONFIG_CASES[case]
@@ -616,24 +678,13 @@ class TestRefusals:
 
     @pytest.mark.parametrize("damage", ["empty", "half", "flipped-data-byte"])
     def test_damaged_checkpoint_refused_by_name(self, pipeline_run, tmp_path, capsys, damage):
-        # the train manifest is rewritten to match, so the loader must refuse it
-        train = tmp_path / "train"
-        shutil.copytree(pipeline_run["train"], train)
-        ckpt = train / "checkpoint.ckpt"
-        raw = bytearray(ckpt.read_bytes())
+        shutil.copytree(pipeline_run["train"], tmp_path / "train")
+        ckpt = damage_checkpoint(tmp_path / "train", damage)
         entry = "param/head.weight.npy"
         if damage == "flipped-data-byte":
-            with zipfile.ZipFile(ckpt) as zf:
-                data = zf.read(entry)
-            raw[bytes(raw).index(data) + len(data) - 1] ^= 0x01
             message = f"checkpoint entry {entry}: Bad CRC-32 for file {entry!r}"
         else:
-            raw = raw[: len(raw) // 2 if damage == "half" else 0]
             message = "not a readable zip archive: File is not a zip file"
-        ckpt.write_bytes(bytes(raw))
-        manifest = json.loads((train / "manifest.json").read_text())
-        manifest["outputs"]["checkpoint"]["sha256"] = sha256_file(ckpt)
-        (train / "manifest.json").write_text(json.dumps(manifest))
         paths = self.paths(pipeline_run)
         out = tmp_path / "out"
         assert_refused(capsys, [
@@ -828,6 +879,26 @@ def flip_head_weight_byte(src: Path, dst: Path) -> None:
             if info.filename == "param/head.weight.npy":
                 data = data[:-1] + bytes([data[-1] ^ 0x01])
             zout.writestr(info, data)
+
+
+def damage_checkpoint(train: Path, damage: str) -> Path:
+    """Damage the checkpoint in the ``train`` stage directory: ``empty`` or
+    ``half`` of it, or ``flipped-data-byte``, the last data byte of
+    ``param/head.weight.npy`` flipped. The manifest is rewritten to match,
+    so only the loader can refuse it. Returns the checkpoint's path."""
+    ckpt = train / "checkpoint.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    if damage == "flipped-data-byte":
+        with zipfile.ZipFile(ckpt) as zf:
+            data = zf.read("param/head.weight.npy")
+        raw[bytes(raw).index(data) + len(data) - 1] ^= 0x01
+    else:
+        raw = raw[: len(raw) // 2 if damage == "half" else 0]
+    ckpt.write_bytes(bytes(raw))
+    manifest = json.loads((train / "manifest.json").read_text())
+    manifest["outputs"]["checkpoint"]["sha256"] = sha256_file(ckpt)
+    (train / "manifest.json").write_text(json.dumps(manifest))
+    return ckpt
 
 
 class TestUpstreamVerification:
@@ -1101,3 +1172,71 @@ class TestOneHashPerInput:
         assert digests[digest] == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["inputs"]["checkpoint"] == {"path": str(ckpt), "sha256": digest}
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+class TestCheckpointLoadBehindTheTree:
+    """evaluate loads its checkpoint on a worker thread while it reads the
+    tree, and joins the worker before it returns or refuses."""
+
+    @staticmethod
+    def argv(pipeline_run, out: Path, tree=None, checkpoint=None) -> list[str]:
+        return [
+            "evaluate",
+            "--tree", str(tree or pipeline_run["sim"] / "tree.jsonl"),
+            "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+            "--checkpoint", str(checkpoint or pipeline_run["train"] / "checkpoint.ckpt"),
+            "--population", str(pipeline_run["sim"] / "population.csv"),
+            "--out", str(out), *SMALL_SETTINGS,
+        ]
+
+    def test_traced_spans_are_well_nested(self, pipeline_run, tmp_path):
+        # the tracer keeps one span stack for every thread, so every traced
+        # function must run on this one: one run on the worker would, once
+        # the load outlasts a span it overlaps, leave spans outside their
+        # parents
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        opened_on = []
+        tracer_open = tracer._open
+        tracer._open = lambda name: opened_on.append((name, threading.get_ident())) or tracer_open(name)
+        try:
+            tracer.install()
+            with tracer.span("cli.evaluate"):
+                assert main(self.argv(pipeline_run, tmp_path / "eval")) == 0
+        finally:
+            tracer.uninstall()
+        assert [name for name, thread in opened_on if thread != threading.get_ident()] == []
+        spans = tracer.spans
+        assert {"parse_tree", "Transformer.logits"} <= {name for name, *_ in spans}
+        assert [name for name, _, _, parent, _ in spans if parent < 0] == ["cli.evaluate"]
+        for name, start, end, parent, _ in spans[1:]:
+            assert spans[parent][1] <= start <= end <= spans[parent][2], (name, spans[parent][0])
+        assert (tmp_path / "eval" / "report.csv").read_bytes() == (pipeline_run["eval"] / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("fault", ["none", "tree", "checkpoint", "tree-and-checkpoint"])
+    def test_no_thread_outlives_the_stage(self, pipeline_run, tmp_path, capsys, fault):
+        # with both bad, the tree is refused, as when the load followed its read
+        tree = ckpt = None
+        if "tree" in fault:
+            tree = tmp_path / "tree.jsonl"
+            tree.write_text('{"id":"root","parent":null}\n{"id":"x","parent":"ghost"}\n')
+        if "checkpoint" in fault:
+            shutil.copytree(pipeline_run["train"], tmp_path / "train")
+            ckpt = damage_checkpoint(tmp_path / "train", "flipped-data-byte")
+        entry = "param/head.weight.npy"
+        refusal = {
+            "none": "",
+            "tree": f"error: {tree}: line 2: node 'x' has dangling parent 'ghost'\n",
+            "checkpoint": f"error: {ckpt}: checkpoint entry {entry}: Bad CRC-32 for file {entry!r}\n",
+        }
+        refusal["tree-and-checkpoint"] = refusal["tree"]
+        before = threading.active_count()
+        code = main(self.argv(pipeline_run, tmp_path / "out", tree, ckpt))
+        assert threading.active_count() == before
+        assert code == (0 if fault == "none" else 2)
+        assert capsys.readouterr().err == refusal[fault]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -126,8 +127,9 @@ class _Stage:
         self.outputs[key] = out_dir / filename
         return self.outputs[key]
 
-    def finish(self) -> None:
-        write_manifest(self.args.out, self.name, self.config, self.inputs, self.outputs)
+    def finish(self, **extra) -> None:
+        """Write the manifest, with ``extra`` as further top-level entries."""
+        write_manifest(self.args.out, self.name, self.config, self.inputs, self.outputs, extra)
 
 
 def _from_config(cls, config: PipelineConfig, **overrides):
@@ -359,6 +361,17 @@ def cmd_sample_plan(args) -> int:
     return 0
 
 
+def _blas_threads() -> int:
+    """The thread count BLAS runs with: OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, else the cores this process may run on, OpenBLAS's
+    default. A checkpoint's float64 sums, and so its bytes, depend on it."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            return int(value)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def cmd_train(args) -> int:
     dataset = Path(args.dataset)
     stage = _Stage(args, "train", tokens=dataset / "tokens.bin", layout=dataset / "layout.txt")
@@ -390,7 +403,7 @@ def cmd_train(args) -> int:
         config_hash=config.config_hash(),
     )
     write_training_log(state, stage.output("log", "train_log.csv"))
-    stage.finish()
+    stage.finish(blas_threads=_blas_threads())
     print(f"train: {state.step} steps, final loss {state.final_loss:.4f} -> {ckpt_out}")
     return 0
 

@@ -4,8 +4,11 @@ Everything runs in float64. Layers cache what their backward pass needs; call
 order must be forward then backward, once per step. Each module runs once per
 forward, so its backward writes Parameter.grad rather than adding to it: no
 gradient needs zeroing between steps, and a second backward of the same
-forward leaves the same gradients. An embedding writes only the rows of its
-ids and names them in Parameter.rows.
+forward leaves the same gradients. An embedding's weight is row-wise: its
+gradient holds only the rows of the last backward's ids, row i for the row
+named by Parameter.rows[i], and Adam keeps its moments only for the rows that
+have ever had a gradient; no array of the vocabulary's size is made for it
+beside the weight itself.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ ROPE_BASE = 10_000.0
 class Parameter:
     __slots__ = ("value", "grad", "rows")
 
-    def __init__(self, value: np.ndarray):
+    def __init__(self, value: np.ndarray, row_wise: bool = False):
         self.value = np.asarray(value, dtype=DTYPE)
-        # np.zeros, not zeros_like: a large array's zero pages come from the
-        # OS on first touch, so a model used only for inference never pays
-        # for its gradients
-        self.grad = np.zeros(self.value.shape, dtype=DTYPE)
-        # the rows the last backward wrote, when it wrote only those; the
-        # rest of grad is zero. None: backward writes every row
-        self.rows: np.ndarray | None = None
+        # row-wise: grad[i] is the gradient of row rows[i], sorted and
+        # distinct, and every other row's gradient is zero. None: grad has
+        # value's shape. np.zeros, not zeros_like: a large array's zero pages
+        # come from the OS on first touch, so a model used only for
+        # inference never pays for its gradients
+        self.rows: np.ndarray | None = np.empty(0, dtype=np.intp) if row_wise else None
+        shape = (0, *self.value.shape[1:]) if row_wise else self.value.shape
+        self.grad = np.zeros(shape, dtype=DTYPE)
 
 
 class Module:
@@ -53,7 +57,7 @@ class Module:
 
 class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
-        self.weight = Parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)))
+        self.weight = Parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)), row_wise=True)
         self._ids: np.ndarray | None = None
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
@@ -61,11 +65,13 @@ class Embedding(Module):
         return self.weight.value[ids]
 
     def backward(self, grad_out: np.ndarray) -> None:
+        """Write the gradient of the ids' distinct rows only. Each row sums
+        its ids' gradients in the ids' order, as a scatter-add into the full
+        table would."""
         w = self.weight
-        if w.rows is not None:
-            w.grad[w.rows] = 0.0
-        np.add.at(w.grad, self._ids, grad_out)
-        w.rows = np.unique(self._ids)
+        w.rows, slot = np.unique(self._ids, return_inverse=True)
+        w.grad = np.zeros((len(w.rows), grad_out.shape[-1]), dtype=DTYPE)
+        np.add.at(w.grad, slot.reshape(-1), grad_out.reshape(-1, grad_out.shape[-1]))
 
 
 class Linear(Module):

@@ -83,11 +83,11 @@ class Adam:
     the same order as the textbook formula, so the results are the same to
     the bit; it allocates nothing of parameter size.
 
-    A parameter whose backward names the rows it wrote (``Parameter.rows``)
-    is updated only on the rows that have ever had a gradient, copied out
-    and back. Every other row has m = v = g = 0, so the formula would
-    subtract lr * 0 / (0 + eps), which is 0: skipping it changes no bit,
-    given eps > 0."""
+    A row-wise parameter (``Parameter.rows``) has its moments kept, and is
+    updated, only on the rows that have ever had a gradient, in row order;
+    the moments grow when new rows appear. Every other row has m = v = g = 0,
+    so the formula would subtract lr * 0 / (0 + eps), which is 0: skipping it
+    changes no bit, given eps > 0."""
 
     # elements per block: the six blocks one pass touches (parameter,
     # gradient, both moments, two scratch) take 1.5 MB, within a 2 MB L2
@@ -97,12 +97,33 @@ class Adam:
         self.params = params
         self.config = config
         self.step_count = 0
+        # per row-wise parameter, the sorted rows that have had a gradient;
+        # its m[k][i] and v[k][i] belong to row live[k][i]
+        self.live = {k: np.empty(0, dtype=np.intp) for k, p in params.items() if p.rows is not None}
         # lazily zeroed pages, as for Parameter.grad
-        self.m = {k: np.zeros(p.value.shape, dtype=DTYPE) for k, p in params.items()}
-        self.v = {k: np.zeros(p.value.shape, dtype=DTYPE) for k, p in params.items()}
-        # per row-wise parameter, the rows that have had a gradient
-        self.live: dict[str, np.ndarray] = {}
+        shapes = {
+            k: (0, *p.value.shape[1:]) if k in self.live else p.value.shape for k, p in params.items()
+        }
+        self.m = {k: np.zeros(shape, dtype=DTYPE) for k, shape in shapes.items()}
+        self.v = {k: np.zeros(shape, dtype=DTYPE) for k, shape in shapes.items()}
         self._scratch = np.empty((2, self.BLOCK), dtype=DTYPE)
+
+    def _live_rows(self, k: str, p: Parameter) -> tuple[np.ndarray, np.ndarray]:
+        """The live rows of ``k`` after adding ``p.rows``, and ``p.grad``
+        spread over them (zero on the rows without a gradient this step);
+        the moments gain a zero row for each new row."""
+        live = self.live[k]
+        grown = np.union1d(live, p.rows)
+        if len(grown) > len(live):
+            kept = np.searchsorted(grown, live)
+            for moments in (self.m, self.v):
+                rows = np.zeros((len(grown), *p.value.shape[1:]), dtype=DTYPE)
+                rows[kept] = moments[k]
+                moments[k] = rows
+            self.live[k] = live = grown
+        grad = np.zeros((len(live), *p.value.shape[1:]), dtype=DTYPE)
+        grad[np.searchsorted(live, p.rows)] = p.grad
+        return live, grad
 
     def step(self, lr: float) -> None:
         c = self.config
@@ -110,12 +131,11 @@ class Adam:
         bc1 = 1.0 - c.beta1**self.step_count
         bc2 = 1.0 - c.beta2**self.step_count
         for k, p in self.params.items():
-            arrays = [p.value, p.grad, self.m[k], self.v[k]]
-            if p.rows is not None:
-                live = self.live.setdefault(k, np.zeros(len(p.value), dtype=bool))
-                live[p.rows] = True
-                idx = np.flatnonzero(live)
-                arrays = [a[idx] for a in arrays]
+            if p.rows is None:
+                arrays = [p.value, p.grad, self.m[k], self.v[k]]
+            else:
+                live, grad = self._live_rows(k, p)
+                arrays = [p.value[live], grad, self.m[k], self.v[k]]
             flat = [a.reshape(-1, copy=False) for a in arrays]
             for lo in range(0, flat[0].size, self.BLOCK):
                 w, g, m, v = (a[lo : lo + self.BLOCK] for a in flat)
@@ -133,7 +153,7 @@ class Adam:
                 np.multiply(np.divide(m, bc1, out=b), lr, out=b)
                 w -= np.divide(b, a, out=b)
             if p.rows is not None:
-                p.value[idx], self.m[k][idx], self.v[k][idx] = arrays[0], arrays[2], arrays[3]
+                p.value[live] = arrays[0]
 
 
 def check_samples_fit(

@@ -14,6 +14,10 @@ import numpy as np
 
 from .nn import Block, Embedding, LayerNorm, Linear, Module, softmax
 
+# bytes of logits per loss block: one 150,210-id row, or about 40 rows of
+# 3,195 ids, fits a 2 MB L2 with room to spare
+LOSS_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -140,15 +144,23 @@ def _row_cross_entropy(z: np.ndarray, targets: np.ndarray, compute_grad: bool) -
     """Mean cross-entropy of (n, V) logits ``z`` against n target ids.
 
     ``z`` becomes the softmax and then, with ``compute_grad``, the gradient
-    (p - onehot) / n: one (n, V) array in all."""
+    (p - onehot) / n: one (n, V) array in all. Each block of rows goes
+    through the softmax, the target gather and the gradient while it is in
+    cache; every row's values are those of the one-shot formula."""
     n = len(targets)
-    softmax(z, out=z)
-    at_target = (np.arange(n), targets)
-    loss = float(-np.log(np.maximum(z[at_target], 1e-300)).mean())
+    block = max(1, LOSS_BLOCK_BYTES // (z.shape[1] * z.itemsize))
+    at_target = np.empty(n, dtype=z.dtype)
+    for lo in range(0, n, block):
+        zb, tb = z[lo : lo + block], targets[lo : lo + block]
+        softmax(zb, out=zb)
+        hit = (np.arange(len(tb)), tb)
+        at_target[lo : lo + block] = zb[hit]
+        if compute_grad:
+            zb[hit] -= 1.0
+            zb /= n
+    loss = float(-np.log(np.maximum(at_target, 1e-300)).mean())
     if not compute_grad:
         return LossResult(loss=loss, n_targets=n)
-    z[at_target] -= 1.0
-    z /= n
     return LossResult(loss=loss, n_targets=n, grad_logits=z)
 
 

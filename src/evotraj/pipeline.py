@@ -16,11 +16,12 @@ import io
 import json
 import math
 import os
+import struct
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 CONFIG_HEADER = "evotraj-config v1"
 # the words a boolean config value may be, in any case
@@ -213,18 +214,19 @@ def write_json(path: Path | str, obj: object) -> None:
     write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def read_exact(f: BinaryIO, n: int, path: Path | str) -> bytes:
-    """The next ``n`` bytes of a binary file. When fewer remain, refuses it,
-    naming ``path`` and the byte offset, without reading: a corrupt length
-    field cannot ask for more memory than the file holds."""
-    offset = f.tell()
-    size = os.fstat(f.fileno()).st_size
-    if size - offset < n:
+def unpack_exact(fmt: str, data: bytes, offset: int, path: Path | str) -> tuple[tuple, int]:
+    """``struct.unpack_from(fmt, data, offset)`` on ``data``, the whole file
+    at ``path``, and the offset just past it. When fewer bytes remain than
+    ``fmt`` takes, refuses the file, naming ``path`` and the byte offset,
+    before unpacking: a corrupt length field cannot ask for more memory
+    than the file holds."""
+    n = struct.calcsize(fmt)
+    if len(data) - offset < n:
         raise Refused(
             f"{path}: truncated: {n} bytes expected at byte offset {offset}, "
-            f"file ends at byte {size}"
+            f"file ends at byte {len(data)}"
         )
-    return f.read(n)
+    return struct.unpack_from(fmt, data, offset), offset + n
 
 
 def write_manifest(
@@ -233,9 +235,11 @@ def write_manifest(
     config: PipelineConfig,
     inputs: dict[str, dict[str, str]],
     outputs: dict[str, Path | str],
+    extra: dict | None = None,
 ) -> Path:
     """Hash the outputs and record them, with the already hashed ``inputs``
-    (name -> {"path", "sha256"}), next to a snapshot of the config.
+    (name -> {"path", "sha256"}) and any ``extra`` top-level entries, next
+    to a snapshot of the config.
 
     Output paths are recorded relative to ``out_dir`` as POSIX strings; an
     output outside ``out_dir`` raises ``ValueError``.
@@ -252,6 +256,7 @@ def write_manifest(
             name: {"path": _relative_to_stage(p, out_dir), "sha256": sha256_file(p)}
             for name, p in outputs.items()
         },
+        **(extra or {}),
     }
     path = out_dir / "manifest.json"
     write_json(path, manifest)

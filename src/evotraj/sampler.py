@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pipeline import Refused, read_exact, write_atomic
+from .pipeline import Refused, unpack_exact, write_atomic
 
 PLAN_MAGIC = b"EVPL"
 PLAN_VERSION = 1
@@ -100,15 +100,16 @@ def save_plan(selection: EpochSelection, path: Path | str) -> None:
 
 
 def load_plan(path: Path | str) -> EpochSelection:
-    with open(path, "rb") as f:
-        if read_exact(f, 4, path) != PLAN_MAGIC:
-            raise Refused(f"{path}: not a sample-plan file")
-        version, n_workers = struct.unpack("<II", read_exact(f, 8, path))
-        if version != PLAN_VERSION:
-            raise Refused(f"{path}: unsupported plan version {version}")
-        per_worker = []
-        for _ in range(n_workers):
-            (n,) = struct.unpack("<I", read_exact(f, 4, path))
-            pairs = struct.unpack(f"<{2 * n}I", read_exact(f, 8 * n, path))
-            per_worker.append(list(zip(pairs[0::2], pairs[1::2])))
+    data = Path(path).read_bytes()
+    (magic,), at = unpack_exact("4s", data, 0, path)
+    if magic != PLAN_MAGIC:
+        raise Refused(f"{path}: not a sample-plan file")
+    (version, n_workers), at = unpack_exact("<II", data, at, path)
+    if version != PLAN_VERSION:
+        raise Refused(f"{path}: unsupported plan version {version}")
+    per_worker = []
+    for _ in range(n_workers):
+        (n,), at = unpack_exact("<I", data, at, path)
+        pairs, at = unpack_exact(f"<{2 * n}I", data, at, path)
+        per_worker.append(list(zip(pairs[0::2], pairs[1::2])))
     return EpochSelection(per_worker)

@@ -19,10 +19,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .genome import NT_STATES, NT_STATE_INDEX, NtMutation
-from .pipeline import Refused, read_exact, write_atomic
+from .pipeline import Refused, unpack_exact, write_atomic
 from .tree import PartialDate, Trajectory
 
 LAYOUT_HEADER = "evotraj-tokenizer-layout v1"
@@ -285,32 +285,32 @@ def write_token_stream(samples: Iterable[TokenizedSample], path: Path | str) -> 
 
 
 def read_token_stream(path: Path | str) -> list[TokenizedSample]:
-    """The samples of a token stream; a sample whose prefix is not
-    PREFIX_LENGTH tokens, or whose split index is beyond its trajectory, is
-    refused, naming the file and the sample index."""
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, path)
-        if magic != STREAM_MAGIC:
-            raise Refused(f"{path}: bad magic {magic!r}")
-        version, n_samples = struct.unpack("<II", read_exact(f, 8, path))
-        if version != STREAM_VERSION:
-            raise Refused(f"{path}: unsupported stream version {version}")
-        out = []
-        for i in range(n_samples):
-            n_prefix, split_index, n_traj = struct.unpack("<III", read_exact(f, 12, path))
-            if n_prefix != PREFIX_LENGTH:
-                raise Refused(f"{path}: sample {i} has a prefix of {n_prefix} tokens, not {PREFIX_LENGTH}")
-            if split_index > n_traj:
-                raise Refused(f"{path}: sample {i} has split index {split_index}"
-                              f" beyond its {n_traj} trajectory tokens")
-            n = n_prefix + n_traj
-            ids = struct.unpack(f"<{n}I", read_exact(f, 4 * n, path))
-            out.append(
-                TokenizedSample(
-                    prefix_tokens=ids[:n_prefix],
-                    trajectory_tokens=ids[n_prefix:],
-                    split_index=split_index,
-                )
+    """The samples of a token stream, read from the file in one read; a
+    sample whose prefix is not PREFIX_LENGTH tokens, or whose split index
+    is beyond its trajectory, is refused, naming the file and the sample
+    index."""
+    data = Path(path).read_bytes()
+    (magic,), at = unpack_exact("4s", data, 0, path)
+    if magic != STREAM_MAGIC:
+        raise Refused(f"{path}: bad magic {magic!r}")
+    (version, n_samples), at = unpack_exact("<II", data, at, path)
+    if version != STREAM_VERSION:
+        raise Refused(f"{path}: unsupported stream version {version}")
+    out = []
+    for i in range(n_samples):
+        (n_prefix, split_index, n_traj), at = unpack_exact("<III", data, at, path)
+        if n_prefix != PREFIX_LENGTH:
+            raise Refused(f"{path}: sample {i} has a prefix of {n_prefix} tokens, not {PREFIX_LENGTH}")
+        if split_index > n_traj:
+            raise Refused(f"{path}: sample {i} has split index {split_index}"
+                          f" beyond its {n_traj} trajectory tokens")
+        ids, at = unpack_exact(f"<{n_prefix + n_traj}I", data, at, path)
+        out.append(
+            TokenizedSample(
+                prefix_tokens=ids[:n_prefix],
+                trajectory_tokens=ids[n_prefix:],
+                split_index=split_index,
             )
-        return out
+        )
+    return out
 

@@ -102,8 +102,6 @@ def merge_indels(base: VariantDefinition, nextstrain: NextstrainDefinition) -> V
     trace = dict(base.source_trace)
     existing = {(m.site, m.to) for m in muts}
     for start, end in nextstrain.dels:
-        if end < start:
-            raise ValueError(f"deletion range {start}-{end} reversed")
         indels.append(IndelRecord("del", start, end))
         for site in range(start, end + 1):
             if (site, "-") not in existing:
@@ -205,27 +203,53 @@ def _dedup(muts: Iterable[NtMutation]) -> list[NtMutation]:
 
 
 def load_nextstrain_definitions(path: Path | str) -> dict[str, NextstrainDefinition]:
-    """JSON file mapping variant name to {"subs": [...], "dels": ["start-end"], "ins": ["pos:SEQ"]}."""
+    """JSON file mapping variant name to {"subs": [...], "dels": ["start-end"], "ins": ["pos:SEQ"]}.
+    A file that is not an object of objects whose entries are lists of
+    such strings, or that holds a reversed deletion range, raises
+    ValueError, naming the variant at fault."""
     raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict) or not all(isinstance(spec, dict) for spec in raw.values()):
+    if not isinstance(raw, dict):
         raise ValueError("not a JSON object of variant definitions")
+    parsers = {"subs": _ParsedOnce(NtMutation.parse).__getitem__, "dels": _deletion, "ins": _insertion}
     out = {}
     for name, spec in raw.items():
-        dels = []
-        for r in spec.get("dels", []):
-            start, _, end = str(r).partition("-")
-            dels.append((int(start), int(end) if end else int(start)))
-        ins = []
-        for r in spec.get("ins", []):
-            pos, _, seq = str(r).partition(":")
-            ins.append((int(pos), seq))
-        out[name] = NextstrainDefinition(
-            name=name,
-            subs=tuple(NtMutation.parse(s) for s in spec.get("subs", [])),
-            dels=tuple(dels),
-            ins=tuple(ins),
-        )
+        if not isinstance(spec, dict):
+            raise ValueError(f"variant {name!r}: not an object: {spec!r}")
+        entries = {}
+        for key, parse in parsers.items():
+            items = spec.get(key, [])
+            if not isinstance(items, list):
+                raise ValueError(f"variant {name!r}: {key!r} is not a list: {items!r}")
+            try:
+                entries[key] = tuple(parse(item) for item in items)
+            except (ValueError, TypeError) as e:
+                raise ValueError(f"variant {name!r}: {e}") from None
+        out[name] = NextstrainDefinition(name=name, **entries)
     return out
+
+
+def _deletion(entry) -> tuple[int, int]:
+    """A Nextstrain deletion, ``start-end`` or a single site, as an inclusive range."""
+    start, _, end = str(entry).partition("-")
+    try:
+        first, last = int(start), int(end or start)
+    except ValueError:
+        raise ValueError(f"malformed deletion {entry!r}") from None
+    if last < first:
+        raise ValueError(f"deletion range {first}-{last} reversed")
+    return first, last
+
+
+def _insertion(entry) -> tuple[int, str]:
+    """A Nextstrain insertion ``pos:SEQ`` as (pos, SEQ)."""
+    pos, _, seq = str(entry).partition(":")
+    try:
+        site = int(pos)
+    except ValueError:
+        site = None
+    if site is None or not seq:
+        raise ValueError(f"malformed insertion {entry!r}")
+    return site, seq
 
 
 def save_definitions(definitions: Iterable[VariantDefinition], path: Path | str) -> None:

@@ -320,7 +320,12 @@ class TestCriterion5ModelNumerics:
 
             touched = np.unique(inputs)
             for name, p in model.parameters().items():
-                flat, gflat = p.value.reshape(-1), p.grad.reshape(-1)
+                grad = p.grad
+                if p.rows is not None:
+                    # a row-wise gradient holds its rows only; the rest are zero
+                    grad = np.zeros(p.value.shape)
+                    grad[p.rows] = p.grad
+                flat, gflat = p.value.reshape(-1), grad.reshape(-1)
                 if name == "embed.weight":
                     cols = p.value.shape[1]
                     idxs = [r * cols + int(rng.integers(0, cols)) for r in touched[:5]]

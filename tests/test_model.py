@@ -36,6 +36,7 @@ from evotraj.model.nn import (
     softmax,
 )
 from evotraj.model.training import Adam, TrainingDiverged, TrainState, plan_batch
+from evotraj.model.transformer import LOSS_BLOCK_BYTES
 from evotraj.genome import NtMutation
 from evotraj.pipeline import sha256_file
 from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, TokenizedSample, Tokenizer
@@ -195,6 +196,90 @@ class TestLossFunction:
         assert np.all(res.grad_logits[~mask] == 0.0)
 
 
+def dense_grad(p: Parameter) -> np.ndarray:
+    """``p``'s gradient over all of its rows: a row-wise one scattered into
+    zeros, since every row it does not hold has a zero gradient."""
+    if p.rows is None:
+        return p.grad
+    full = np.zeros(p.value.shape)
+    full[p.rows] = p.grad
+    return full
+
+
+def dense_moments(opt: Adam, k: str) -> tuple[np.ndarray, np.ndarray]:
+    """``opt``'s m and v of parameter ``k`` over all of its rows: a row-wise
+    parameter's scattered into zeros from its live rows."""
+    if k not in opt.live:
+        return opt.m[k], opt.v[k]
+    out = []
+    for rows in (opt.m[k], opt.v[k]):
+        full = np.zeros(opt.params[k].value.shape)
+        full[opt.live[k]] = rows
+        out.append(full)
+    return out[0], out[1]
+
+
+def one_shot_softmax(z: np.ndarray) -> np.ndarray:
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def one_shot_cross_entropy(z: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean cross-entropy of (n, V) logits and its gradient, over the
+    whole array at once."""
+    p = one_shot_softmax(z)
+    at = (np.arange(len(targets)), targets)
+    loss = float(-np.log(np.maximum(p[at], 1e-300)).mean())
+    p[at] -= 1.0
+    return loss, p / len(targets)
+
+
+class TestBlockedLoss:
+    """The loss takes the softmax, the target gather and the gradient one
+    block of rows at a time; every value equals the one-shot formula's."""
+
+    # (V, rows): rows of less than, exactly and more than one block's bytes,
+    # and row counts that are not a multiple of the rows in a block
+    SHAPES = [(97, 1400), (3195, 83), (LOSS_BLOCK_BYTES // 8, 3), (LOSS_BLOCK_BYTES // 8 + 1, 3), (150_210, 2)]
+
+    @pytest.mark.parametrize("vocab, n", SHAPES)
+    @pytest.mark.parametrize("compute_grad", [True, False])
+    def test_row_form_is_bit_identical_to_one_shot(self, vocab, n, compute_grad):
+        rng = np.random.default_rng(vocab + n)
+        z = rng.normal(size=(n, vocab)) * 4.0
+        targets = rng.integers(0, vocab, size=n)
+        probs = one_shot_softmax(z)
+        loss, grad = one_shot_cross_entropy(z, targets)
+        assert np.array_equal(softmax(z), probs)
+        mask = np.ones((1, n), dtype=bool)
+        got = masked_cross_entropy(z, targets[None, :], mask, compute_grad=compute_grad)
+        assert got.loss == loss and got.n_targets == n
+        if compute_grad:
+            assert np.array_equal(got.grad_logits, grad)
+        else:
+            # the logits were overwritten by their softmax
+            assert got.grad_logits is None and np.array_equal(z, probs)
+
+    @pytest.mark.parametrize("vocab, shape", [(97, (40, 50)), (3195, (4, 30)), (LOSS_BLOCK_BYTES // 8 + 1, (2, 3))])
+    @pytest.mark.parametrize("compute_grad", [True, False])
+    def test_full_form_is_bit_identical_to_one_shot(self, vocab, shape, compute_grad):
+        rng = np.random.default_rng(vocab)
+        logits = rng.normal(size=(*shape, vocab)) * 4.0
+        targets = rng.integers(0, vocab, size=shape)
+        mask = rng.random(shape) < 0.7
+        mask[0, 0] = True
+        before = logits.copy()
+        loss, grad = one_shot_cross_entropy(logits[mask], targets[mask])
+        got = masked_cross_entropy(logits, targets, mask, compute_grad=compute_grad)
+        assert got.loss == loss and got.n_targets == mask.sum()
+        assert np.array_equal(logits, before)
+        if compute_grad:
+            assert np.array_equal(got.grad_logits[mask], grad)
+            assert not got.grad_logits[~mask].any()
+        else:
+            assert got.grad_logits is None
+
+
 class TestGradients:
     def test_finite_difference_agreement_every_parameter(self):
         model = Transformer(DESK, seed=11)
@@ -211,7 +296,7 @@ class TestGradients:
         worst = 0.0
         for name, p in model.parameters().items():
             flat = p.value.reshape(-1)
-            gflat = p.grad.reshape(-1)
+            gflat = dense_grad(p).reshape(-1)
             if name == "embed.weight":
                 # only rows present in the batch receive gradient
                 cols = p.value.shape[1]
@@ -293,7 +378,7 @@ class TestLossRows:
         model.backward(weights)
         rng = np.random.default_rng(10)
         for name, p in model.parameters().items():
-            flat, gflat = p.value.reshape(-1), p.grad.reshape(-1)
+            flat, gflat = p.value.reshape(-1), dense_grad(p).reshape(-1)
             if name == "embed.weight":
                 cols = p.value.shape[1]
                 idxs = [r * cols + rng.integers(0, cols) for r in np.unique(ids)[:4]]
@@ -335,11 +420,11 @@ class TestBackwardWrites:
             model.backward(trajectory_loss(model, ids, targets, mask).grad_logits)
         fresh.backward(trajectory_loss(fresh, second, targets, mask).grad_logits)
         embed = model.parameters()["embed.weight"]
-        assert not embed.grad[np.unique(first)].any()
+        assert not dense_grad(embed)[np.unique(first)].any()
         assert np.array_equal(embed.rows, np.unique(second))
         fresh_params = fresh.parameters()
         for name, p in model.parameters().items():
-            assert np.array_equal(p.grad, fresh_params[name].grad), name
+            assert np.array_equal(dense_grad(p), dense_grad(fresh_params[name])), name
 
 
 class TestLayers:
@@ -408,7 +493,8 @@ class TestAdam:
     def test_row_path_matches_dense_formula(self):
         rng = np.random.default_rng(13)
         rows, cols = 50, 4
-        emb, dense = Parameter(rng.normal(size=(rows, cols))), Parameter(rng.normal(size=(3, 5)))
+        emb = Parameter(rng.normal(size=(rows, cols)), row_wise=True)
+        dense = Parameter(rng.normal(size=(3, 5)))
         params = {"emb": emb, "dense": dense}
         start = emb.value.copy()
         ref = {k: p.value.copy() for k, p in params.items()}
@@ -421,24 +507,27 @@ class TestAdam:
         for step, live in enumerate(touched, start=1):
             lr = 0.01 / step
             bc1, bc2 = 1.0 - c.beta1**step, 1.0 - c.beta2**step
-            # as an embedding's backward leaves it: zero outside the rows
-            emb.grad[...] = 0.0
-            emb.grad[live] = rng.normal(size=(len(live), cols))
+            # as an embedding's backward leaves it: the gradient of its rows only
+            emb.grad = rng.normal(size=(len(live), cols))
             emb.rows = np.array(live)
             dense.grad[...] = rng.normal(size=dense.value.shape)
             for k, p in params.items():
-                m[k] = c.beta1 * m[k] + (1 - c.beta1) * p.grad
-                v[k] = c.beta2 * v[k] + (1 - c.beta2) * p.grad**2
+                m[k] = c.beta1 * m[k] + (1 - c.beta1) * dense_grad(p)
+                v[k] = c.beta2 * v[k] + (1 - c.beta2) * dense_grad(p)**2
                 ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + c.eps)
             before = emb.value[0].copy()
             opt.step(lr)
             for k, p in params.items():
                 assert np.array_equal(p.value, ref[k]), (step, k)
-                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), (step, k)
+                opt_m, opt_v = dense_moments(opt, k)
+                assert np.array_equal(opt_m, m[k]) and np.array_equal(opt_v, v[k]), (step, k)
             # the row touched at step 1 keeps moving on its decaying moments
             assert not np.array_equal(emb.value[0], before), step
         assert np.array_equal(emb.value[-1], start[-1])
-        assert not opt.m["emb"][-1].any() and not opt.v["emb"][-1].any()
+        opt_m, opt_v = dense_moments(opt, "emb")
+        assert not opt_m[-1].any() and not opt_v[-1].any()
+        # and no moment row is stored for it
+        assert 49 not in opt.live["emb"] and len(opt.m["emb"]) == len(opt.live["emb"])
 
 
 def toy_dataset(tok: Tokenizer, n=64, seed=0):
@@ -518,8 +607,9 @@ class TestTraining:
             lr = tcfg.lr_at(step)
             bc1, bc2 = 1.0 - tcfg.beta1 ** (step + 1), 1.0 - tcfg.beta2 ** (step + 1)
             for k, p in params.items():
-                m[k] = tcfg.beta1 * m[k] + (1 - tcfg.beta1) * p.grad
-                v[k] = tcfg.beta2 * v[k] + (1 - tcfg.beta2) * p.grad**2
+                grad = dense_grad(p)
+                m[k] = tcfg.beta1 * m[k] + (1 - tcfg.beta1) * grad
+                v[k] = tcfg.beta2 * v[k] + (1 - tcfg.beta2) * grad**2
                 p.value -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + tcfg.eps)
         assert [loss for _, _, loss in state.log] == losses
         trained = state.model.parameters()
@@ -923,6 +1013,26 @@ class TestAllocation:
         peak, dx = traced_peak(model.head.backward, grad_logits)
         assert dx.shape == (self.ROWS, 16)
         assert peak < head // 4, f"peak {peak / 2**20:.1f} MB"
+
+    def test_training_step_keeps_only_the_embedding_rows_it_touched(self):
+        # at the production vocabulary the embedding's gradient and moments
+        # hold its live rows, not 150,210 of them
+        vocab, hidden = 150_210, 16
+        model = Transformer(ModelConfig(vocab_size=vocab, layers=1, hidden=hidden, heads=2), seed=0)
+        opt = Adam(model.parameters(), TrainConfig())
+        embed = model.parameters()["embed.weight"]
+        rng = np.random.default_rng(1)
+        live = np.empty(0, dtype=np.intp)
+        for _ in range(2):
+            ids = rng.integers(0, vocab, size=(2, 8))
+            targets = rng.integers(0, vocab, size=(2, 8))
+            model.backward(trajectory_loss(model, ids, targets, np.ones((2, 8), dtype=bool)).grad_logits)
+            assert embed.grad.shape == (len(np.unique(ids)), hidden)
+            assert np.array_equal(embed.rows, np.unique(ids))
+            opt.step(1e-3)
+            live = np.union1d(live, ids)
+            assert np.array_equal(opt.live["embed.weight"], live)
+            assert opt.m["embed.weight"].shape == opt.v["embed.weight"].shape == (len(live), hidden)
 
     def test_save_checkpoint_copies_no_parameter(self, tmp_path):
         # at the production vocabulary the (hidden, V) head is larger than

@@ -3,6 +3,7 @@ import collections
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import shutil
 import struct
@@ -198,11 +199,14 @@ DATA_STAGE_DIGESTS = {
     ("plans", "epoch_001.plan"): "2184f3a0cad1b797d2560a1e5ac53d453034ae59e5656ca8021e452b6c5136b6",
 }
 
-# sha256 of the train and evaluate outputs ``pipeline_run`` writes. They
-# come from float64 matrix products, yet read the same at one and two
-# OpenBLAS threads; the checkpoint does not, so it is not pinned.
+# sha256 of the train, predict and evaluate outputs ``pipeline_run`` writes.
+# They come from float64 matrix products, yet read the same at one and two
+# OpenBLAS threads; the checkpoint does not, so it is not pinned, but tested
+# for the same bytes from two runs. ``ranked.csv`` holds model scores to 8
+# digits.
 MODEL_STAGE_DIGESTS = {
     ("train", "train_log.csv"): "d8d1de9e9e216e2f70db2d04c144dabd1e4735893fc3e219ba143ed37a8ae402",
+    ("predict", "ranked.csv"): "c6e1e20e51797dc0c44ffa59a1b6275f609e6d28d7ebc2f2be6e65e3c85aeca8",
     ("eval", "report.csv"): "9c46739566353c43e35ed5743d0fa975c432ac7574fde7399b4aea4d61a26c12",
     ("eval", "eval_stats.json"): "20d3e3d304f42a3accd55e32a2926a7a3747d8ac3237b4e36554f1f03b4e2044",
     ("eval_spike", "report.csv"): "4df9ea8721c79b4c0c1f9d9a1bcb9d39cee06c8c77bce79d6d4a81706128d08a",
@@ -223,11 +227,12 @@ def write_spike_orf(root: Path) -> tuple[Path, Path]:
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
-    """One full simulate -> ... -> evaluate chain shared by the CLI tests,
-    evaluated on the nucleotide task and, at k up to 100, the spike task."""
+    """One full simulate -> ... -> evaluate chain shared by the CLI tests:
+    a prediction for one context, and evaluation on the nucleotide task and,
+    at k up to 100, the spike task."""
     root = tmp_path_factory.mktemp("pipe")
     dirs = {name: root / name for name in
-            ("sim", "ingest", "dataset", "plans", "train", "eval", "eval_spike")}
+            ("sim", "ingest", "dataset", "plans", "train", "predict", "eval", "eval_spike")}
     assert main(["simulate", "--out", str(dirs["sim"]), *SMALL_SETTINGS]) == 0
     assert main([
         "ingest", "--tree", str(dirs["sim"] / "tree.jsonl"),
@@ -246,6 +251,11 @@ def pipeline_run(tmp_path_factory):
     assert main([
         "train", "--dataset", str(dirs["dataset"]), "--plans", str(dirs["plans"]),
         "--out", str(dirs["train"]), *SMALL_SETTINGS,
+    ]) == 0
+    assert main([
+        "predict", "--checkpoint", str(dirs["train"] / "checkpoint.ckpt"),
+        "--layout", str(dirs["dataset"] / "layout.txt"), "--date", "2024-06-05",
+        "--variant-muts", "C10T,G50A", "-k", "20", "--out", str(dirs["predict"]), *SMALL_SETTINGS,
     ]) == 0
     evaluate = [
         "evaluate",
@@ -295,6 +305,30 @@ class TestEndToEnd:
     def test_model_stage_bytes_are_pinned(self, pipeline_run):
         for (stage, name), digest in MODEL_STAGE_DIGESTS.items():
             assert sha256_file(pipeline_run[stage] / name) == digest, f"{stage}/{name}"
+
+    def test_two_train_runs_write_the_same_checkpoint(self, pipeline_run, tmp_path):
+        assert main([
+            "train", "--dataset", str(pipeline_run["dataset"]), "--plans", str(pipeline_run["plans"]),
+            "--out", str(tmp_path / "train"), *SMALL_SETTINGS,
+        ]) == 0
+        for name in ("checkpoint.ckpt", "train_log.csv"):
+            assert (tmp_path / "train" / name).read_bytes() == (pipeline_run["train"] / name).read_bytes(), name
+
+    def test_train_records_its_blas_threads(self, pipeline_run):
+        manifest = json.loads((pipeline_run["train"] / "manifest.json").read_text())
+        assert manifest["blas_threads"] == cli._blas_threads()
+
+    @pytest.mark.parametrize("openblas, omp, threads", [
+        ("3", "5", 3), (None, "5", 5), (" 4 ", None, 4), ("0", "2", 2), ("many", None, None), (None, None, None),
+    ], ids=["openblas-first", "omp", "spaces", "zero-ignored", "not-a-count", "unset"])
+    def test_blas_threads_from_the_environment(self, monkeypatch, openblas, omp, threads):
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        # without a count in force, OpenBLAS runs one thread per core it may use
+        assert cli._blas_threads() == (threads or len(os.sched_getaffinity(0)))
 
     def test_train_records_the_plans_it_read(self, pipeline_run):
         plans = json.loads((pipeline_run["plans"] / "manifest.json").read_text())["outputs"]
@@ -534,6 +568,16 @@ DEFINITIONS_CASES = {
 
 # (stage arguments, then the refusal); the config cases' --set flags come
 # after SMALL_SETTINGS, so they override it
+# (the text of a --nextstrain file, and the refusal after "<file>: ")
+NEXTSTRAIN_CASES = {
+    "variant-not-an-object": ('{"V": 3}', "variant 'V': not an object: 3"),
+    "sub-not-a-string": ('{"V": {"subs": [5]}}', "variant 'V': not a string: 5"),
+    "subs-not-a-list": ('{"V": {"subs": "100T"}}', "variant 'V': 'subs' is not a list: '100T'"),
+    "malformed-deletion": ('{"V": {"dels": ["a-b"]}}', "variant 'V': malformed deletion 'a-b'"),
+    "reversed-deletion": ('{"V": {"dels": ["152-150"]}}', "variant 'V': deletion range 152-150 reversed"),
+    "malformed-insertion": ('{"V": {"ins": ["x:GAG"]}}', "variant 'V': malformed insertion 'x:GAG'"),
+}
+
 CONFIG_CASES = {
     "unknown-task": (
         ["evaluate", "--tree", "{tree}", *MODEL, "--set", "task=foo"], "config: unknown task 'foo'"),
@@ -633,6 +677,17 @@ class TestRefusals:
             "evaluate", "--tree", paths["tree"], "--layout", paths["layout"], "--baseline", str(table),
             "--definitions", str(defs), *SMALL_SETTINGS, "--out", str(out),
         ], out, f"{defs}: {message}")
+
+    @pytest.mark.parametrize("case", NEXTSTRAIN_CASES)
+    def test_malformed_nextstrain_refused_by_variant(self, pipeline_run, tmp_path, capsys, case):
+        text, message = NEXTSTRAIN_CASES[case]
+        ns = tmp_path / "ns.json"
+        ns.write_text(text)
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            "refine-variants", "--tree", self.paths(pipeline_run)["tree"], "--nextstrain", str(ns),
+            *SMALL_SETTINGS, "--out", str(out),
+        ], out, f"{ns}: {message}")
 
     @pytest.mark.parametrize("case", CONFIG_CASES)
     def test_config_value_refused_by_name(self, pipeline_run, tmp_path, capsys, case):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import json
 import math
 import os
 import sys
@@ -372,6 +373,22 @@ def _blas_threads() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _check_plans_drawn_from(plans: Path, dataset: Path) -> None:
+    """Refuse plans that ``sample-plan`` drew from another dataset: a plan's
+    ids index the samples of the dataset whose weights.csv it read. The
+    digests compared are those the two manifests record."""
+    try:
+        drawn = json.loads((plans / "manifest.json").read_text())["inputs"]["weights"]["sha256"]
+    except (KeyError, TypeError):
+        drawn = None
+    weights = manifest_entries(dataset, only="weights.csv").popitem()[1]["sha256"]
+    if drawn != weights:
+        raise Refused(
+            f"plans under {plans} were not sampled from the dataset {dataset}: they record"
+            f" weights.csv {str(drawn)[:12]}, the dataset's is {weights[:12]}"
+        )
+
+
 def cmd_train(args) -> int:
     dataset = Path(args.dataset)
     stage = _Stage(args, "train", tokens=dataset / "tokens.bin", layout=dataset / "layout.txt")
@@ -383,6 +400,7 @@ def cmd_train(args) -> int:
     plans = Path(args.plans)
     # only the plan files the verified manifest names are read, and recorded
     outputs = verify_against_manifest(plans)
+    _check_plans_drawn_from(plans, dataset)
     plan_inputs = {
         name: {"path": str(plans / outputs[name]["path"]), "sha256": outputs[name]["sha256"]}
         for name in sorted(outputs) if name.startswith("epoch_")

@@ -289,8 +289,8 @@ class SpikeMap:
 class SpikeState:
     """Mutable spike-span genome state for replaying a mutation trajectory in order.
 
-    apply() returns the amino-acid effect of each mutation computed against the
-    codon context in force just before that mutation.
+    effect_of() gives a mutation's amino-acid effect against the codon context
+    in force just before it, and write() then puts the mutation in force.
     """
 
     def __init__(self, spike_map: SpikeMap):

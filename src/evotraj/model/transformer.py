@@ -50,8 +50,6 @@ class Transformer(Module):
 
     def _check_input(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
-        if ids.ndim == 1:
-            ids = ids[None, :]
         if ids.shape[1] > self.config.max_seq:
             raise ValueError(
                 f"sequence length {ids.shape[1]} exceeds max_seq {self.config.max_seq}"
@@ -60,11 +58,10 @@ class Transformer(Module):
             raise ValueError("token id outside vocabulary")
         return ids
 
-    def logits(self, ids: np.ndarray, rows=None) -> np.ndarray:
-        """(B, T, V) next-token logits. ``rows`` indexes the (B, T) positions,
-        e.g. a (batch indices, positions) pair; then only those positions go
-        through the head and the result is (rows, V). ``backward`` follows
-        either form; for a gathered forward the rows must be distinct, as
+    def logits(self, ids: np.ndarray, rows) -> np.ndarray:
+        """(n, V) next-token logits of (B, T) ``ids`` at the n positions that
+        ``rows`` indexes, e.g. a (batch indices, positions) pair; only those
+        positions go through the head. The rows must be distinct, as
         ``np.nonzero`` of a mask gives them."""
         ids = self._check_input(ids)
         x = self.embed.forward(ids)
@@ -72,27 +69,22 @@ class Transformer(Module):
             x = block.forward(x)
         x = self.ln_f.forward(x)
         self._rows, self._hidden_shape = rows, x.shape
-        if rows is not None:
-            x = x[rows]
-        return self.head.forward(x)
+        return self.head.forward(x[rows])
 
-    def forward(self, ids: np.ndarray, rows=None) -> np.ndarray:
-        """Per-position probability distribution over the vocabulary, at
-        ``rows`` only when given (see ``logits``). The softmax is taken in
-        place on the fresh logits, so one (rows, V) array is made, not two."""
+    def forward(self, ids: np.ndarray, rows) -> np.ndarray:
+        """(n, V) probability distributions over the vocabulary at ``rows``
+        (see ``logits``). The softmax is taken in place on the fresh logits,
+        so one (n, V) array is made, not two."""
         z = self.logits(ids, rows)
         return softmax(z, out=z)
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        """Backpropagate the gradient of the last ``logits`` call's output:
-        (B, T, V), or (rows, V) for a gathered forward."""
-        dx = self.head.backward(grad_logits)
-        if self._rows is not None:
-            # positions outside the rows had no head output, so no gradient
-            full = np.zeros(self._hidden_shape)
-            full[self._rows] = dx
-            dx = full
-        dx = self.ln_f.backward(dx)
+        """Backpropagate the (n, V) gradient of the last ``logits`` call's
+        output. Positions outside its rows had no head output, so their
+        gradient is zero."""
+        full = np.zeros(self._hidden_shape)
+        full[self._rows] = self.head.backward(grad_logits)
+        dx = self.ln_f.backward(full)
         for block in reversed(self.blocks):
             dx = block.backward(dx)
         self.embed.backward(dx)
@@ -102,51 +94,17 @@ class Transformer(Module):
 class LossResult:
     loss: float
     n_targets: int
-    grad_logits: np.ndarray | None = None
+    grad_logits: np.ndarray
 
 
-def masked_cross_entropy(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    target_mask: np.ndarray,
-    compute_grad: bool = True,
-) -> LossResult:
-    """Mean next-token cross-entropy over mask-true target positions.
+def masked_cross_entropy(z: np.ndarray, targets: np.ndarray) -> LossResult:
+    """Mean next-token cross-entropy of (n, V) row logits ``z`` against the n
+    row target ids.
 
-    targets[i, t] is the token to predict from position t; target_mask selects
-    trajectory-token targets only, so prefix and padding positions contribute
-    nothing.
-
-    ``logits`` is either the full (B, T, V) array, left untouched, with a
-    (B, T, V) gradient that is zero outside the mask; or the (n, V) logits of
-    the mask's rows in ``np.nonzero(target_mask)`` order, as
-    ``Transformer.logits(ids, rows=np.nonzero(target_mask))`` returns them.
-    Those are overwritten: the gradient, (n, V), is computed in place.
-    """
-    if not target_mask.any():
-        raise ValueError("batch has no trajectory-token targets")
-    rows = np.nonzero(target_mask)
-    if logits.ndim == 2:
-        if len(logits) != len(rows[0]):
-            raise ValueError(
-                f"{len(logits)} logit rows for {len(rows[0])} mask-true targets"
-            )
-        return _row_cross_entropy(logits, targets[rows], compute_grad)
-    result = _row_cross_entropy(logits[rows], targets[rows], compute_grad)
-    if compute_grad:
-        grad = np.zeros_like(logits)
-        grad[rows] = result.grad_logits
-        result.grad_logits = grad
-    return result
-
-
-def _row_cross_entropy(z: np.ndarray, targets: np.ndarray, compute_grad: bool) -> LossResult:
-    """Mean cross-entropy of (n, V) logits ``z`` against n target ids.
-
-    ``z`` becomes the softmax and then, with ``compute_grad``, the gradient
-    (p - onehot) / n: one (n, V) array in all. Each block of rows goes
-    through the softmax, the target gather and the gradient while it is in
-    cache; every row's values are those of the one-shot formula."""
+    ``z`` becomes the softmax and then the gradient (p - onehot) / n, in
+    place: one (n, V) array in all. Each block of rows goes through the
+    softmax, the target gather and the gradient while it is in cache; every
+    row's values are those of the one-shot formula."""
     n = len(targets)
     block = max(1, LOSS_BLOCK_BYTES // (z.shape[1] * z.itemsize))
     at_target = np.empty(n, dtype=z.dtype)
@@ -155,12 +113,9 @@ def _row_cross_entropy(z: np.ndarray, targets: np.ndarray, compute_grad: bool) -
         softmax(zb, out=zb)
         hit = (np.arange(len(tb)), tb)
         at_target[lo : lo + block] = zb[hit]
-        if compute_grad:
-            zb[hit] -= 1.0
-            zb /= n
+        zb[hit] -= 1.0
+        zb /= n
     loss = float(-np.log(np.maximum(at_target, 1e-300)).mean())
-    if not compute_grad:
-        return LossResult(loss=loss, n_targets=n)
     return LossResult(loss=loss, n_targets=n, grad_logits=z)
 
 
@@ -169,13 +124,16 @@ def trajectory_loss(
     inputs: np.ndarray,
     targets: np.ndarray,
     target_mask: np.ndarray,
-    compute_grad: bool = True,
 ) -> LossResult:
-    """``masked_cross_entropy`` of the model on a batch. Only the loss rows go
-    through the head, so ``grad_logits`` is (n_targets, V); pass it to
-    ``model.backward``."""
-    logits = model.logits(inputs, rows=np.nonzero(target_mask))
-    return masked_cross_entropy(logits, targets, target_mask, compute_grad)
+    """``masked_cross_entropy`` of the model on a batch, over the mask-true
+    target positions: targets[i, t] is the token to predict from position t,
+    and the mask selects trajectory-token targets only, so prefix and padding
+    positions contribute nothing. Only the loss rows go through the head, so
+    ``grad_logits`` is (n_targets, V); pass it to ``model.backward``."""
+    if not target_mask.any():
+        raise ValueError("batch has no trajectory-token targets")
+    rows = np.nonzero(target_mask)
+    return masked_cross_entropy(model.logits(inputs, rows), targets[rows])
 
 
 def batch_arrays(

@@ -229,6 +229,15 @@ def unpack_exact(fmt: str, data: bytes, offset: int, path: Path | str) -> tuple[
     return struct.unpack_from(fmt, data, offset), offset + n
 
 
+def refuse_data_past(data: bytes, end: int, path: Path | str) -> None:
+    """Refuse ``data``, the whole file at ``path``, if it goes on past byte
+    offset ``end``, where its format's data ends."""
+    if len(data) > end:
+        raise Refused(
+            f"{path}: {len(data) - end} bytes past the data, which ends at byte offset {end}"
+        )
+
+
 def write_manifest(
     out_dir: Path | str,
     stage: str,

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pipeline import Refused, unpack_exact, write_atomic
+from .pipeline import Refused, refuse_data_past, unpack_exact, write_atomic
 
 PLAN_MAGIC = b"EVPL"
 PLAN_VERSION = 1
@@ -112,4 +112,5 @@ def load_plan(path: Path | str) -> EpochSelection:
         (n,), at = unpack_exact("<I", data, at, path)
         pairs, at = unpack_exact(f"<{2 * n}I", data, at, path)
         per_worker.append(list(zip(pairs[0::2], pairs[1::2])))
+    refuse_data_past(data, at, path)
     return EpochSelection(per_worker)

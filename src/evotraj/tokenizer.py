@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .genome import NT_STATES, NT_STATE_INDEX, NtMutation
-from .pipeline import Refused, unpack_exact, write_atomic
+from .pipeline import Refused, refuse_data_past, unpack_exact, write_atomic
 from .tree import PartialDate, Trajectory
 
 LAYOUT_HEADER = "evotraj-tokenizer-layout v1"
@@ -288,7 +288,7 @@ def read_token_stream(path: Path | str) -> list[TokenizedSample]:
     """The samples of a token stream, read from the file in one read; a
     sample whose prefix is not PREFIX_LENGTH tokens, or whose split index
     is beyond its trajectory, is refused, naming the file and the sample
-    index."""
+    index, and so is a file that goes on past its last sample."""
     data = Path(path).read_bytes()
     (magic,), at = unpack_exact("4s", data, 0, path)
     if magic != STREAM_MAGIC:
@@ -312,5 +312,6 @@ def read_token_stream(path: Path | str) -> list[TokenizedSample]:
                 split_index=split_index,
             )
         )
+    refuse_data_past(data, at, path)
     return out
 

@@ -48,6 +48,7 @@ from evotraj.weighting import (
     sequence_weights,
     temporal_adjust,
 )
+from test_model import every_row
 
 
 @contextmanager
@@ -316,7 +317,7 @@ class TestCriterion5ModelNumerics:
             model.backward(res.grad_logits)
 
             def loss_fn():
-                return trajectory_loss(model, inputs, targets, mask, compute_grad=False).loss
+                return trajectory_loss(model, inputs, targets, mask).loss
 
             touched = np.unique(inputs)
             for name, p in model.parameters().items():
@@ -345,15 +346,15 @@ class TestCriterion5ModelNumerics:
 
             # causal exactness
             ids = rng.integers(0, vocab, size=(1, 16))
-            base = model.logits(ids)
+            base = every_row(model.logits, ids)
             for j in (0, 7, 15):
                 perturbed = ids.copy()
                 perturbed[0, j] = (perturbed[0, j] + 1) % vocab
-                out = model.logits(perturbed)
+                out = every_row(model.logits, perturbed)
                 assert np.array_equal(base[:, :j], out[:, :j])
 
             # softmax normalization
-            probs = model.forward(ids)
+            probs = every_row(model.forward, ids)
             assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-6
 
             # rotary common-offset invariance

@@ -55,10 +55,17 @@ def small_batch(seed=0, b=2, t=10, vocab=VOCAB):
     return inputs, targets, mask
 
 
+def every_row(method, ids):
+    """``method``, a model's ``logits`` or ``forward``, at every position of
+    (B, T) ``ids``: the (B * T, V) rows reshaped to (B, T, V)."""
+    ids = np.asarray(ids)
+    return method(ids, np.nonzero(np.ones(ids.shape, dtype=bool))).reshape(*ids.shape, -1)
+
+
 class TestForward:
     def test_distributions_normalize(self):
         model = Transformer(DESK, seed=1)
-        probs = model.forward(np.arange(12) % VOCAB)
+        probs = every_row(model.forward, [np.arange(12) % VOCAB])
         assert probs.shape == (1, 12, VOCAB)
         assert np.all(probs >= 0)
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-6
@@ -67,25 +74,25 @@ class TestForward:
         model = Transformer(DESK, seed=2)
         rng = np.random.default_rng(3)
         ids = rng.integers(0, VOCAB, size=(1, 16))
-        base = model.logits(ids)
+        base = every_row(model.logits, ids)
         for j in (0, 5, 15):
             perturbed = ids.copy()
             perturbed[0, j] = (perturbed[0, j] + 1) % VOCAB
-            out = model.logits(perturbed)
+            out = every_row(model.logits, perturbed)
             assert np.array_equal(base[:, :j], out[:, :j]), f"leak before position {j}"
             assert not np.array_equal(base[:, j], out[:, j])
 
     def test_determinism_bitwise(self):
-        ids = np.arange(20) % VOCAB
-        a = Transformer(DESK, seed=7).logits(ids)
-        b = Transformer(DESK, seed=7).logits(ids)
+        ids = [np.arange(20) % VOCAB]
+        a = every_row(Transformer(DESK, seed=7).logits, ids)
+        b = every_row(Transformer(DESK, seed=7).logits, ids)
         assert np.array_equal(a, b)
 
     def test_rows_gather_prediction_positions(self):
         model = Transformer(DESK, seed=3)
         ids, _, _ = small_batch(seed=4, b=3, t=12)
         b_idx, t_idx = np.array([0, 2, 2, 1]), np.array([11, 0, 5, 7])
-        full = model.logits(ids)
+        full = every_row(model.logits, ids)
         gathered = model.logits(ids, rows=(b_idx, t_idx))
         assert np.allclose(gathered, full[b_idx, t_idx], rtol=1e-12, atol=1e-12)
         probs = model.forward(ids, rows=(b_idx, t_idx))
@@ -96,18 +103,17 @@ class TestForward:
         model = Transformer(DESK, seed=3)
         ids, _, _ = small_batch(seed=5, b=3, t=12)
         rows = (np.array([0, 1, 2, 2]), np.array([3, 11, 0, 7]))
-        for r in (None, rows):
-            assert np.array_equal(model.forward(ids, r), softmax(model.logits(ids, r)))
+        assert np.array_equal(model.forward(ids, rows), softmax(model.logits(ids, rows)))
 
     def test_too_long_rejected(self):
         model = Transformer(DESK, seed=0)
         with pytest.raises(ValueError, match="max_seq"):
-            model.logits(np.zeros(65, dtype=int))
+            every_row(model.logits, np.zeros((1, 65), dtype=int))
 
     def test_bad_token_rejected(self):
         model = Transformer(DESK, seed=0)
         with pytest.raises(ValueError, match="vocabulary"):
-            model.logits(np.array([VOCAB]))
+            every_row(model.logits, [[VOCAB]])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -153,16 +159,13 @@ class TestRope:
 
 class TestLossFunction:
     def test_uniform_logits_give_log_vocab(self):
-        logits = np.zeros((1, 4, VOCAB))
-        targets = np.array([[1, 2, 3, 4]])
-        mask = np.ones((1, 4), dtype=bool)
-        res = masked_cross_entropy(logits, targets, mask)
+        res = masked_cross_entropy(np.zeros((4, VOCAB)), np.array([1, 2, 3, 4]))
         assert res.loss == pytest.approx(math.log(VOCAB), rel=1e-12)
 
     def test_certain_prediction_gives_zero_loss(self):
-        logits = np.zeros((1, 1, VOCAB))
-        logits[0, 0, 5] = 1e4
-        res = masked_cross_entropy(logits, np.array([[5]]), np.ones((1, 1), dtype=bool))
+        logits = np.zeros((1, VOCAB))
+        logits[0, 5] = 1e4
+        res = masked_cross_entropy(logits, np.array([5]))
         assert res.loss == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_head_model_is_uniform(self):
@@ -175,10 +178,10 @@ class TestLossFunction:
     def test_prefix_labels_cannot_affect_loss(self):
         model = Transformer(DESK, seed=4)
         inputs, targets, mask = small_batch(seed=9)
-        base = trajectory_loss(model, inputs, targets, mask, compute_grad=False).loss
+        base = trajectory_loss(model, inputs, targets, mask).loss
         scrambled = targets.copy()
         scrambled[~mask] = (scrambled[~mask] + 13) % VOCAB
-        after = trajectory_loss(model, inputs, scrambled, mask, compute_grad=False).loss
+        after = trajectory_loss(model, inputs, scrambled, mask).loss
         assert after == base
 
     def test_empty_mask_rejected(self):
@@ -188,12 +191,17 @@ class TestLossFunction:
             trajectory_loss(model, inputs, targets, np.zeros_like(targets, dtype=bool))
 
     def test_grad_zero_outside_mask(self):
-        logits = np.random.default_rng(0).normal(size=(2, 5, VOCAB))
+        # the one target sees positions (0, 0..2) only, so no gradient
+        # reaches the embedding rows of the ids anywhere else
+        model = Transformer(DESK, seed=0)
+        ids = np.arange(10).reshape(2, 5)
         targets = np.zeros((2, 5), dtype=int)
         mask = np.zeros((2, 5), dtype=bool)
         mask[0, 2] = True
-        res = masked_cross_entropy(logits, targets, mask)
-        assert np.all(res.grad_logits[~mask] == 0.0)
+        model.backward(trajectory_loss(model, ids, targets, mask).grad_logits)
+        grad = dense_grad(model.parameters()["embed.weight"])
+        assert np.all(grad[ids[0, 3:]] == 0.0) and np.all(grad[ids[1]] == 0.0)
+        assert grad[ids[0, :3]].all(axis=1).all()
 
 
 def dense_grad(p: Parameter) -> np.ndarray:
@@ -243,41 +251,17 @@ class TestBlockedLoss:
     SHAPES = [(97, 1400), (3195, 83), (LOSS_BLOCK_BYTES // 8, 3), (LOSS_BLOCK_BYTES // 8 + 1, 3), (150_210, 2)]
 
     @pytest.mark.parametrize("vocab, n", SHAPES)
-    @pytest.mark.parametrize("compute_grad", [True, False])
-    def test_row_form_is_bit_identical_to_one_shot(self, vocab, n, compute_grad):
+    def test_row_form_is_bit_identical_to_one_shot(self, vocab, n):
         rng = np.random.default_rng(vocab + n)
         z = rng.normal(size=(n, vocab)) * 4.0
         targets = rng.integers(0, vocab, size=n)
         probs = one_shot_softmax(z)
         loss, grad = one_shot_cross_entropy(z, targets)
         assert np.array_equal(softmax(z), probs)
-        mask = np.ones((1, n), dtype=bool)
-        got = masked_cross_entropy(z, targets[None, :], mask, compute_grad=compute_grad)
+        got = masked_cross_entropy(z, targets)
         assert got.loss == loss and got.n_targets == n
-        if compute_grad:
-            assert np.array_equal(got.grad_logits, grad)
-        else:
-            # the logits were overwritten by their softmax
-            assert got.grad_logits is None and np.array_equal(z, probs)
-
-    @pytest.mark.parametrize("vocab, shape", [(97, (40, 50)), (3195, (4, 30)), (LOSS_BLOCK_BYTES // 8 + 1, (2, 3))])
-    @pytest.mark.parametrize("compute_grad", [True, False])
-    def test_full_form_is_bit_identical_to_one_shot(self, vocab, shape, compute_grad):
-        rng = np.random.default_rng(vocab)
-        logits = rng.normal(size=(*shape, vocab)) * 4.0
-        targets = rng.integers(0, vocab, size=shape)
-        mask = rng.random(shape) < 0.7
-        mask[0, 0] = True
-        before = logits.copy()
-        loss, grad = one_shot_cross_entropy(logits[mask], targets[mask])
-        got = masked_cross_entropy(logits, targets, mask, compute_grad=compute_grad)
-        assert got.loss == loss and got.n_targets == mask.sum()
-        assert np.array_equal(logits, before)
-        if compute_grad:
-            assert np.array_equal(got.grad_logits[mask], grad)
-            assert not got.grad_logits[~mask].any()
-        else:
-            assert got.grad_logits is None
+        # the gradient overwrote the logits
+        assert got.grad_logits is z and np.array_equal(got.grad_logits, grad)
 
 
 class TestGradients:
@@ -286,7 +270,7 @@ class TestGradients:
         inputs, targets, mask = small_batch(seed=12)
 
         def loss_fn():
-            return trajectory_loss(model, inputs, targets, mask, compute_grad=False).loss
+            return trajectory_loss(model, inputs, targets, mask).loss
 
         res = trajectory_loss(model, inputs, targets, mask)
         model.backward(res.grad_logits)
@@ -339,29 +323,21 @@ class TestLossRows:
         assert res.grad_logits.shape == (mask.sum(), VOCAB) == (res.n_targets, VOCAB)
 
     def test_equals_full_logits_path(self):
+        # every row through the head, with the loss rows' gradient scattered
+        # into zeros, backpropagates to the same parameter gradients
         inputs, targets, mask = prefixed_batch(seed=1)
         rows_model, full_model = Transformer(DESK, seed=6), Transformer(DESK, seed=6)
         rows = trajectory_loss(rows_model, inputs, targets, mask)
         rows_model.backward(rows.grad_logits)
-        full = masked_cross_entropy(full_model.logits(inputs), targets, mask)
-        assert full.grad_logits.shape == inputs.shape + (VOCAB,)
-        full_model.backward(full.grad_logits)
+        logits = every_row(full_model.logits, inputs)
+        full = masked_cross_entropy(logits[mask], targets[mask])
+        grad = np.zeros_like(logits)
+        grad[mask] = full.grad_logits
+        full_model.backward(grad.reshape(-1, VOCAB))
         assert rows.loss == pytest.approx(full.loss, rel=1e-12)
         full_params = full_model.parameters()
         for name, p in rows_model.parameters().items():
             assert np.allclose(p.grad, full_params[name].grad, rtol=0, atol=1e-12), name
-
-    def test_row_logits_form_matches_full_form(self):
-        logits = np.random.default_rng(2).normal(size=(3, 6, VOCAB))
-        targets = np.random.default_rng(3).integers(0, VOCAB, size=(3, 6))
-        mask = np.random.default_rng(4).random((3, 6)) < 0.5
-        mask[1, 2] = True
-        full = masked_cross_entropy(logits.copy(), targets, mask)
-        rows = masked_cross_entropy(logits[np.nonzero(mask)], targets, mask)
-        assert rows.loss == full.loss
-        assert np.array_equal(rows.grad_logits, full.grad_logits[mask])
-        with pytest.raises(ValueError, match="logit rows for"):
-            masked_cross_entropy(logits[np.nonzero(mask)][:-1], targets, mask)
 
     def test_finite_difference_through_gathered_rows(self):
         # any distinct rows, not just a loss mask, and an arbitrary linear
@@ -641,8 +617,8 @@ class TestCheckpoint:
         save_checkpoint(state, path, layout_hash="lh", config_hash="ch")
         loaded, meta, _ = load_checkpoint(path)
         assert meta["layout_hash"] == "lh"
-        ids = np.arange(10) % cfg.vocab_size
-        assert np.array_equal(state.model.logits(ids), loaded.logits(ids))
+        ids = [np.arange(10) % cfg.vocab_size]
+        assert np.array_equal(every_row(state.model.logits, ids), every_row(loaded.logits, ids))
 
     def test_roundtrip_is_bitwise(self, tmp_path):
         model = Transformer(DESK, seed=4)
@@ -1057,7 +1033,7 @@ class TestRanking:
 
     def test_k1_is_argmax_mutation(self):
         pred = rank_next_mutations(self.model, self.tok, self.context, k=1)
-        probs = self.model.forward(np.asarray(self.context))[0, -1]
+        probs = every_row(self.model.forward, [self.context])[0, -1]
         lo, hi = self.tok.mutation_block
         mut = probs[lo:hi].copy()
         mut[self.tok.mutation_token(3, "T")] = -1
@@ -1084,11 +1060,11 @@ class TestRanking:
 
     @pytest.mark.parametrize("k", [1, 10, 20, 50, 150])
     def test_same_tokens_and_scores_as_full_forward_rule(self, k):
-        """The ranking over the full (T, V) forward, the rule's earlier
+        """The ranking over every position's forward, the rule's earlier
         form, gives the same candidates and scores."""
         lo, hi = self.tok.mutation_block
         for context in (self.context, self.context + [self.tok.mutation_token(7, "G")]):
-            probs = self.model.forward(np.asarray(context))[0, -1, lo:hi]
+            probs = every_row(self.model.forward, [context])[0, -1, lo:hi]
             seen = [t - lo for t in context[PREFIX_LENGTH:]]
             tokens, scores = reference_top_k(probs, seen, k)
             pred = rank_next_mutations(self.model, self.tok, context, k=k)
@@ -1150,7 +1126,7 @@ class TestHeldOutLoss:
         def held_out_loss(model):
             arrays = [(np.asarray(s.tokens), len(s.prefix_tokens)) for s in held_out]
             inputs, targets, mask = batch_arrays(arrays)
-            return trajectory_loss(model, inputs, targets, mask, compute_grad=False).loss
+            return trajectory_loss(model, inputs, targets, mask).loss
 
         initial = held_out_loss(Transformer(cfg, seed=tcfg.seed))
         state = train(samples, list(range(len(samples))), cfg, tcfg)

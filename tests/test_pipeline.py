@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from evotraj import cli, evaluation, pipeline
+from evotraj.baseline import BloomRecord
 from evotraj.cli import main
 from evotraj.genome import GENETIC_CODE
 from evotraj.model import load_checkpoint
@@ -27,6 +28,7 @@ from evotraj.pipeline import (
     write_atomic,
     write_manifest,
 )
+from test_baseline import write_bloom_table
 
 
 class TestPipelineConfig:
@@ -211,7 +213,14 @@ MODEL_STAGE_DIGESTS = {
     ("eval", "eval_stats.json"): "20d3e3d304f42a3accd55e32a2926a7a3747d8ac3237b4e36554f1f03b4e2044",
     ("eval_spike", "report.csv"): "4df9ea8721c79b4c0c1f9d9a1bcb9d39cee06c8c77bce79d6d4a81706128d08a",
     ("eval_spike", "eval_stats.json"): "22e887783b035d38509fd47452c704e2109690d748f9c0a085f2dc32472e16d2",
+    ("eval_table", "report.csv"): "71a90ca5ce3845d1734bd66865b5d1a72c1fb8e5da208264019e4d5dcdbafaf6",
+    ("eval_table", "eval_stats.json"): "20d3e3d304f42a3accd55e32a2926a7a3747d8ac3237b4e36554f1f03b4e2044",
 }
+
+
+# mutations that the evaluation sequences of ``pipeline_run`` carry, with a
+# count each, so the table's nucleotide recall is above 0 at k=1
+NT_TABLE = [("178G", 5.0), ("171G", 4.0), ("9T", 3.0), ("25C", 2.0), ("33A", 1.5), ("146C", 1.0)]
 
 
 def write_spike_orf(root: Path) -> tuple[Path, Path]:
@@ -229,10 +238,11 @@ def write_spike_orf(root: Path) -> tuple[Path, Path]:
 def pipeline_run(tmp_path_factory):
     """One full simulate -> ... -> evaluate chain shared by the CLI tests:
     a prediction for one context, and evaluation on the nucleotide task and,
-    at k up to 100, the spike task."""
+    at k up to 100, the spike task; and a nucleotide table evaluated on the
+    nucleotide task."""
     root = tmp_path_factory.mktemp("pipe")
     dirs = {name: root / name for name in
-            ("sim", "ingest", "dataset", "plans", "train", "predict", "eval", "eval_spike")}
+            ("sim", "ingest", "dataset", "plans", "train", "predict", "eval", "eval_spike", "eval_table")}
     assert main(["simulate", "--out", str(dirs["sim"]), *SMALL_SETTINGS]) == 0
     assert main([
         "ingest", "--tree", str(dirs["sim"] / "tree.jsonl"),
@@ -261,15 +271,18 @@ def pipeline_run(tmp_path_factory):
         "evaluate",
         "--tree", str(dirs["sim"] / "tree.jsonl"),
         "--layout", str(dirs["dataset"] / "layout.txt"),
-        "--checkpoint", str(dirs["train"] / "checkpoint.ckpt"),
         "--population", str(dirs["sim"] / "population.csv"),
     ]
-    assert main([*evaluate, "--out", str(dirs["eval"]), *SMALL_SETTINGS]) == 0
+    checkpoint = ["--checkpoint", str(dirs["train"] / "checkpoint.ckpt")]
+    assert main([*evaluate, *checkpoint, "--out", str(dirs["eval"]), *SMALL_SETTINGS]) == 0
     annotation, reference = write_spike_orf(root)
     assert main([
-        *evaluate, "--annotation", str(annotation), "--reference", str(reference),
+        *evaluate, *checkpoint, "--annotation", str(annotation), "--reference", str(reference),
         "--out", str(dirs["eval_spike"]), *SMALL_SETTINGS, "--set", "task=spike", "--set", "ks=1,10,100",
     ]) == 0
+    table = root / "nt_table.csv"
+    write_bloom_table([BloomRecord(m, count, 0.0) for m, count in NT_TABLE], table)
+    assert main([*evaluate, "--baseline", str(table), "--out", str(dirs["eval_table"]), *SMALL_SETTINGS]) == 0
     return dirs
 
 
@@ -284,6 +297,13 @@ class TestEndToEnd:
         report = (pipeline_run["eval"] / "report.csv").read_text().splitlines()
         assert report[0] == "task,k,slice,macro_recall,weighted_recall,n_sequences"
         assert any(",all," in line for line in report[1:])
+
+    def test_table_report_pins_a_nonzero_nucleotide_recall(self, pipeline_run):
+        # the model's nucleotide report reads 0 at these few steps; the
+        # table's ranks carried mutations, so its pin covers hit ranks
+        rows = (pipeline_run["eval_table"] / "report.csv").read_text().splitlines()[1:]
+        assert all(row.startswith("nucleotide,") for row in rows)
+        assert float(rows[0].split(",")[3]) > 0 and rows[0].startswith("nucleotide,1,all,")
 
     def test_manifests_verify(self, pipeline_run):
         for d in pipeline_run.values():
@@ -1140,6 +1160,39 @@ class TestUpstreamVerification:
             "train", "--dataset", str(pipeline_run["dataset"]), "--plans", str(pipeline_run["plans"]),
             "--out", str(out), *SMALL_SETTINGS, "--set", "max_seq=10",
         ], out, f"{tokens}: sample {i} has {n} tokens, a context longer than max_seq 10")
+
+    @pytest.fixture(scope="class")
+    def smaller_run(self, pipeline_run, tmp_path_factory):
+        """A dataset of fewer samples than ``pipeline_run``'s, from an earlier
+        training cutoff, and the plans sampled from it."""
+        root = tmp_path_factory.mktemp("smaller")
+        dirs = {"dataset": root / "dataset", "plans": root / "plans"}
+        settings = [*SMALL_SETTINGS, "--set", "train_cutoff=2024-05-01"]
+        assert main([
+            "build-dataset", "--tree", str(pipeline_run["ingest"] / "tree.jsonl"),
+            "--out", str(dirs["dataset"]), *settings,
+        ]) == 0
+        assert main(["sample-plan", "--dataset", str(dirs["dataset"]), "--out", str(dirs["plans"]), *settings]) == 0
+        small, full = (len(read_token_stream(d / "tokens.bin")) for d in (dirs["dataset"], pipeline_run["dataset"]))
+        assert 0 < small < full
+        return dirs
+
+    @pytest.mark.parametrize("plans_of, dataset_of", [("full", "smaller"), ("smaller", "full")])
+    def test_train_refuses_plans_sampled_from_another_dataset(self, pipeline_run, smaller_run, tmp_path,
+                                                              capsys, plans_of, dataset_of):
+        # plans from the full dataset index past the smaller one's samples;
+        # plans from the smaller one would train on the wrong samples
+        runs = {"full": pipeline_run, "smaller": smaller_run}
+        plans, dataset = runs[plans_of]["plans"], runs[dataset_of]["dataset"]
+        drawn, weights = (
+            json.loads((d / "manifest.json").read_text())[field]["weights"]["sha256"][:12]
+            for d, field in ((plans, "inputs"), (dataset, "outputs"))
+        )
+        out = tmp_path / "t"
+        assert_refused(capsys, [
+            "train", "--dataset", str(dataset), "--plans", str(plans), "--out", str(out), *SMALL_SETTINGS,
+        ], out, f"plans under {plans} were not sampled from the dataset {dataset}: they record"
+                f" weights.csv {drawn}, the dataset's is {weights}")
 
     def test_train_reads_only_plans_named_by_the_manifest(self, pipeline_run, tmp_path):
         plans = tmp_path / "plans"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evotraj.pipeline import Refused
 from evotraj.sampler import (
     EpochSelection,
     WorkerState,
@@ -146,3 +147,14 @@ class TestPlanIO:
                 load_plan(path)
             assert str(path) in str(err.value)
             assert f"file ends at byte {cut}" in str(err.value)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\0\0\0", b"\1\0\0\0\2\0\0\0"],
+                             ids=["one-byte", "three-bytes", "one-more-pair"])
+    def test_data_past_the_last_worker_refused(self, tmp_path, extra):
+        path = tmp_path / "epoch_000.plan"
+        save_plan(run_epoch([0.6, 1.3, 0.9], seed=1, n_workers=2), path)
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(Refused) as err:
+            load_plan(path)
+        assert str(err.value) == f"{path}: {len(extra)} bytes past the data, which ends at byte offset {end}"

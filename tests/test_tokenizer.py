@@ -291,6 +291,19 @@ class TestTokenStream:
             assert str(path) in str(err.value)
             assert f"file ends at byte {cut}" in str(err.value)
 
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 7, b"\0" * 12],
+                             ids=["one-byte", "seven-bytes", "one-header"])
+    def test_data_past_the_last_sample_refused(self, tmp_path, tok, extra):
+        # twelve bytes would hold a whole sample header, yet the stream's
+        # sample count ends its data before them
+        path = tmp_path / "tokens.bin"
+        write_token_stream([tok.tokenize(mk_trajectory(variant=1, private=2))], path)
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(Refused) as err:
+            read_token_stream(path)
+        assert str(err.value) == f"{path}: {len(extra)} bytes past the data, which ends at byte offset {end}"
+
     @pytest.mark.parametrize("n_prefix, split_index, message", [
         (3, 0, "sample 1 has a prefix of 3 tokens, not 5"),
         (PREFIX_LENGTH, 3, "sample 1 has split index 3 beyond its 2 trajectory tokens"),

@@ -179,7 +179,7 @@ def _read(path: str | None, reader, default=None):
         return reader(path)
 
 
-def _split(args, config: PipelineConfig, **kwargs):
+def _split(args, config: PipelineConfig):
     """The trajectories of ``--tree``, with variants from ``--definitions``
     when given, split at the config's train and eval cutoffs, or refused."""
     definitions = _read(args.definitions, variants.load_definitions)
@@ -189,7 +189,7 @@ def _split(args, config: PipelineConfig, **kwargs):
         with _refusing(key):
             cutoffs.append(datetime.date.fromisoformat(getattr(config, key)))
     with _refusing("config"):
-        return split_train_eval(trajectories, *cutoffs, **kwargs)
+        return split_train_eval(trajectories, *cutoffs)
 
 
 @contextmanager
@@ -499,10 +499,19 @@ def cmd_evaluate(args) -> int:
             annotation = args.annotation or DEFAULT_ANNOTATION
             with _refusing(annotation):
                 spike_map = SpikeMap(load_annotation(annotation, args.reference or DEFAULT_REFERENCE))
-        split = _split(args, config, task=config.task, spike_map=spike_map)
-        eval_trajs = split.eval
-        if not eval_trajs:
+            if spike_map.genome_length != tok.spec.genome_length:
+                raise Refused(
+                    f"{annotation}: annotates a genome of {spike_map.genome_length} sites,"
+                    f" but the layout {args.layout} has {tok.spec.genome_length}"
+                )
+        split = _split(args, config)
+        # a sequence without a step for the task has no signal for it
+        with _refusing("config"):
+            steps = evaluation.task_steps(config.task, split.eval, tok, spike_map)
+        scored = [(t, s) for t, s in zip(split.eval, steps) if s]
+        if not scored:
             raise Refused("evaluation set is empty for the configured cutoffs")
+        eval_trajs, steps = zip(*scored)
 
         if args.checkpoint:
             model = _checked_model(stage, loading)
@@ -531,11 +540,10 @@ def cmd_evaluate(args) -> int:
     result = evaluation.evaluate_sequences(
         eval_trajs,
         samples,
+        steps,
         predictor,
         ks=ks,
         task=config.task,
-        tokenizer=tok,
-        spike_map=spike_map,
         weights=[w.r for w in weights],
         base_year=config.base_year,
         max_context=config.max_seq,
@@ -553,7 +561,7 @@ def cmd_evaluate(args) -> int:
         "n_evaluated": len(result.weights),
         "n_excluded_too_long": result.n_excluded_too_long,
         "n_excluded_partial_dates": split.n_excluded_partial_dates,
-        "n_excluded_no_signal": split.n_excluded_no_signal,
+        "n_excluded_no_signal": split.n_excluded_no_signal + len(split.eval) - len(eval_trajs),
     }
     write_json(stage.output("stats", "eval_stats.json"), stats)
     stage.finish()

@@ -1,11 +1,12 @@
 """Recall@k evaluation with teacher forcing over private-mutation trajectories.
 
-Each private mutation becomes one prediction step: the predictor sees the
-prefix, the variant mutations, and all earlier private mutations, and its
-top-k candidates are checked against the true next mutation. A sequence's
-recall is the mean over its steps; aggregates are reported unweighted and
-weighted by representativeness. Every predictor ranks through its one
-method, ``rank_at_positions``; location is withheld by tokenizing without it.
+Each private mutation, or on the spike task each one that changes a spike
+residue, is a prediction step: the predictor sees the prefix, the variant
+mutations, and all earlier private mutations, and its top-k candidates are
+checked against the step's hits. A sequence's recall is the mean over its
+steps; aggregates are reported unweighted and weighted by representativeness.
+Every predictor ranks through its one method, ``rank_at_positions``;
+location is withheld by tokenizing without it.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .genome import AaMutation, SpikeMap, SpikeState
 from .tokenizer import PREFIX_LENGTH, TokenizedSample, Tokenizer
-from .tree import Trajectory, spike_replay
+from .tree import Trajectory
 from .model.ranking import rank_contexts
 from .pipeline import write_csv
 from .model.transformer import Transformer
@@ -100,15 +101,36 @@ class SequenceRecall:
     n_steps: int
 
 
+TASKS = ("nucleotide", "spike")
+
 # A step's hits are the candidates that score it; its hit rank is the index
 # of the first ranked candidate among them, and the step is a hit at every k
 # above it. Top-k lists are nested, so one ranking at the largest k scores
 # every smaller k.
 MISS = math.inf
 
+# a step: its index into the sequence's private mutations, and its hits
+Step = tuple[int, set[int | AaMutation]]
+
 
 def _recall(ranks: Sequence[float], k: int) -> SequenceRecall:
     return SequenceRecall(recall=sum(r < k for r in ranks) / len(ranks), n_steps=len(ranks))
+
+
+def spike_replay(
+    trajectory: Trajectory, spike_map: SpikeMap
+) -> Iterator[tuple[int, AaMutation, SpikeState]]:
+    """Each private mutation that produces a spike amino-acid change, replayed
+    in path order: its index into sequence_mutations, the change, and the
+    spike state in force just before it, until the next item is drawn."""
+    state = SpikeState(spike_map)
+    for m in trajectory.variant_mutations:
+        state.write(m)
+    for i, m in enumerate(trajectory.sequence_mutations):
+        effect = state.effect_of(m)
+        if isinstance(effect, AaMutation):
+            yield i, effect, state
+        state.write(m)
 
 
 def _spike_hits(target: AaMutation, state: SpikeState, tokenizer: Tokenizer) -> set[int | AaMutation]:
@@ -118,44 +140,47 @@ def _spike_hits(target: AaMutation, state: SpikeState, tokenizer: Tokenizer) -> 
                       if m.site <= tokenizer.spec.genome_length)}
 
 
+def task_steps(
+    task: str, trajectories: Sequence[Trajectory], tokenizer: Tokenizer, spike_map: SpikeMap | None
+) -> list[list[Step]]:
+    """Every sequence's steps on ``task``, none for one without a signal: a
+    nucleotide step is a private mutation, hit by its own token; a spike step
+    is one that changes a spike residue, found by one replay of the sequence
+    and hit by the change and by every token that makes it at that step."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    if task == "nucleotide":
+        return [[(i, {tokenizer.mutation_token(m.site, m.to)}) for i, m in enumerate(t.sequence_mutations)]
+                for t in trajectories]
+    return [[(i, _spike_hits(target, state, tokenizer)) for i, target, state in spike_replay(t, spike_map)]
+            for t in trajectories]
+
+
 def _hit_ranks(
-    trajectories: Sequence[Trajectory],
     samples: Sequence[TokenizedSample],
+    steps: Sequence[Sequence[Step]],
     predictor: NtPredictor,
     k: int,
     task: str,
-    tokenizer: Tokenizer | None,
-    spike_map: SpikeMap | None,
     bound: int | None,
 ) -> list[list[float] | None]:
     """Every sequence's step hit ranks from one batched ranking at k; None
-    for a sequence whose context is longer than ``bound``.
-
-    A step is a private mutation (nucleotide task), hit by its own token, or
-    a private mutation that changes a spike residue (spike task), hit by the
-    change and by every token that makes it at that step; its context is the
-    prefix, the variant mutations and all earlier private mutations.
+    for a sequence whose context is longer than ``bound``. A step's context
+    is the prefix, the variant mutations and all earlier private mutations.
     Amino-acid candidates are refused on the nucleotide task.
     """
     out: list[list[float] | None] = [None] * len(samples)
     kept, contexts, positions, hits = [], [], [], []
-    for idx, (traj, sample) in enumerate(zip(trajectories, samples)):
-        base = PREFIX_LENGTH + sample.split_index
-        if task == "nucleotide":
-            steps = [(i, {t}) for i, t in enumerate(sample.tokens[base:])]
-            if not steps:
-                raise ValueError("sequence has no private mutations to predict")
-        else:
-            steps = [(i, _spike_hits(target, state, tokenizer))
-                     for i, target, state in spike_replay(traj, spike_map)]
-            if not steps:
-                raise ValueError("sequence has no private spike amino-acid mutations")
+    for idx, (sample, seq_steps) in enumerate(zip(samples, steps)):
+        if not seq_steps:
+            raise ValueError("sequence has no step to score")
         if bound is not None and len(sample.tokens) - 1 > bound:
             continue
+        base = PREFIX_LENGTH + sample.split_index
         kept.append(idx)
         contexts.append(list(sample.tokens[:-1]))
-        positions.append([base + i - 1 for i, _ in steps])
-        hits.append([h for _, h in steps])
+        positions.append([base + i - 1 for i, _ in seq_steps])
+        hits.append([h for _, h in seq_steps])
 
     for idx, step_hits, ranked in zip(kept, hits, predictor.rank_at_positions(contexts, positions, k)):
         if task == "nucleotide" and any(isinstance(c, AaMutation) for cands in ranked for c in cands):
@@ -173,15 +198,14 @@ def spike_recall_at_k(
     tokenizer: Tokenizer,
     spike_map: SpikeMap,
 ) -> SequenceRecall | None:
-    """Teacher-forced spike recall: a step for each private mutation that
-    changes a spike residue, bounded by the predictor's context.
+    """Teacher-forced spike recall over the sequence's spike steps, bounded
+    by the predictor's context.
 
     An amino-acid candidate hits a step that is its change; a token
     candidate hits a step whose change it makes against the codons in force.
     """
-    [ranks] = _hit_ranks(
-        [trajectory], [sample], predictor, k, "spike", tokenizer, spike_map, predictor.max_context
-    )
+    steps = task_steps("spike", [trajectory], tokenizer, spike_map)
+    [ranks] = _hit_ranks([sample], steps, predictor, k, "spike", predictor.max_context)
     return None if ranks is None else _recall(ranks, k)
 
 
@@ -223,28 +247,23 @@ class EvalResult:
 def evaluate_sequences(
     trajectories: Sequence[Trajectory],
     samples: Sequence[TokenizedSample],
+    steps: Sequence[Sequence[Step]],
     predictor: NtPredictor,
     ks: Sequence[int],
     task: str = "nucleotide",
-    tokenizer: Tokenizer | None = None,
-    spike_map: SpikeMap | None = None,
     weights: Sequence[float] | None = None,
     base_year: int = 2019,
     max_context: int | None = None,
 ) -> EvalResult:
-    """Recall@k for every sequence, plus aggregate and per-month reports. A
-    sequence whose context is longer than the smaller of max_context and the
-    predictor's own bound is counted as excluded, not scored."""
-    if task == "spike" and (spike_map is None or tokenizer is None):
-        raise ValueError("spike task needs tokenizer and spike_map")
+    """Recall@k for every sequence over its steps, plus aggregate and
+    per-month reports. A sequence whose context is longer than the smaller of
+    max_context and the predictor's own bound is counted as excluded."""
     if not ks:
         raise ValueError("no k to evaluate")
 
     bound = min((b for b in (max_context, predictor.max_context) if b is not None), default=None)
     result = EvalResult(task=task, per_k={k: [] for k in ks}, weights=[], months=[], context_bound=bound)
-    ranks_all = _hit_ranks(
-        trajectories, samples, predictor, max(ks), task, tokenizer, spike_map, bound
-    )
+    ranks_all = _hit_ranks(samples, steps, predictor, max(ks), task, bound)
     for idx, (traj, ranks) in enumerate(zip(trajectories, ranks_all)):
         if ranks is None:
             result.n_excluded_too_long += 1

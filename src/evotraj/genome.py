@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .pipeline import Refused
+
 REFERENCE_GENOME_LENGTH = 29_903
 SPIKE_RESIDUES = 1273
 
@@ -142,24 +144,34 @@ def load_annotation(
     annotation_path: Path | str = DEFAULT_ANNOTATION,
     reference_path: Path | str = DEFAULT_REFERENCE,
 ) -> "GenomeAnnotation":
-    """Load ORF coordinates and matching reference spans; validates the spike residue count."""
-    orfs: dict[str, tuple[int, int]] = {}
-    genome_length = None
-    for line in Path(annotation_path).read_text().splitlines():
+    """Load ORF coordinates and matching reference spans; validates the spike
+    residue count. A malformed or repeated row, or a repeated reference
+    record, is refused naming the file and the line."""
+    rows: dict[str, tuple[int, int, int]] = {}  # name -> (line, start, end)
+    for lineno, line in enumerate(Path(annotation_path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, start, end = line.split("\t")
-        if name == "genome":
-            genome_length = int(end)
-        else:
-            orfs[name] = (int(start), int(end))
-    if genome_length is None:
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise Refused(f"{annotation_path}: line {lineno}: expected name, start and end"
+                          f" separated by tabs, got {len(fields)} fields")
+        name, start, end = fields
+        if name in rows:
+            raise Refused(f"{annotation_path}: line {lineno}: row {name!r} repeated,"
+                          f" first on line {rows[name][0]}")
+        try:
+            rows[name] = (lineno, int(start), int(end))
+        except ValueError:
+            raise Refused(f"{annotation_path}: line {lineno}: start and end must be integers,"
+                          f" got {start!r} and {end!r}") from None
+    if "genome" not in rows:
         raise AnnotationError("annotation missing the 'genome' length row")
+    genome_length = rows.pop("genome")[2]
 
     sequences = _read_fasta(reference_path)
     annotations: dict[str, OrfAnnotation] = {}
-    for name, (start, end) in orfs.items():
+    for name, (_, start, end) in rows.items():
         if name not in sequences:
             raise AnnotationError(f"no reference sequence for ORF {name}")
         ann = OrfAnnotation(name, start, end, sequences[name])
@@ -181,20 +193,19 @@ def load_annotation(
 
 
 def _read_fasta(path: Path | str) -> dict[str, str]:
-    sequences: dict[str, str] = {}
-    name = None
+    records: dict[str, tuple[int, list[str]]] = {}  # name -> (line, chunks)
     chunks: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if line.startswith(">"):
-            if name is not None:
-                sequences[name] = "".join(chunks)
             name = line[1:].split()[0]
+            if name in records:
+                raise Refused(f"{path}: line {lineno}: record {name!r} repeated,"
+                              f" first on line {records[name][0]}")
             chunks = []
+            records[name] = (lineno, chunks)
         elif line.strip():
             chunks.append(line.strip().upper())
-    if name is not None:
-        sequences[name] = "".join(chunks)
-    return sequences
+    return {name: "".join(chunks) for name, (_, chunks) in records.items()}
 
 
 def _validate_orf(orf: OrfAnnotation) -> None:

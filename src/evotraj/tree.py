@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .genome import NtMutation, SpikeMap, SpikeState, AaMutation
+from .genome import NtMutation
 
 
 class TreeFormatError(ValueError):
@@ -379,22 +379,6 @@ def extract_all_trajectories(
     return [_trajectory(carried[leaf.node_id], leaf, variant_definitions) for leaf in tree.leaves()]
 
 
-def spike_replay(
-    trajectory: Trajectory, spike_map: SpikeMap
-) -> Iterator[tuple[int, AaMutation, SpikeState]]:
-    """Each private mutation that produces a spike amino-acid change, replayed
-    in path order: its index into sequence_mutations, the change, and the
-    spike state in force just before it, until the next item is drawn."""
-    state = SpikeState(spike_map)
-    for m in trajectory.variant_mutations:
-        state.write(m)
-    for i, m in enumerate(trajectory.sequence_mutations):
-        effect = state.effect_of(m)
-        if isinstance(effect, AaMutation):
-            yield i, effect, state
-        state.write(m)
-
-
 @dataclass
 class SplitResult:
     train: list[Trajectory]
@@ -407,22 +391,16 @@ def split_train_eval(
     trajectories: Iterable[Trajectory],
     training_release_cutoff: datetime.date,
     eval_release_cutoff: datetime.date,
-    task: str = "nucleotide",
-    spike_map: SpikeMap | None = None,
 ) -> SplitResult:
     """Date-disjoint training/evaluation split.
 
     Train: released on or before the training cutoff. Eval: collected after the
     training cutoff, released on or before the eval cutoff, and carrying at
-    least one private mutation for the task. Sequences without a full
-    collection date are never placed in eval; their count is reported.
+    least one private mutation. Sequences without a full collection date are
+    never placed in eval; their count is reported.
     """
     if not training_release_cutoff < eval_release_cutoff:
         raise ValueError("training cutoff must precede eval cutoff")
-    if task not in ("nucleotide", "spike"):
-        raise ValueError(f"unknown task {task!r}")
-    if task == "spike" and spike_map is None:
-        raise ValueError("spike task requires a spike_map")
 
     result = SplitResult(train=[], eval=[])
     for traj in trajectories:
@@ -438,11 +416,7 @@ def split_train_eval(
             continue
         if collected.to_date() <= training_release_cutoff:
             continue
-        if task == "nucleotide":
-            has_signal = len(traj.sequence_mutations) > 0
-        else:
-            has_signal = any(spike_replay(traj, spike_map))
-        if not has_signal:
+        if not traj.sequence_mutations:
             result.n_excluded_no_signal += 1
             continue
         result.eval.append(traj)

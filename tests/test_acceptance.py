@@ -20,7 +20,6 @@ from evotraj.evaluation import (
     ModelPredictor,
     RandomPredictor,
     StaticPredictor,
-    evaluate_sequences,
     nucleotide_candidate_count,
 )
 from evotraj.genome import (
@@ -48,6 +47,7 @@ from evotraj.weighting import (
     sequence_weights,
     temporal_adjust,
 )
+from test_evaluation import scored
 from test_model import every_row
 
 
@@ -197,7 +197,7 @@ def decay_run():
 
 def month_slices(run: TrainedRun, k: int, min_sequences: int):
     predictor = ModelPredictor(run.model, run.tokenizer)
-    result = evaluate_sequences(run.eval_trajs, run.eval_samples, predictor, ks=(k,))
+    result = scored(run.eval_trajs, run.eval_samples, predictor, ks=(k,), tokenizer=run.tokenizer)
     pooled = next(r for r in result.reports if r.slice_label == "all")
     months = [
         (int(r.slice_label.split("=")[1]), r.macro_recall, r.n_sequences)
@@ -372,7 +372,7 @@ class TestCriterion6Learnability:
             assert run.n_leaves >= 50_000
 
             predictor = ModelPredictor(run.model, run.tokenizer)
-            result = evaluate_sequences(run.eval_trajs, run.eval_samples, predictor, ks=(10,))
+            result = scored(run.eval_trajs, run.eval_samples, predictor, ks=(10,), tokenizer=run.tokenizer)
             model_recall = next(r.macro_recall for r in result.reports if r.slice_label == "all")
 
             counts = Counter()
@@ -380,8 +380,8 @@ class TestCriterion6Learnability:
                 for m in t.sequence_mutations:
                     counts[run.tokenizer.mutation_token(m.site, m.to)] += 1
             count_predictor = StaticPredictor([t for t, _ in counts.most_common(10)])
-            count_result = evaluate_sequences(
-                run.eval_trajs, run.eval_samples, count_predictor, ks=(10,)
+            count_result = scored(
+                run.eval_trajs, run.eval_samples, count_predictor, ks=(10,), tokenizer=run.tokenizer
             )
             count_recall = next(
                 r.macro_recall for r in count_result.reports if r.slice_label == "all"

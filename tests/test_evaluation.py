@@ -12,12 +12,14 @@ from evotraj.evaluation import (
     nucleotide_candidate_count,
     slice_by_month,
     spike_recall_at_k,
+    spike_replay,
+    task_steps,
     write_report_csv,
 )
 from evotraj.genome import AaMutation, GENETIC_CODE, NtMutation, SpikeMap, load_annotation
 from evotraj.model import ModelConfig, Transformer, ranking
-from evotraj.tokenizer import LayoutSpec, TokenizedSample, Tokenizer
-from evotraj.tree import PartialDate, SequenceMeta, Trajectory, spike_replay
+from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, Tokenizer
+from evotraj.tree import PartialDate, SequenceMeta, Trajectory
 
 TOK = Tokenizer(LayoutSpec(genome_length=120))
 
@@ -42,11 +44,18 @@ def withheld(trajectories):
             for t in trajectories]
 
 
+def scored(trajs, samples, predictor, ks, tokenizer=TOK, task="nucleotide", spike_map=None, **kw):
+    """``evaluate_sequences`` over the steps ``task_steps`` builds for the
+    task, as the ``evaluate`` stage runs it."""
+    steps = task_steps(task, trajs, tokenizer, spike_map)
+    return evaluate_sequences(trajs, samples, steps, predictor, ks, task=task, **kw)
+
+
 def recalls(sequences, predictor, k, **kw):
     """Each (trajectory, sample)'s nucleotide recall at k, as
     ``evaluate_sequences`` scores it."""
     trajs, samples = zip(*sequences)
-    return evaluate_sequences(trajs, samples, predictor, ks=(k,), **kw).per_k[k]
+    return scored(trajs, samples, predictor, ks=(k,), **kw).per_k[k]
 
 
 class TestNucleotideRecall:
@@ -74,7 +83,7 @@ class TestNucleotideRecall:
 
     def test_context_too_long_returns_none(self):
         traj, sample = sample_for([], [(i + 1, "T") for i in range(30)])
-        res = evaluate_sequences([traj], [sample], StaticPredictor([0]), ks=(1,), max_context=20)
+        res = scored([traj], [sample], StaticPredictor([0]), ks=(1,), max_context=20)
         assert res.n_excluded_too_long == 1 and res.per_k[1] == []
 
     def test_no_private_mutations_rejected(self):
@@ -292,7 +301,7 @@ class TestEvaluateSequences:
     def test_reports_and_month_slices(self):
         trajs, samples = self.make_batch()
         predictor = StaticPredictor([TOK.mutation_token(10, "G")])
-        res = evaluate_sequences(
+        res = scored(
             trajs, samples, predictor, ks=(1,), weights=[100.0, 50.0, 50.0]
         )
         assert res.per_k[1] == [1.0, 0.0, 0.5]
@@ -308,7 +317,7 @@ class TestEvaluateSequences:
     def test_slice_weighted_sums_are_additive(self):
         trajs, samples = self.make_batch()
         predictor = StaticPredictor([TOK.mutation_token(10, "G")])
-        res = evaluate_sequences(
+        res = scored(
             trajs, samples, predictor, ks=(1,), weights=[100.0, 50.0, 50.0]
         )
         global_report = next(r for r in res.reports if r.slice_label == "all")
@@ -328,7 +337,7 @@ class TestEvaluateSequences:
     def test_too_long_counted(self):
         traj, sample = sample_for([], [(i + 1, "T") for i in range(30)])
         predictor = StaticPredictor([0])
-        res = evaluate_sequences([traj], [sample], predictor, ks=(1,), max_context=10)
+        res = scored([traj], [sample], predictor, ks=(1,), max_context=10)
         assert res.n_excluded_too_long == 1
         assert res.per_k[1] == []
 
@@ -339,10 +348,10 @@ class TestEvaluateSequences:
         predictor = ModelPredictor(Transformer(cfg, seed=0), TOK)
         lengths = (11, 15, 17, 26)  # contexts of 15, 19, 21 and 30 tokens
         trajs, samples = zip(*(sample_for([], [(i + 1, "T") for i in range(n)]) for n in lengths))
-        res = evaluate_sequences(trajs, samples, predictor, ks=(1,), max_context=max_context)
+        res = scored(trajs, samples, predictor, ks=(1,), max_context=max_context)
         assert res.n_excluded_too_long == (3 if max_context == 18 else 2)
         assert len(res.per_k[1]) == 4 - res.n_excluded_too_long
-        longest = evaluate_sequences(trajs[-1:], samples[-1:], predictor, ks=(1,), max_context=max_context)
+        longest = scored(trajs[-1:], samples[-1:], predictor, ks=(1,), max_context=max_context)
         assert longest.n_excluded_too_long == 1
 
     def test_amino_acid_ranking_refused_on_the_nucleotide_task(self):
@@ -351,11 +360,11 @@ class TestEvaluateSequences:
         traj, sample = sample_for([], [(37, "G")])
         predictor = StaticPredictor([AaMutation("S", 3, "L", "V")])
         with pytest.raises(ValueError, match="not task=nucleotide"):
-            evaluate_sequences([traj], [sample], predictor, ks=(1,))
+            scored([traj], [sample], predictor, ks=(1,))
 
     def test_report_csv(self, tmp_path):
         trajs, samples = self.make_batch()
-        res = evaluate_sequences(
+        res = scored(
             trajs, samples, StaticPredictor([TOK.mutation_token(10, "G")]), ks=(1, 10)
         )
         path = tmp_path / "report.csv"
@@ -383,37 +392,34 @@ class TestNoLocationMode:
             trajs.append(t)
             samples.append(s)
         predictor = ModelPredictor(model, TOK)
-        with_loc = evaluate_sequences(trajs, samples, predictor, ks=(5,))
-        without = evaluate_sequences(trajs, withheld(trajs), predictor, ks=(5,))
+        with_loc = scored(trajs, samples, predictor, ks=(5,))
+        without = scored(trajs, withheld(trajs), predictor, ks=(5,))
         a = next(r for r in with_loc.reports if r.slice_label == "all")
         b = next(r for r in without.reports if r.slice_label == "all")
         assert a.n_sequences == b.n_sequences == 4
         assert 0.0 <= a.macro_recall <= 1.0 and 0.0 <= b.macro_recall <= 1.0
 
 
-class TestSpikeTaskSplit:
-    def test_synonymous_only_sequences_excluded_from_spike_eval(self, tmp_path):
-        import datetime
+class TestTaskSteps:
+    def test_nucleotide_step_is_each_private_mutation_hit_by_its_token(self):
+        traj, sample = sample_for([(1, "T")], [(10, "G"), (20, "-"), (10, "A")])
+        private = sample.tokens[PREFIX_LENGTH + sample.split_index:]
+        assert task_steps("nucleotide", [traj], TOK, None) == [[(i, {t}) for i, t in enumerate(private)]]
 
-        from evotraj.genome import SpikeMap
-        from evotraj.tree import split_train_eval
-
+    def test_synonymous_only_sequence_has_no_spike_step(self, tmp_path):
         spike_map = SpikeMap(mini_spike_annotation(tmp_path))
-        # codon 3 is CTA (L); third-base change to G is synonymous (CTG -> L)
-        synonymous, _ = sample_for([], [(39, "G")], date="2025-03-01")
-        missense, _ = sample_for([], [(37, "G")], date="2025-03-02")
-        for t in (synonymous, missense):
-            object.__setattr__(t.meta, "released", PartialDate(2025, 4, 1))
-        res = split_train_eval(
-            [synonymous, missense],
-            datetime.date(2025, 2, 12),
-            datetime.date(2025, 7, 16),
-            task="spike",
-            spike_map=spike_map,
-        )
-        assert len(res.eval) == 1
-        assert res.eval[0] is missense
-        assert res.n_excluded_no_signal == 1
+        # codon 3 is CTA (L); third-base change to G is synonymous (CTG -> L),
+        # and only a first-base G makes L3V
+        synonymous, _ = sample_for([], [(39, "G")])
+        missense, _ = sample_for([], [(37, "G")])
+        assert task_steps("spike", [synonymous, missense], TOK, spike_map) == [
+            [], [(0, {AaMutation("S", 3, "L", "V"), TOK.mutation_token(37, "G")})]
+        ]
+
+    def test_unknown_task_refused(self):
+        traj, _ = sample_for([], [(10, "G")])
+        with pytest.raises(ValueError, match="unknown task 'foo'"):
+            task_steps("foo", [traj], TOK, None)
 
 
 def mixed_sequences(n=9, seed=0):
@@ -468,7 +474,7 @@ class TestBatchedRanking:
         forward = model.forward
         monkeypatch.setattr(model, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw))
         trajs, samples = mixed_sequences(n=9)
-        evaluate_sequences(trajs, samples, ModelPredictor(model, TOK), ks=(1, 10, 100))
+        scored(trajs, samples, ModelPredictor(model, TOK), ks=(1, 10, 100))
         assert len(calls) == 3
 
 
@@ -476,12 +482,12 @@ class TestRankOnceAtMaxK:
     def check_equal_to_separate_ks(self, predictor, task="nucleotide", **kw):
         trajs, samples = mixed_sequences(n=12, seed=3)
         if task == "spike":
-            keep = [i for i, t in enumerate(trajs) if any(spike_replay(t, kw["spike_map"]))]
+            keep = [i for i, steps in enumerate(task_steps(task, trajs, TOK, kw["spike_map"])) if steps]
             trajs, samples = [trajs[i] for i in keep], [samples[i] for i in keep]
             assert len(trajs) >= 3
-        together = evaluate_sequences(trajs, samples, predictor, ks=(1, 10, 100), task=task, **kw)
+        together = scored(trajs, samples, predictor, ks=(1, 10, 100), task=task, **kw)
         for k in (1, 10, 100):
-            alone = evaluate_sequences(trajs, samples, predictor, ks=(k,), task=task, **kw)
+            alone = scored(trajs, samples, predictor, ks=(k,), task=task, **kw)
             assert together.per_k[k] == alone.per_k[k]
             assert [r for r in together.reports if r.k == k] == alone.reports
         assert together.per_k[1] != together.per_k[100]

@@ -1,5 +1,6 @@
 import ast
 import collections
+import datetime
 import hashlib
 import importlib.util
 import json
@@ -16,9 +17,10 @@ import pytest
 from evotraj import cli, evaluation, pipeline
 from evotraj.baseline import BloomRecord
 from evotraj.cli import main
-from evotraj.genome import GENETIC_CODE
+from evotraj.genome import DEFAULT_ANNOTATION, GENETIC_CODE, SpikeState
 from evotraj.model import load_checkpoint
 from evotraj.tokenizer import Tokenizer, read_token_stream
+from evotraj.tree import extract_all_trajectories, parse_tree, split_train_eval
 from evotraj.pipeline import (
     CONFIG_HEADER,
     PipelineConfig,
@@ -234,6 +236,13 @@ def write_spike_orf(root: Path) -> tuple[Path, Path]:
     return annotation, reference
 
 
+def window_candidates(tree: Path) -> list:
+    """The trajectories of ``tree`` that SMALL_SETTINGS' cutoffs put in the
+    evaluation window, each carrying a private mutation."""
+    trajectories = extract_all_trajectories(parse_tree(tree))
+    return split_train_eval(trajectories, datetime.date(2024, 7, 15), datetime.date(2024, 12, 31)).eval
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     """One full simulate -> ... -> evaluate chain shared by the CLI tests:
@@ -423,6 +432,25 @@ class TestEndToEnd:
             "--out", str(out), *SMALL_SETTINGS,
         ], out, f"{table} is an amino-acid table: it scores task=spike only, not task=nucleotide")
 
+    def test_spike_evaluate_replays_each_sequence_once(self, pipeline_run, tmp_path, monkeypatch):
+        # one replay of each window candidate finds its spike steps, and
+        # whether it has any: one effect_of call per private mutation
+        calls = []
+        effect_of = SpikeState.effect_of
+        monkeypatch.setattr(SpikeState, "effect_of", lambda state, m: calls.append(m) or effect_of(state, m))
+        annotation, reference = write_spike_orf(tmp_path)
+        tree = pipeline_run["sim"] / "tree.jsonl"
+        out = tmp_path / "eval_spike"
+        assert main([
+            "evaluate", "--tree", str(tree), "--layout", str(pipeline_run["dataset"] / "layout.txt"),
+            "--population", str(pipeline_run["sim"] / "population.csv"),
+            "--checkpoint", str(pipeline_run["train"] / "checkpoint.ckpt"),
+            "--annotation", str(annotation), "--reference", str(reference),
+            "--out", str(out), *SMALL_SETTINGS, "--set", "task=spike", "--set", "ks=1,10,100",
+        ]) == 0
+        assert (out / "report.csv").read_bytes() == (pipeline_run["eval_spike"] / "report.csv").read_bytes()
+        assert len(calls) == sum(len(t.sequence_mutations) for t in window_candidates(tree)) == 76
+
     @pytest.mark.parametrize("no_location", [False, True], ids=["located", "no-location"])
     @pytest.mark.parametrize("source", ["checkpoint", "baseline"])
     def test_evaluate_ranks_through_rank_at_positions(self, pipeline_run, tmp_path, monkeypatch,
@@ -568,6 +596,23 @@ OUTSIDE_FILE_CASES = {
     "annotation-without-genome-row": (
         ["evaluate", "--tree", "{tree}", *MODEL, "--annotation", "{file}", "--set", "task=spike"],
         "orfs.tsv", "S\t21563\t25384\n", "annotation missing the 'genome' length row"),
+    "annotation-genome-row-repeated": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--annotation", "{file}", "--set", "task=spike"],
+        "orfs.tsv", "genome\t1\t200\ngenome\t1\t500\n", "line 2: row 'genome' repeated, first on line 1"),
+    "annotation-orf-row-repeated": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--annotation", "{file}", "--set", "task=spike"],
+        "orfs.tsv", "genome\t1\t29903\nS\t21563\t25384\n\nS\t21560\t25384\n",
+        "line 4: row 'S' repeated, first on line 2"),
+    "annotation-row-of-two-fields": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--annotation", "{file}", "--set", "task=spike"],
+        "orfs.tsv", "genome\t29903\n", "line 1: expected name, start and end separated by tabs, got 2 fields"),
+    "annotation-non-integer-coordinate": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--annotation", "{file}", "--set", "task=spike"],
+        "orfs.tsv", "genome\t1\t29903\nS\t21563\tend\n",
+        "line 2: start and end must be integers, got '21563' and 'end'"),
+    "reference-record-repeated": (
+        ["evaluate", "--tree", "{tree}", *MODEL, "--reference", "{file}", "--set", "task=spike"],
+        "ref.fasta", ">S\nATG\n>S second\nATGTAA\n", "line 3: record 'S' repeated, first on line 1"),
     "missing-tree": (
         ["ingest", "--tree", "{file}"], "absent.jsonl", None, "No such file or directory"),
     "missing-reference": (
@@ -734,6 +779,43 @@ class TestRefusals:
             "--checkpoint", paths["checkpoint"], *SMALL_SETTINGS, "--set", "max_seq=0", "--out", str(out),
         ], out, f"max_seq: all {n} evaluation sequences have a context longer than 0 tokens,"
                 " so none is evaluated")
+
+    @pytest.mark.parametrize("task", ["nucleotide", "spike"])
+    def test_evaluate_refuses_an_empty_evaluation_set(self, pipeline_run, tmp_path, capsys, task):
+        paths = self.paths(pipeline_run)
+        if task == "nucleotide":
+            # no sequence collected after the training cutoff is released by the next day
+            flags = ["--set", "eval_cutoff=2024-07-16"]
+        else:
+            # a one-codon ORF and its stop on sites 47-52, which no window
+            # candidate's private mutation touches: none has a spike step
+            annotation, reference = tmp_path / "orf.tsv", tmp_path / "orf.fasta"
+            annotation.write_text("genome\t1\t200\nS\t47\t52\n")
+            reference.write_text(">S\nATGTAA\n")
+            window = window_candidates(Path(paths["tree"]))
+            assert window and not any(47 <= m.site <= 52 for t in window for m in t.sequence_mutations)
+            flags = ["--annotation", str(annotation), "--reference", str(reference), "--set", "task=spike"]
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            "evaluate", "--tree", paths["tree"], "--layout", paths["layout"], "--checkpoint", paths["checkpoint"],
+            *SMALL_SETTINGS, *flags, "--out", str(out),
+        ], out, "evaluation set is empty for the configured cutoffs")
+
+    @pytest.mark.parametrize("genome", [29903, 500])
+    def test_evaluate_refuses_an_annotation_for_another_genome(self, pipeline_run, tmp_path, capsys, genome):
+        # the bundled annotation's genome, or the 200-site ORF's file on a
+        # 500-site genome, against the 200-site layout
+        flags, annotation = [], DEFAULT_ANNOTATION
+        if genome == 500:
+            annotation, reference = write_spike_orf(tmp_path)
+            annotation.write_text(annotation.read_text().replace("genome\t1\t200", "genome\t1\t500"))
+            flags = ["--annotation", str(annotation), "--reference", str(reference)]
+        paths = self.paths(pipeline_run)
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            "evaluate", "--tree", paths["tree"], "--layout", paths["layout"], "--checkpoint", paths["checkpoint"],
+            *SMALL_SETTINGS, *flags, "--set", "task=spike", "--out", str(out),
+        ], out, f"{annotation}: annotates a genome of {genome} sites, but the layout {paths['layout']} has 200")
 
     @pytest.mark.parametrize("stage", ["predict", "evaluate"])
     def test_checkpoint_changed_since_train_refused_as_stale(self, pipeline_run, tmp_path, capsys, stage):

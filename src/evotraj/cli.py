@@ -192,6 +192,20 @@ def _split(args, config: PipelineConfig):
         return split_train_eval(trajectories, *cutoffs)
 
 
+def _check_sites(tree: str, trajectories: list[Trajectory], tok: Tokenizer) -> None:
+    """Refuse the first of the ``--tree`` file's ``trajectories`` with a
+    mutation at a site beyond the layout's genome, which has no token,
+    naming the file, the sequence, the site and the layout's length."""
+    length = tok.spec.genome_length
+    for t in trajectories:
+        for m in t.all_mutations:
+            if m.site > length:
+                raise Refused(
+                    f"{tree}: sequence {t.meta.name!r} has a mutation at site {m.site},"
+                    f" beyond the layout's genome of {length} sites"
+                )
+
+
 @contextmanager
 def _loading(checkpoint: str | None):
     """The load of ``checkpoint``, begun at once on one worker thread, as a
@@ -294,6 +308,7 @@ def cmd_build_dataset(args) -> int:
         for name in (traj.meta.country, traj.meta.region):
             if name:
                 tok.register_location(name)
+    _check_sites(args.tree, split.train, tok)
     samples = [tok.tokenize(traj) for traj in split.train]
     wcfg = _weight_config(config)
     populations = _read(args.population, weighting.load_population_table, {})
@@ -493,6 +508,8 @@ def cmd_evaluate(args) -> int:
     with _loading(args.checkpoint) as loading:
         with _refusing("ks"):
             ks = config.k_list
+        if config.task not in evaluation.TASKS:
+            raise Refused(f"config: unknown task {config.task!r}")
         tok = Tokenizer.load(args.layout)
         spike_map = None
         if config.task == "spike":
@@ -505,9 +522,9 @@ def cmd_evaluate(args) -> int:
                     f" but the layout {args.layout} has {tok.spec.genome_length}"
                 )
         split = _split(args, config)
+        _check_sites(args.tree, split.eval, tok)
         # a sequence without a step for the task has no signal for it
-        with _refusing("config"):
-            steps = evaluation.task_steps(config.task, split.eval, tok, spike_map)
+        steps = evaluation.task_steps(config.task, split.eval, tok, spike_map)
         scored = [(t, s) for t, s in zip(split.eval, steps) if s]
         if not scored:
             raise Refused("evaluation set is empty for the configured cutoffs")

@@ -4,10 +4,13 @@ Everything runs in float64. Layers cache what their backward pass needs; call
 order must be forward then backward, once per step. Each module runs once per
 forward, so its backward writes Parameter.grad rather than adding to it: no
 gradient needs zeroing between steps, and a second backward of the same
-forward leaves the same gradients. An embedding's weight is row-wise: its
-gradient holds only the rows of the last backward's ids, row i for the row
-named by Parameter.rows[i], and Adam keeps its moments only for the rows that
-have ever had a gradient; no array of the vocabulary's size is made for it
+forward leaves the same gradients. A training step's output head is run by
+its loss, not by ``Linear``: ``transformer.masked_cross_entropy`` makes the
+logits, and writes the head's gradient, one bounded block of vocabulary
+columns at a time. An embedding's weight is row-wise: its gradient holds
+only the rows of the last backward's ids, row i for the row named by
+Parameter.rows[i], and Adam keeps its moments only for the rows that have
+ever had a gradient; no array of the vocabulary's size is made for it
 beside the weight itself.
 """
 
@@ -135,9 +138,24 @@ class Gelu(Module):
         return 0.5 * x * (1.0 + self._tanh)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """grad_out * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)),
+        with t the forward's tanh, in three buffers: each operation is the
+        formula's, on the same operands in the same order, so every bit is."""
         x, t = self._x, self._tanh
-        du = self._C * (1.0 + 3 * 0.044715 * (x * x))
-        return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+        du = np.multiply(x, x)
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= self._C
+        slope = np.multiply(t, t)
+        np.subtract(1.0, slope, out=slope)
+        out = np.multiply(x, 0.5)
+        slope *= out
+        slope *= du
+        np.add(t, 1.0, out=out)
+        out *= 0.5
+        out += slope
+        out *= grad_out
+        return out
 
 
 def rope_angles(positions: np.ndarray, head_dim: int) -> np.ndarray:

@@ -229,14 +229,10 @@ def train(
                 f"non-finite loss {result.loss} at step {step} "
                 f"(batch ids {batch_ids[:8]}..., {result.n_targets} targets)"
             )
-        model.backward(result.grad_logits)
-        loss = result.loss
-        # the (rows, V) gradient goes before the next step's forward makes
-        # its logits, so at most one such array is live
-        del result
+        model.backward(result.grad_hidden)
         lr = train_config.lr_at(step)
         opt.step(lr)
-        state.log.append((step, lr, loss))
+        state.log.append((step, lr, result.loss))
     return state
 
 

@@ -3,6 +3,12 @@
 Next-token training with the loss restricted to trajectory tokens; the
 location/time prefix only ever provides context. Positions are encoded
 rotationally inside attention, so there is no absolute position table.
+
+A training step never makes the (rows, vocabulary) logits whole: the loss
+takes the final hidden rows and the head's weight, and runs the head, the
+softmax, the cross-entropy and the head's backward one block of vocabulary
+columns at a time. Inference (``logits``, ``forward``) makes the whole
+array, since it needs every probability.
 """
 
 from __future__ import annotations
@@ -12,11 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import Block, Embedding, LayerNorm, Linear, Module, softmax
+from .nn import Block, Embedding, LayerNorm, Linear, Module, Parameter, softmax
 
-# bytes of logits per loss block: one 150,210-id row, or about 40 rows of
-# 3,195 ids, fits a 2 MB L2 with room to spare
-LOSS_BLOCK_BYTES = 1 << 20
+# bytes of logits per column block of the loss: a whole desk-scale step
+# (at most 563 rows of 3,195 ids, 14.4 MB) fits one block, and a
+# production-vocabulary step of 147 rows (177 MB of logits) takes 11
+LOGIT_BLOCK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -58,10 +65,10 @@ class Transformer(Module):
             raise ValueError("token id outside vocabulary")
         return ids
 
-    def logits(self, ids: np.ndarray, rows) -> np.ndarray:
-        """(n, V) next-token logits of (B, T) ``ids`` at the n positions that
-        ``rows`` indexes, e.g. a (batch indices, positions) pair; only those
-        positions go through the head. The rows must be distinct, as
+    def hidden(self, ids: np.ndarray, rows) -> np.ndarray:
+        """(n, hidden) final-layer-norm outputs of (B, T) ``ids`` at the n
+        positions that ``rows`` indexes, e.g. a (batch indices, positions)
+        pair: the head's input rows. The rows must be distinct, as
         ``np.nonzero`` of a mask gives them."""
         ids = self._check_input(ids)
         x = self.embed.forward(ids)
@@ -69,7 +76,12 @@ class Transformer(Module):
             x = block.forward(x)
         x = self.ln_f.forward(x)
         self._rows, self._hidden_shape = rows, x.shape
-        return self.head.forward(x[rows])
+        return x[rows]
+
+    def logits(self, ids: np.ndarray, rows) -> np.ndarray:
+        """(n, V) next-token logits at ``rows`` (see ``hidden``); only those
+        positions go through the head."""
+        return self.head.forward(self.hidden(ids, rows))
 
     def forward(self, ids: np.ndarray, rows) -> np.ndarray:
         """(n, V) probability distributions over the vocabulary at ``rows``
@@ -78,12 +90,13 @@ class Transformer(Module):
         z = self.logits(ids, rows)
         return softmax(z, out=z)
 
-    def backward(self, grad_logits: np.ndarray) -> None:
-        """Backpropagate the (n, V) gradient of the last ``logits`` call's
-        output. Positions outside its rows had no head output, so their
-        gradient is zero."""
+    def backward(self, grad_hidden: np.ndarray) -> None:
+        """Backpropagate the (n, hidden) gradient of the last ``hidden``
+        call's output, the head's input rows, down to the embedding.
+        Positions outside its rows had no head input, so their gradient is
+        zero. The head's own gradient is the loss's to write."""
         full = np.zeros(self._hidden_shape)
-        full[self._rows] = self.head.backward(grad_logits)
+        full[self._rows] = grad_hidden
         dx = self.ln_f.backward(full)
         for block in reversed(self.blocks):
             dx = block.backward(dx)
@@ -94,29 +107,65 @@ class Transformer(Module):
 class LossResult:
     loss: float
     n_targets: int
-    grad_logits: np.ndarray
+    grad_hidden: np.ndarray  # (n, hidden): the gradient of the head's input rows
 
 
-def masked_cross_entropy(z: np.ndarray, targets: np.ndarray) -> LossResult:
-    """Mean next-token cross-entropy of (n, V) row logits ``z`` against the n
-    row target ids.
+def masked_cross_entropy(h: np.ndarray, head: Parameter, targets: np.ndarray) -> LossResult:
+    """Mean next-token cross-entropy of the logits ``h @ head.value`` of
+    (n, hidden) rows ``h`` against the n row target ids, with its gradient:
+    ``head.grad`` is written, and the gradient of ``h`` returned.
 
-    ``z`` becomes the softmax and then the gradient (p - onehot) / n, in
-    place: one (n, V) array in all. Each block of rows goes through the
-    softmax, the target gather and the gradient while it is in cache; every
-    row's values are those of the one-shot formula."""
-    n = len(targets)
-    block = max(1, LOSS_BLOCK_BYTES // (z.shape[1] * z.itemsize))
-    at_target = np.empty(n, dtype=z.dtype)
-    for lo in range(0, n, block):
-        zb, tb = z[lo : lo + block], targets[lo : lo + block]
-        softmax(zb, out=zb)
-        hit = (np.arange(len(tb)), tb)
-        at_target[lo : lo + block] = zb[hit]
-        zb[hit] -= 1.0
-        zb /= n
+    The (n, V) logits are never whole. Each block of vocabulary columns,
+    LOGIT_BLOCK_BYTES of logits, is made in one reused buffer. Pass 1 keeps
+    each row's largest logit and sum of exponentials per block; together
+    they give the softmax's shift M and denominator S. Pass 2 makes each
+    block again as exp(z - M) / S, less the one-hot, over n: the block's
+    gradient, which writes its columns of ``head.grad`` and adds its term
+    of the gradient of ``h``. When the whole array fits one block, pass 2
+    takes pass 1's exponentials, and every value is the one-shot formula's
+    to the bit."""
+    n, w = len(targets), head.value
+    vocab = w.shape[1]
+    if targets.min() < 0 or targets.max() >= vocab:
+        raise ValueError("target id outside vocabulary")
+    width = min(vocab, max(1, LOGIT_BLOCK_BYTES // (n * w.itemsize)))
+    starts = range(0, vocab, width)
+    buf = np.empty((n, width))
+    maxes, sums = np.empty((len(starts), n)), np.empty((len(starts), n))
+    for b, lo in enumerate(starts):
+        wb = w[:, lo : lo + width]
+        z = np.matmul(h, wb, out=buf[:, : wb.shape[1]])
+        z.max(axis=1, out=maxes[b])
+        z -= maxes[b][:, None]
+        np.exp(z, out=z)
+        z.sum(axis=1, out=sums[b])
+    top = maxes.max(axis=0)
+    # one block: exp(0) is 1 and a sum of one row is that row, so this is
+    # exactly the block's own sum
+    total = (sums * np.exp(maxes - top)).sum(axis=0)
+
+    rows = np.arange(n)
+    at_target = np.empty(n)
+    grad = np.empty_like(h)
+    for b, lo in enumerate(starts):
+        wb = w[:, lo : lo + width]
+        if len(starts) > 1:
+            z = np.matmul(h, wb, out=buf[:, : wb.shape[1]])
+            z -= top[:, None]
+            np.exp(z, out=z)
+        z /= total[:, None]
+        hit = (targets >= lo) & (targets < lo + width)
+        at = (rows[hit], targets[hit] - lo)
+        at_target[hit] = z[at]
+        z[at] -= 1.0
+        z /= n
+        np.matmul(h.T, z, out=head.grad[:, lo : lo + width])
+        if b == 0:
+            np.matmul(z, wb.T, out=grad)
+        else:
+            grad += z @ wb.T
     loss = float(-np.log(np.maximum(at_target, 1e-300)).mean())
-    return LossResult(loss=loss, n_targets=n, grad_logits=z)
+    return LossResult(loss=loss, n_targets=n, grad_hidden=grad)
 
 
 def trajectory_loss(
@@ -128,12 +177,13 @@ def trajectory_loss(
     """``masked_cross_entropy`` of the model on a batch, over the mask-true
     target positions: targets[i, t] is the token to predict from position t,
     and the mask selects trajectory-token targets only, so prefix and padding
-    positions contribute nothing. Only the loss rows go through the head, so
-    ``grad_logits`` is (n_targets, V); pass it to ``model.backward``."""
+    positions contribute nothing. Only the loss rows go through the head;
+    the loss writes the head's gradient, and ``grad_hidden``, (n_targets,
+    hidden), is for ``model.backward``."""
     if not target_mask.any():
         raise ValueError("batch has no trajectory-token targets")
     rows = np.nonzero(target_mask)
-    return masked_cross_entropy(model.logits(inputs, rows), targets[rows])
+    return masked_cross_entropy(model.hidden(inputs, rows), model.head.weight, targets[rows])
 
 
 def batch_arrays(

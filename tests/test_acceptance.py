@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from evotraj.baseline import BloomRecord, BloomTable, mixed_score, rank_nt_table
-from evotraj.evaluation import (
-    ModelPredictor,
-    RandomPredictor,
-    StaticPredictor,
-    nucleotide_candidate_count,
-)
+from evotraj.evaluation import ModelPredictor, StaticPredictor
 from evotraj.genome import (
     BASES,
     GENETIC_CODE,
@@ -47,6 +42,7 @@ from evotraj.weighting import (
     sequence_weights,
     temporal_adjust,
 )
+from random_baseline import RandomPredictor, nucleotide_candidate_count
 from test_evaluation import scored
 from test_model import every_row
 
@@ -314,7 +310,7 @@ class TestCriterion5ModelNumerics:
             mask[0, 0] = True
 
             res = trajectory_loss(model, inputs, targets, mask)
-            model.backward(res.grad_logits)
+            model.backward(res.grad_hidden)
 
             def loss_fn():
                 return trajectory_loss(model, inputs, targets, mask).loss

@@ -5,11 +5,9 @@ import pytest
 
 from evotraj.evaluation import (
     ModelPredictor,
-    RandomPredictor,
     StaticPredictor,
     aggregate,
     evaluate_sequences,
-    nucleotide_candidate_count,
     slice_by_month,
     spike_recall_at_k,
     spike_replay,
@@ -20,6 +18,7 @@ from evotraj.genome import AaMutation, GENETIC_CODE, NtMutation, SpikeMap, load_
 from evotraj.model import ModelConfig, Transformer, ranking
 from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, Tokenizer
 from evotraj.tree import PartialDate, SequenceMeta, Trajectory
+from random_baseline import RandomPredictor, nucleotide_candidate_count
 
 TOK = Tokenizer(LayoutSpec(genome_length=120))
 

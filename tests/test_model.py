@@ -36,7 +36,8 @@ from evotraj.model.nn import (
     softmax,
 )
 from evotraj.model.training import Adam, TrainingDiverged, TrainState, plan_batch
-from evotraj.model.transformer import LOSS_BLOCK_BYTES
+from evotraj.model import transformer
+from evotraj.model.transformer import LOGIT_BLOCK_BYTES
 from evotraj.genome import NtMutation
 from evotraj.pipeline import sha256_file
 from evotraj.tokenizer import PREFIX_LENGTH, LayoutSpec, TokenizedSample, Tokenizer
@@ -56,8 +57,8 @@ def small_batch(seed=0, b=2, t=10, vocab=VOCAB):
 
 
 def every_row(method, ids):
-    """``method``, a model's ``logits`` or ``forward``, at every position of
-    (B, T) ``ids``: the (B * T, V) rows reshaped to (B, T, V)."""
+    """``method``, a model's ``hidden``, ``logits`` or ``forward``, at every
+    position of (B, T) ``ids``: the (B * T, d) rows reshaped to (B, T, d)."""
     ids = np.asarray(ids)
     return method(ids, np.nonzero(np.ones(ids.shape, dtype=bool))).reshape(*ids.shape, -1)
 
@@ -159,13 +160,15 @@ class TestRope:
 
 class TestLossFunction:
     def test_uniform_logits_give_log_vocab(self):
-        res = masked_cross_entropy(np.zeros((4, VOCAB)), np.array([1, 2, 3, 4]))
+        # zero rows give zero logits, whatever the head
+        head = Parameter(np.random.default_rng(0).normal(size=(8, VOCAB)))
+        res = masked_cross_entropy(np.zeros((4, 8)), head, np.array([1, 2, 3, 4]))
         assert res.loss == pytest.approx(math.log(VOCAB), rel=1e-12)
 
     def test_certain_prediction_gives_zero_loss(self):
-        logits = np.zeros((1, VOCAB))
-        logits[0, 5] = 1e4
-        res = masked_cross_entropy(logits, np.array([5]))
+        head = Parameter(np.zeros((1, VOCAB)))
+        head.value[0, 5] = 1e4
+        res = masked_cross_entropy(np.ones((1, 1)), head, np.array([5]))
         assert res.loss == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_head_model_is_uniform(self):
@@ -198,7 +201,7 @@ class TestLossFunction:
         targets = np.zeros((2, 5), dtype=int)
         mask = np.zeros((2, 5), dtype=bool)
         mask[0, 2] = True
-        model.backward(trajectory_loss(model, ids, targets, mask).grad_logits)
+        model.backward(trajectory_loss(model, ids, targets, mask).grad_hidden)
         grad = dense_grad(model.parameters()["embed.weight"])
         assert np.all(grad[ids[0, 3:]] == 0.0) and np.all(grad[ids[1]] == 0.0)
         assert grad[ids[0, :3]].all(axis=1).all()
@@ -242,38 +245,86 @@ def one_shot_cross_entropy(z: np.ndarray, targets: np.ndarray) -> tuple[float, n
     return loss, p / len(targets)
 
 
+def one_shot_head_and_loss(h: np.ndarray, w: np.ndarray, targets: np.ndarray):
+    """The loss of the logits h @ w, the gradient of h and the gradient of
+    w, from the whole (n, V) logits at once."""
+    loss, grad = one_shot_cross_entropy(h @ w, targets)
+    return loss, grad @ w.T, h.T @ grad
+
+
+def loss_case(vocab: int, n: int, hidden: int = 16, seed: int = 0):
+    """(n, hidden) rows, a (hidden, V) head and n targets, the first in the
+    first column and the last in the last."""
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(0, vocab, size=n)
+    targets[[0, -1]] = 0, vocab - 1
+    return rng.normal(size=(n, hidden)), Parameter(rng.normal(size=(hidden, vocab))), targets
+
+
 class TestBlockedLoss:
-    """The loss takes the softmax, the target gather and the gradient one
-    block of rows at a time; every value equals the one-shot formula's."""
+    """The loss runs the head, the softmax, the cross-entropy and the head's
+    backward one block of LOGIT_BLOCK_BYTES of logits, a block of vocabulary
+    columns, at a time."""
 
-    # (V, rows): rows of less than, exactly and more than one block's bytes,
-    # and row counts that are not a multiple of the rows in a block
-    SHAPES = [(97, 1400), (3195, 83), (LOSS_BLOCK_BYTES // 8, 3), (LOSS_BLOCK_BYTES // 8 + 1, 3), (150_210, 2)]
+    # (V, rows) whose (rows, V) logits fit one block: the desk vocabulary at
+    # its largest step, the production one, and exactly one block's bytes
+    ONE_BLOCK = [(97, 1400), (3195, 563), (150_210, 2), (LOGIT_BLOCK_BYTES // 64, 8)]
 
-    @pytest.mark.parametrize("vocab, n", SHAPES)
-    def test_row_form_is_bit_identical_to_one_shot(self, vocab, n):
-        rng = np.random.default_rng(vocab + n)
-        z = rng.normal(size=(n, vocab)) * 4.0
-        targets = rng.integers(0, vocab, size=n)
-        probs = one_shot_softmax(z)
-        loss, grad = one_shot_cross_entropy(z, targets)
-        assert np.array_equal(softmax(z), probs)
-        got = masked_cross_entropy(z, targets)
+    @pytest.mark.parametrize("vocab, n", ONE_BLOCK)
+    def test_one_block_is_bit_identical_to_one_shot(self, vocab, n):
+        h, head, targets = loss_case(vocab, n, seed=vocab + n)
+        assert n * vocab * 8 <= LOGIT_BLOCK_BYTES
+        loss, dh, dw = one_shot_head_and_loss(h, head.value, targets)
+        got = masked_cross_entropy(h, head, targets)
         assert got.loss == loss and got.n_targets == n
-        # the gradient overwrote the logits
-        assert got.grad_logits is z and np.array_equal(got.grad_logits, grad)
+        assert np.array_equal(got.grad_hidden, dh)
+        assert np.array_equal(head.grad, dw)
+
+    # (V, rows, budget in bytes, or None for LOGIT_BLOCK_BYTES): the
+    # production vocabulary just past one block, a last block of 414
+    # columns; nine blocks of 10 columns and one of 7; and one column a
+    # block, for a budget below one column's bytes
+    SHAPES = [(150_210, 14, None), (97, 5, 5 * 8 * 10), (97, 5, 8)]
+
+    @pytest.mark.parametrize("vocab, n, budget", SHAPES)
+    def test_column_blocks_match_one_shot(self, monkeypatch, vocab, n, budget):
+        if budget is not None:
+            monkeypatch.setattr(transformer, "LOGIT_BLOCK_BYTES", budget)
+        assert n * vocab * 8 > transformer.LOGIT_BLOCK_BYTES
+        h, head, targets = loss_case(vocab, n, seed=vocab + n)
+        loss, dh, dw = one_shot_head_and_loss(h, head.value, targets)
+        got = masked_cross_entropy(h, head, targets)
+        assert got.loss == pytest.approx(loss, rel=1e-12, abs=0)
+        assert np.abs(got.grad_hidden - dh).max() <= 1e-12 * np.abs(dh).max()
+        assert np.abs(head.grad - dw).max() <= 1e-12 * np.abs(dw).max()
+
+    def test_target_outside_the_vocabulary_rejected(self):
+        h, head, targets = loss_case(VOCAB, 3)
+        for bad in (-1, VOCAB):
+            targets[1] = bad
+            with pytest.raises(ValueError, match="target id outside vocabulary"):
+                masked_cross_entropy(h, head, targets)
 
 
 class TestGradients:
     def test_finite_difference_agreement_every_parameter(self):
-        model = Transformer(DESK, seed=11)
-        inputs, targets, mask = small_batch(seed=12)
+        self.check(Transformer(DESK, seed=11), *small_batch(seed=12))
 
+    def test_finite_difference_agreement_across_column_blocks(self, monkeypatch):
+        # a budget of 48 logits: the batch's 8 loss rows take the
+        # vocabulary 6 columns a block, the last block 1 column
+        inputs, targets, mask = small_batch(seed=12)
+        monkeypatch.setattr(transformer, "LOGIT_BLOCK_BYTES", 48 * 8)
+        assert mask.sum() == 8 and VOCAB % 6 == 1
+        self.check(Transformer(DESK, seed=11), inputs, targets, mask)
+
+    @staticmethod
+    def check(model, inputs, targets, mask):
         def loss_fn():
             return trajectory_loss(model, inputs, targets, mask).loss
 
         res = trajectory_loss(model, inputs, targets, mask)
-        model.backward(res.grad_logits)
+        model.backward(res.grad_hidden)
 
         rng = np.random.default_rng(13)
         touched_rows = np.unique(inputs)
@@ -316,24 +367,26 @@ class TestLossRows:
     """The training step runs the head and the loss on the loss rows only."""
 
     def test_grad_logits_are_loss_rows(self):
+        # the head's input gradient has one row per loss row
         model = Transformer(DESK, seed=5)
         inputs, targets, mask = prefixed_batch()
         assert not mask.all()
         res = trajectory_loss(model, inputs, targets, mask)
-        assert res.grad_logits.shape == (mask.sum(), VOCAB) == (res.n_targets, VOCAB)
+        assert res.grad_hidden.shape == (mask.sum(), DESK.hidden) == (res.n_targets, DESK.hidden)
 
     def test_equals_full_logits_path(self):
-        # every row through the head, with the loss rows' gradient scattered
-        # into zeros, backpropagates to the same parameter gradients
+        # every row through the final layer norm, with the loss rows'
+        # gradient scattered into zeros, backpropagates to the same
+        # parameter gradients
         inputs, targets, mask = prefixed_batch(seed=1)
         rows_model, full_model = Transformer(DESK, seed=6), Transformer(DESK, seed=6)
         rows = trajectory_loss(rows_model, inputs, targets, mask)
-        rows_model.backward(rows.grad_logits)
-        logits = every_row(full_model.logits, inputs)
-        full = masked_cross_entropy(logits[mask], targets[mask])
-        grad = np.zeros_like(logits)
-        grad[mask] = full.grad_logits
-        full_model.backward(grad.reshape(-1, VOCAB))
+        rows_model.backward(rows.grad_hidden)
+        hidden = every_row(full_model.hidden, inputs)
+        full = masked_cross_entropy(hidden[mask], full_model.head.weight, targets[mask])
+        grad = np.zeros_like(hidden)
+        grad[mask] = full.grad_hidden
+        full_model.backward(grad.reshape(-1, DESK.hidden))
         assert rows.loss == pytest.approx(full.loss, rel=1e-12)
         full_params = full_model.parameters()
         for name, p in rows_model.parameters().items():
@@ -341,14 +394,14 @@ class TestLossRows:
 
     def test_finite_difference_through_gathered_rows(self):
         # any distinct rows, not just a loss mask, and an arbitrary linear
-        # function of the gathered logits
+        # function of the gathered head inputs
         model = Transformer(ModelConfig(vocab_size=VOCAB, layers=1, hidden=32, heads=4), seed=7)
         ids, _, _ = small_batch(seed=8, b=3, t=9)
         rows = (np.array([0, 2, 2, 1]), np.array([8, 0, 4, 6]))
-        weights = np.random.default_rng(9).normal(size=(4, VOCAB))
+        weights = np.random.default_rng(9).normal(size=(4, 32))
 
         def f():
-            return float((weights * model.logits(ids, rows=rows)).sum())
+            return float((weights * model.hidden(ids, rows=rows)).sum())
 
         f()
         model.backward(weights)
@@ -380,9 +433,9 @@ class TestBackwardWrites:
         model = Transformer(DESK, seed=14)
         inputs, targets, mask = prefixed_batch(seed=15)
         res = trajectory_loss(model, inputs, targets, mask)
-        model.backward(res.grad_logits)
+        model.backward(res.grad_hidden)
         once = {name: p.grad.copy() for name, p in model.parameters().items()}
-        model.backward(res.grad_logits)
+        model.backward(res.grad_hidden)
         for name, p in model.parameters().items():
             assert np.array_equal(p.grad, once[name]), name
 
@@ -393,8 +446,8 @@ class TestBackwardWrites:
         second = rng.integers(50, VOCAB, size=(2, 10))
         targets, mask = rng.integers(0, VOCAB, size=(2, 10)), np.ones((2, 10), dtype=bool)
         for ids in (first, second):
-            model.backward(trajectory_loss(model, ids, targets, mask).grad_logits)
-        fresh.backward(trajectory_loss(fresh, second, targets, mask).grad_logits)
+            model.backward(trajectory_loss(model, ids, targets, mask).grad_hidden)
+        fresh.backward(trajectory_loss(fresh, second, targets, mask).grad_hidden)
         embed = model.parameters()["embed.weight"]
         assert not dense_grad(embed)[np.unique(first)].any()
         assert np.array_equal(embed.rows, np.unique(second))
@@ -419,6 +472,20 @@ class TestLayers:
         big = np.abs(x) >= 10
         assert np.array_equal(y[big & (x > 0)], x[big & (x > 0)])
         assert np.all(np.abs(y[big & (x < 0)]) < 1e-30)
+
+    def test_gelu_backward_is_the_formula_bit_for_bit(self):
+        # the backward's buffers change no bit of the one-expression formula,
+        # on tails where tanh saturates and on subnormal inputs too
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(size=4000) * 4.0, np.linspace(-40.0, 40.0, 801), [0.0, -0.0, 5e-324, -1e-310]])
+        grad_out = rng.normal(size=x.shape)
+        gelu = Gelu()
+        gelu.forward(x)
+        t, c = gelu._tanh, math.sqrt(2.0 / math.pi)
+        du = c * (1.0 + 3 * 0.044715 * (x * x))
+        formula = grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+        got = gelu.backward(grad_out)
+        assert np.array_equal(got.view(np.int64), formula.view(np.int64))
 
     def test_linear_equals_row_by_row(self):
         rng = np.random.default_rng(11)
@@ -578,7 +645,7 @@ class TestTraining:
             for p in params.values():
                 p.grad[...] = 0.0
             res = trajectory_loss(model, inputs, targets, mask)
-            model.backward(res.grad_logits)
+            model.backward(res.grad_hidden)
             losses.append(res.loss)
             lr = tcfg.lr_at(step)
             bc1, bc2 = 1.0 - tcfg.beta1 ** (step + 1), 1.0 - tcfg.beta2 ** (step + 1)
@@ -990,6 +1057,23 @@ class TestAllocation:
         assert dx.shape == (self.ROWS, 16)
         assert peak < head // 4, f"peak {peak / 2**20:.1f} MB"
 
+    def test_loss_and_backward_make_no_rows_by_v_array(self):
+        # at the production vocabulary a step's 205 loss rows would make
+        # 246 MB of logits; the loss holds one block of them at a time
+        vocab, rows = 150_210, 205
+        model = Transformer(ModelConfig(vocab_size=vocab, layers=1, hidden=16, heads=2, max_seq=64), seed=0)
+        rng = np.random.default_rng(2)
+        ids, targets = rng.integers(0, vocab, size=(5, 41)), rng.integers(0, vocab, size=(5, 41))
+
+        def step():
+            res = trajectory_loss(model, ids, targets, np.ones((5, 41), dtype=bool))
+            model.backward(res.grad_hidden)
+            return res
+
+        peak, res = traced_peak(step)
+        assert res.n_targets == rows and math.isfinite(res.loss)
+        assert peak < rows * vocab * 8 // 4, f"peak {peak / 2**20:.1f} MB"
+
     def test_training_step_keeps_only_the_embedding_rows_it_touched(self):
         # at the production vocabulary the embedding's gradient and moments
         # hold its live rows, not 150,210 of them
@@ -1002,7 +1086,7 @@ class TestAllocation:
         for _ in range(2):
             ids = rng.integers(0, vocab, size=(2, 8))
             targets = rng.integers(0, vocab, size=(2, 8))
-            model.backward(trajectory_loss(model, ids, targets, np.ones((2, 8), dtype=bool)).grad_logits)
+            model.backward(trajectory_loss(model, ids, targets, np.ones((2, 8), dtype=bool)).grad_hidden)
             assert embed.grad.shape == (len(np.unique(ids)), hidden)
             assert np.array_equal(embed.rows, np.unique(ids))
             opt.step(1e-3)

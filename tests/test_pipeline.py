@@ -817,6 +817,41 @@ class TestRefusals:
             *SMALL_SETTINGS, *flags, "--set", "task=spike", "--out", str(out),
         ], out, f"{annotation}: annotates a genome of {genome} sites, but the layout {paths['layout']} has 200")
 
+    @pytest.mark.parametrize("stage", ["build-dataset", "evaluate"])
+    def test_tree_site_beyond_the_layout_refused_by_tree(self, pipeline_run, tmp_path, capsys, stage):
+        # a 500-site tree against a 200-site layout: the sequence named has
+        # a mutation at the site named, and the site has no token
+        assert main(["simulate", "--set", "genome_length=500", "--set", "synth_depth=5",
+                     "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        tree, table = tmp_path / "sim" / "tree.jsonl", tmp_path / "table.csv"
+        table.write_text("mutation,expected_count,fitness\nC10T,5,0\n")
+        argv = {
+            "build-dataset": ["build-dataset", *SMALL_SETTINGS],
+            "evaluate": ["evaluate", "--layout", self.paths(pipeline_run)["layout"], "--baseline", str(table),
+                         *SMALL_SETTINGS, "--set", "train_cutoff=2024-03-01", "--set", "eval_cutoff=2030-01-01"],
+        }[stage]
+        out = tmp_path / "out"
+        assert main([*argv, "--tree", str(tree), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(rf"error: {re.escape(str(tree))}: sequence '(\S+)' has a mutation at site (\d+),"
+                             r" beyond the layout's genome of 200 sites\n", err)
+        assert found, err
+        name, site = found[1], int(found[2])
+        [trajectory] = [t for t in extract_all_trajectories(parse_tree(tree)) if t.meta.name == name]
+        assert site > 200 and site in {m.site for m in trajectory.all_mutations}
+        assert not out.exists()
+
+    def test_unknown_task_refused_before_the_tree_is_read(self, pipeline_run, tmp_path, capsys):
+        tree = tmp_path / "tree.jsonl"
+        tree.write_text('{"id":"root","parent":null}\n{"id":"x","parent":"ghost"}\n')
+        paths = self.paths(pipeline_run)
+        out = tmp_path / "out"
+        assert_refused(capsys, [
+            "evaluate", "--tree", str(tree), "--layout", paths["layout"], "--checkpoint", paths["checkpoint"],
+            *SMALL_SETTINGS, "--set", "task=foo", "--out", str(out),
+        ], out, "config: unknown task 'foo'")
+
     @pytest.mark.parametrize("stage", ["predict", "evaluate"])
     def test_checkpoint_changed_since_train_refused_as_stale(self, pipeline_run, tmp_path, capsys, stage):
         train = tmp_path / "train"

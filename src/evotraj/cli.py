@@ -13,7 +13,9 @@ import datetime
 import json
 import math
 import os
+import resource
 import sys
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -97,9 +99,11 @@ class _Stage:
     refused if a float value is not finite, its input files (``None`` for one
     not given), each hashed once before any work but the checkpoint, hashed
     as it loads, the outputs named so far in the output directory (created
-    on first use), and the manifest recording them all."""
+    on first use), and the manifest recording them all, with the stage's
+    timing."""
 
     def __init__(self, args, name: str, **inputs: Path | str | None):
+        self._started = time.perf_counter(), time.process_time()
         self.args = args
         self.name = name
         with _refusing("--config"):
@@ -129,8 +133,17 @@ class _Stage:
         return self.outputs[key]
 
     def finish(self, **extra) -> None:
-        """Write the manifest, with ``extra`` as further top-level entries."""
-        write_manifest(self.args.out, self.name, self.config, self.inputs, self.outputs, extra)
+        """Write the manifest, with ``extra`` as further top-level entries and
+        a ``timing`` one: the wall and CPU seconds since the stage began, and
+        the peak RSS of the process so far, a running maximum over every
+        stage that the process has run."""
+        wall, cpu = self._started
+        timing = {
+            "wall_s": round(time.perf_counter() - wall, 6),
+            "cpu_s": round(time.process_time() - cpu, 6),
+            "process_peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        }
+        write_manifest(self.args.out, self.name, self.config, self.inputs, self.outputs, {**extra, "timing": timing})
 
 
 def _from_config(cls, config: PipelineConfig, **overrides):

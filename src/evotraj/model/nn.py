@@ -6,12 +6,13 @@ forward, so its backward writes Parameter.grad rather than adding to it: no
 gradient needs zeroing between steps, and a second backward of the same
 forward leaves the same gradients. A training step's output head is run by
 its loss, not by ``Linear``: ``transformer.masked_cross_entropy`` makes the
-logits, and writes the head's gradient, one bounded block of vocabulary
-columns at a time. An embedding's weight is row-wise: its gradient holds
-only the rows of the last backward's ids, row i for the row named by
-Parameter.rows[i], and Adam keeps its moments only for the rows that have
-ever had a gradient; no array of the vocabulary's size is made for it
-beside the weight itself.
+logits and the head's gradient one bounded block of vocabulary columns at a
+time, and hands each block of the gradient to the optimizer, so the head's
+weight has no gradient array (its ``grad`` is None). An embedding's weight
+is row-wise: its gradient holds only the rows of the last backward's ids,
+row i for the row named by Parameter.rows[i], and Adam keeps its moments
+only for the rows that have ever had a gradient. So no gradient array of
+the vocabulary's size is made for either.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class Parameter:
         self.value = np.asarray(value, dtype=DTYPE)
         # row-wise: grad[i] is the gradient of row rows[i], sorted and
         # distinct, and every other row's gradient is zero. None: grad has
-        # value's shape. np.zeros, not zeros_like: a large array's zero pages
+        # value's shape, or is None where its owner makes none (the output
+        # head). np.zeros, not zeros_like: a large array's zero pages
         # come from the OS on first touch, so a model used only for
         # inference never pays for its gradients
         self.rows: np.ndarray | None = np.empty(0, dtype=np.intp) if row_wise else None

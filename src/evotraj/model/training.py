@@ -26,7 +26,7 @@ import numpy as np
 from ..pipeline import Refused, atomic_output, write_atomic
 from ..tokenizer import TokenizedSample
 from .nn import DTYPE, Parameter
-from .transformer import ModelConfig, Transformer, batch_arrays, trajectory_loss
+from .transformer import LossResult, ModelConfig, Transformer, batch_arrays, trajectory_loss
 
 CHECKPOINT_MAGIC = "evotraj-checkpoint-v2"
 ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # every checkpoint entry's timestamp
@@ -78,10 +78,18 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with bias correction. A step updates each parameter block by
-    block through two reused scratch buffers, with the same operations in
-    the same order as the textbook formula, so the results are the same to
-    the bit; it allocates nothing of parameter size.
+    """Adam with bias correction. Each update runs block by block through
+    two reused scratch buffers, with the same operations in the same order
+    as the textbook formula, so the results are the same to the bit; it
+    allocates nothing of parameter size.
+
+    A step has two parts. A parameter without a gradient array, the output
+    head's, is updated during the loss: ``update_columns`` takes each block
+    of its columns' gradient as the loss makes it (``masked_cross_entropy``).
+    ``step`` then updates every other parameter from its gradient, and ends
+    the step. The formula works element by element, so updating the head
+    column block by column block gives every bit that one update of the
+    whole head from its whole gradient would.
 
     A row-wise parameter (``Parameter.rows``) has its moments kept, and is
     updated, only on the rows that have ever had a gradient, in row order;
@@ -96,7 +104,7 @@ class Adam:
     def __init__(self, params: dict[str, Parameter], config: TrainConfig):
         self.params = params
         self.config = config
-        self.step_count = 0
+        self.step_count = 0  # steps ended
         # per row-wise parameter, the sorted rows that have had a gradient;
         # its m[k][i] and v[k][i] belong to row live[k][i]
         self.live = {k: np.empty(0, dtype=np.intp) for k, p in params.items() if p.rows is not None}
@@ -125,12 +133,42 @@ class Adam:
         grad[np.searchsorted(live, p.rows)] = p.grad
         return live, grad
 
-    def step(self, lr: float) -> None:
+    def _update(self, w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float) -> None:
+        """The formula, in place, on arrays of one shape and at most BLOCK
+        elements, for the step in progress."""
         c = self.config
-        self.step_count += 1
-        bc1 = 1.0 - c.beta1**self.step_count
-        bc2 = 1.0 - c.beta2**self.step_count
+        t = self.step_count + 1
+        bc1, bc2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
+        a, b = (buf[: w.size].reshape(w.shape) for buf in self._scratch)
+        # m = beta1 * m + (1 - beta1) * g
+        m *= c.beta1
+        m += np.multiply(g, 1 - c.beta1, out=a)
+        # v = beta2 * v + (1 - beta2) * g**2
+        v *= c.beta2
+        np.square(g, out=a)
+        v += np.multiply(a, 1 - c.beta2, out=a)
+        # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += c.eps
+        np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+        w -= np.divide(b, a, out=b)
+
+    def update_columns(self, k: str, lo: int, grad: np.ndarray, lr: float) -> None:
+        """Update the columns lo : lo + width of the 2-D parameter ``k`` in
+        the step in progress, from ``grad``, their (rows, width) gradient:
+        in chunks of whole rows, or of BLOCK columns of one row."""
+        cols = slice(lo, lo + grad.shape[1])
+        arrays = (self.params[k].value[:, cols], grad, self.m[k][:, cols], self.v[k][:, cols])
+        rows = max(1, self.BLOCK // grad.shape[1])
+        for r in range(0, grad.shape[0], rows):
+            for c in range(0, grad.shape[1], self.BLOCK):
+                self._update(*(a[r : r + rows, c : c + self.BLOCK] for a in arrays), lr)
+
+    def step(self, lr: float) -> None:
+        """Update every parameter that has a gradient array, and end the step."""
         for k, p in self.params.items():
+            if p.grad is None:
+                continue  # updated by update_columns
             if p.rows is None:
                 arrays = [p.value, p.grad, self.m[k], self.v[k]]
             else:
@@ -138,22 +176,10 @@ class Adam:
                 arrays = [p.value[live], grad, self.m[k], self.v[k]]
             flat = [a.reshape(-1, copy=False) for a in arrays]
             for lo in range(0, flat[0].size, self.BLOCK):
-                w, g, m, v = (a[lo : lo + self.BLOCK] for a in flat)
-                a, b = (buf[: len(w)] for buf in self._scratch)
-                # m = beta1 * m + (1 - beta1) * g
-                m *= c.beta1
-                m += np.multiply(g, 1 - c.beta1, out=a)
-                # v = beta2 * v + (1 - beta2) * g**2
-                v *= c.beta2
-                np.square(g, out=a)
-                v += np.multiply(a, 1 - c.beta2, out=a)
-                # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-                np.sqrt(np.divide(v, bc2, out=a), out=a)
-                a += c.eps
-                np.multiply(np.divide(m, bc1, out=b), lr, out=b)
-                w -= np.divide(b, a, out=b)
+                self._update(*(a[lo : lo + self.BLOCK] for a in flat), lr)
             if p.rows is not None:
                 p.value[live] = arrays[0]
+        self.step_count += 1
 
 
 def check_samples_fit(
@@ -201,6 +227,28 @@ class TrainState:
         return self.log[-1][2] if self.log else float("nan")
 
 
+def train_step(
+    model: Transformer,
+    opt: Adam,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    target_mask: np.ndarray,
+    lr: float,
+) -> LossResult:
+    """One training step on a batch (see ``batch_arrays``): the loss, whose
+    second pass hands Adam the head's gradient block by block, then the
+    backward, and Adam's step on every other parameter. A non-finite loss
+    raises FloatingPointError before any parameter or moment changes."""
+
+    def update_head(lo: int, grad: np.ndarray) -> None:
+        opt.update_columns("head.weight", lo, grad, lr)
+
+    result = trajectory_loss(model, inputs, targets, target_mask, update_head)
+    model.backward(result.grad_hidden)
+    opt.step(lr)
+    return result
+
+
 def train(
     samples: Sequence[TokenizedSample],
     flat_plan: Sequence[int],
@@ -210,7 +258,7 @@ def train(
     """Run training over the plan stream.
 
     samples are indexed by the plan's sequence ids. Aborts with diagnostics
-    on a non-finite loss.
+    on a non-finite loss, before that step changes anything.
     """
     model = Transformer(model_config, seed=train_config.seed)
     opt = Adam(model.parameters(), train_config)
@@ -223,15 +271,13 @@ def train(
         batch_ids = plan_batch(flat_plan, train_config.batch_size, step)
         batch = [arrays[i] for i in batch_ids]
         inputs, targets, mask = batch_arrays(batch)
-        result = trajectory_loss(model, inputs, targets, mask)
-        if not math.isfinite(result.loss):
-            raise TrainingDiverged(
-                f"non-finite loss {result.loss} at step {step} "
-                f"(batch ids {batch_ids[:8]}..., {result.n_targets} targets)"
-            )
-        model.backward(result.grad_hidden)
         lr = train_config.lr_at(step)
-        opt.step(lr)
+        try:
+            result = train_step(model, opt, inputs, targets, mask, lr)
+        except FloatingPointError as e:
+            raise TrainingDiverged(
+                f"{e} at step {step} (batch ids {batch_ids[:8]}..., {int(mask.sum())} targets)"
+            ) from None
         state.log.append((step, lr, result.loss))
     return state
 

@@ -4,25 +4,28 @@ Next-token training with the loss restricted to trajectory tokens; the
 location/time prefix only ever provides context. Positions are encoded
 rotationally inside attention, so there is no absolute position table.
 
-A training step never makes the (rows, vocabulary) logits whole: the loss
-takes the final hidden rows and the head's weight, and runs the head, the
-softmax, the cross-entropy and the head's backward one block of vocabulary
-columns at a time. Inference (``logits``, ``forward``) makes the whole
-array, since it needs every probability.
+A training step never makes the (rows, vocabulary) logits whole, nor the
+head's (hidden, vocabulary) gradient: the loss takes the final hidden rows
+and the head's weight, and runs the head, the softmax, the cross-entropy
+and the head's backward one block of vocabulary columns at a time, handing
+each block of the head's gradient to the optimizer, which updates those
+columns before the next block is made. Inference (``logits``, ``forward``)
+makes the whole array, since it needs every probability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .nn import Block, Embedding, LayerNorm, Linear, Module, Parameter, softmax
+from .nn import Block, Embedding, LayerNorm, Linear, Module, softmax
 
-# bytes of logits per column block of the loss: a whole desk-scale step
-# (at most 563 rows of 3,195 ids, 14.4 MB) fits one block, and a
-# production-vocabulary step of 147 rows (177 MB of logits) takes 11
+# bytes of logits, and at most as many of the head's gradient, per column
+# block of the loss: a whole desk-scale step (at most 563 rows of 3,195 ids,
+# 14.4 MB) fits one block, and a production-vocabulary step of 147 rows
+# (177 MB of logits) takes 11
 LOGIT_BLOCK_BYTES = 1 << 24
 
 
@@ -54,6 +57,9 @@ class Transformer(Module):
         self.blocks = [Block(config.hidden, config.heads, rng) for _ in range(config.layers)]
         self.ln_f = LayerNorm(config.hidden)
         self.head = Linear(config.hidden, config.vocab_size, rng, bias=False)
+        # the loss hands the head's gradient to the optimizer one block of
+        # columns at a time, so the head has no gradient array
+        self.head.weight.grad = None
 
     def _check_input(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
@@ -94,7 +100,7 @@ class Transformer(Module):
         """Backpropagate the (n, hidden) gradient of the last ``hidden``
         call's output, the head's input rows, down to the embedding.
         Positions outside its rows had no head input, so their gradient is
-        zero. The head's own gradient is the loss's to write."""
+        zero. The head's own gradient is the loss's to hand on."""
         full = np.zeros(self._hidden_shape)
         full[self._rows] = grad_hidden
         dx = self.ln_f.backward(full)
@@ -110,31 +116,46 @@ class LossResult:
     grad_hidden: np.ndarray  # (n, hidden): the gradient of the head's input rows
 
 
-def masked_cross_entropy(h: np.ndarray, head: Parameter, targets: np.ndarray) -> LossResult:
-    """Mean next-token cross-entropy of the logits ``h @ head.value`` of
-    (n, hidden) rows ``h`` against the n row target ids, with its gradient:
-    ``head.grad`` is written, and the gradient of ``h`` returned.
+# update(lo, grad): take the head's (hidden, width) gradient of its columns
+# lo : lo + width, a buffer that the loss reuses for the next block
+HeadUpdate = Callable[[int, np.ndarray], None]
 
-    The (n, V) logits are never whole. Each block of vocabulary columns,
-    LOGIT_BLOCK_BYTES of logits, is made in one reused buffer. Pass 1 keeps
+
+def masked_cross_entropy(
+    h: np.ndarray, w: np.ndarray, targets: np.ndarray, update: HeadUpdate | None = None
+) -> LossResult:
+    """Mean next-token cross-entropy of the logits ``h @ w`` of (n, hidden)
+    rows ``h`` and the (hidden, V) head ``w`` against the n row target ids,
+    with its gradient: the gradient of ``h`` is returned, and the head's is
+    handed to ``update`` one block of columns at a time.
+
+    The (n, V) logits are never whole, and neither is the head's gradient.
+    Each block of vocabulary columns, at most LOGIT_BLOCK_BYTES of logits
+    and as much of gradient, is made in one reused buffer. Pass 1 keeps
     each row's largest logit and sum of exponentials per block; together
-    they give the softmax's shift M and denominator S. Pass 2 makes each
+    they give the softmax's shift M and denominator S. The loss is finite
+    exactly when every row's M and S are, so a non-finite one raises
+    FloatingPointError here, before ``update`` is called. Pass 2 makes each
     block again as exp(z - M) / S, less the one-hot, over n: the block's
-    gradient, which writes its columns of ``head.grad`` and adds its term
-    of the gradient of ``h``. When the whole array fits one block, pass 2
-    takes pass 1's exponentials, and every value is the one-shot formula's
-    to the bit."""
-    n, w = len(targets), head.value
+    gradient g, which adds its term g @ w[:, c].T of the gradient of ``h``
+    while the block's weights are still the old ones, and then gives
+    ``update`` the head's gradient h.T @ g of those columns, which it may
+    use to change them. Without ``update`` the head's gradient is not made.
+    When the whole array fits one block, pass 2 takes pass 1's
+    exponentials, and every value is the one-shot formula's to the bit."""
+    n, hidden = h.shape
     vocab = w.shape[1]
     if targets.min() < 0 or targets.max() >= vocab:
         raise ValueError("target id outside vocabulary")
-    width = min(vocab, max(1, LOGIT_BLOCK_BYTES // (n * w.itemsize)))
+    width = min(vocab, max(1, LOGIT_BLOCK_BYTES // (max(n, hidden) * w.itemsize)))
     starts = range(0, vocab, width)
-    buf = np.empty((n, width))
+    # the logits block, then the head's gradient block: one allocation a
+    # call, as the logits alone would take
+    buf = np.empty((n + (hidden if update is not None else 0), width))
     maxes, sums = np.empty((len(starts), n)), np.empty((len(starts), n))
     for b, lo in enumerate(starts):
         wb = w[:, lo : lo + width]
-        z = np.matmul(h, wb, out=buf[:, : wb.shape[1]])
+        z = np.matmul(h, wb, out=buf[:n, : wb.shape[1]])
         z.max(axis=1, out=maxes[b])
         z -= maxes[b][:, None]
         np.exp(z, out=z)
@@ -143,6 +164,9 @@ def masked_cross_entropy(h: np.ndarray, head: Parameter, targets: np.ndarray) ->
     # one block: exp(0) is 1 and a sum of one row is that row, so this is
     # exactly the block's own sum
     total = (sums * np.exp(maxes - top)).sum(axis=0)
+    if not (np.isfinite(top).all() and np.isfinite(total).all()):
+        # some row's probabilities, and so the loss, would be nan
+        raise FloatingPointError("non-finite loss nan")
 
     rows = np.arange(n)
     at_target = np.empty(n)
@@ -150,7 +174,7 @@ def masked_cross_entropy(h: np.ndarray, head: Parameter, targets: np.ndarray) ->
     for b, lo in enumerate(starts):
         wb = w[:, lo : lo + width]
         if len(starts) > 1:
-            z = np.matmul(h, wb, out=buf[:, : wb.shape[1]])
+            z = np.matmul(h, wb, out=buf[:n, : wb.shape[1]])
             z -= top[:, None]
             np.exp(z, out=z)
         z /= total[:, None]
@@ -159,11 +183,12 @@ def masked_cross_entropy(h: np.ndarray, head: Parameter, targets: np.ndarray) ->
         at_target[hit] = z[at]
         z[at] -= 1.0
         z /= n
-        np.matmul(h.T, z, out=head.grad[:, lo : lo + width])
         if b == 0:
             np.matmul(z, wb.T, out=grad)
         else:
             grad += z @ wb.T
+        if update is not None:
+            update(lo, np.matmul(h.T, z, out=buf[n:, : wb.shape[1]]))
     loss = float(-np.log(np.maximum(at_target, 1e-300)).mean())
     return LossResult(loss=loss, n_targets=n, grad_hidden=grad)
 
@@ -173,17 +198,18 @@ def trajectory_loss(
     inputs: np.ndarray,
     targets: np.ndarray,
     target_mask: np.ndarray,
+    update: HeadUpdate | None = None,
 ) -> LossResult:
     """``masked_cross_entropy`` of the model on a batch, over the mask-true
     target positions: targets[i, t] is the token to predict from position t,
     and the mask selects trajectory-token targets only, so prefix and padding
     positions contribute nothing. Only the loss rows go through the head;
-    the loss writes the head's gradient, and ``grad_hidden``, (n_targets,
-    hidden), is for ``model.backward``."""
+    the head's gradient goes to ``update`` block by block, and
+    ``grad_hidden``, (n_targets, hidden), is for ``model.backward``."""
     if not target_mask.any():
         raise ValueError("batch has no trajectory-token targets")
     rows = np.nonzero(target_mask)
-    return masked_cross_entropy(model.hidden(inputs, rows), model.head.weight, targets[rows])
+    return masked_cross_entropy(model.hidden(inputs, rows), model.head.weight.value, targets[rows], update)
 
 
 def batch_arrays(

@@ -35,7 +35,7 @@ from evotraj.model.nn import (
     rope_rotate,
     softmax,
 )
-from evotraj.model.training import Adam, TrainingDiverged, TrainState, plan_batch
+from evotraj.model.training import Adam, TrainingDiverged, TrainState, plan_batch, train_step
 from evotraj.model import transformer
 from evotraj.model.transformer import LOGIT_BLOCK_BYTES
 from evotraj.genome import NtMutation
@@ -161,13 +161,13 @@ class TestRope:
 class TestLossFunction:
     def test_uniform_logits_give_log_vocab(self):
         # zero rows give zero logits, whatever the head
-        head = Parameter(np.random.default_rng(0).normal(size=(8, VOCAB)))
+        head = np.random.default_rng(0).normal(size=(8, VOCAB))
         res = masked_cross_entropy(np.zeros((4, 8)), head, np.array([1, 2, 3, 4]))
         assert res.loss == pytest.approx(math.log(VOCAB), rel=1e-12)
 
     def test_certain_prediction_gives_zero_loss(self):
-        head = Parameter(np.zeros((1, VOCAB)))
-        head.value[0, 5] = 1e4
+        head = np.zeros((1, VOCAB))
+        head[0, 5] = 1e4
         res = masked_cross_entropy(np.ones((1, 1)), head, np.array([5]))
         assert res.loss == pytest.approx(0.0, abs=1e-12)
 
@@ -205,6 +205,18 @@ class TestLossFunction:
         grad = dense_grad(model.parameters()["embed.weight"])
         assert np.all(grad[ids[0, 3:]] == 0.0) and np.all(grad[ids[1]] == 0.0)
         assert grad[ids[0, :3]].all(axis=1).all()
+
+
+def collect_head_grad(shape: tuple[int, int]):
+    """A head update for the loss that only copies each block of the head's
+    gradient into one dense array, and that array (nan where no block
+    came): the whole head gradient, for a reference to use."""
+    dense = np.full(shape, np.nan)
+
+    def update(lo, grad):
+        dense[:, lo : lo + grad.shape[1]] = grad
+
+    return update, dense
 
 
 def dense_grad(p: Parameter) -> np.ndarray:
@@ -258,27 +270,31 @@ def loss_case(vocab: int, n: int, hidden: int = 16, seed: int = 0):
     rng = np.random.default_rng(seed)
     targets = rng.integers(0, vocab, size=n)
     targets[[0, -1]] = 0, vocab - 1
-    return rng.normal(size=(n, hidden)), Parameter(rng.normal(size=(hidden, vocab))), targets
+    return rng.normal(size=(n, hidden)), rng.normal(size=(hidden, vocab)), targets
 
 
 class TestBlockedLoss:
     """The loss runs the head, the softmax, the cross-entropy and the head's
-    backward one block of LOGIT_BLOCK_BYTES of logits, a block of vocabulary
-    columns, at a time."""
+    backward one block of vocabulary columns at a time: at most
+    LOGIT_BLOCK_BYTES of logits, and as much of the head's gradient, which
+    it hands to its update block by block."""
 
     # (V, rows) whose (rows, V) logits fit one block: the desk vocabulary at
-    # its largest step, the production one, and exactly one block's bytes
+    # its largest step, the production one, and exactly one block's bytes.
+    # The rows are at least the hidden size, so the head's gradient block
+    # is no larger than the logits
     ONE_BLOCK = [(97, 1400), (3195, 563), (150_210, 2), (LOGIT_BLOCK_BYTES // 64, 8)]
 
     @pytest.mark.parametrize("vocab, n", ONE_BLOCK)
     def test_one_block_is_bit_identical_to_one_shot(self, vocab, n):
-        h, head, targets = loss_case(vocab, n, seed=vocab + n)
+        h, w, targets = loss_case(vocab, n, hidden=min(16, n), seed=vocab + n)
         assert n * vocab * 8 <= LOGIT_BLOCK_BYTES
-        loss, dh, dw = one_shot_head_and_loss(h, head.value, targets)
-        got = masked_cross_entropy(h, head, targets)
+        loss, dh, dw = one_shot_head_and_loss(h, w, targets)
+        update, head_grad = collect_head_grad(w.shape)
+        got = masked_cross_entropy(h, w, targets, update)
         assert got.loss == loss and got.n_targets == n
         assert np.array_equal(got.grad_hidden, dh)
-        assert np.array_equal(head.grad, dw)
+        assert np.array_equal(head_grad, dw)
 
     # (V, rows, budget in bytes, or None for LOGIT_BLOCK_BYTES): the
     # production vocabulary just past one block, a last block of 414
@@ -291,19 +307,68 @@ class TestBlockedLoss:
         if budget is not None:
             monkeypatch.setattr(transformer, "LOGIT_BLOCK_BYTES", budget)
         assert n * vocab * 8 > transformer.LOGIT_BLOCK_BYTES
-        h, head, targets = loss_case(vocab, n, seed=vocab + n)
-        loss, dh, dw = one_shot_head_and_loss(h, head.value, targets)
-        got = masked_cross_entropy(h, head, targets)
+        h, w, targets = loss_case(vocab, n, hidden=min(16, n), seed=vocab + n)
+        loss, dh, dw = one_shot_head_and_loss(h, w, targets)
+        update, head_grad = collect_head_grad(w.shape)
+        got = masked_cross_entropy(h, w, targets, update)
         assert got.loss == pytest.approx(loss, rel=1e-12, abs=0)
         assert np.abs(got.grad_hidden - dh).max() <= 1e-12 * np.abs(dh).max()
-        assert np.abs(head.grad - dw).max() <= 1e-12 * np.abs(dw).max()
+        assert np.abs(head_grad - dw).max() <= 1e-12 * np.abs(dw).max()
+
+    @pytest.mark.parametrize("n, hidden", [(5, 16), (16, 5)])
+    def test_blocks_bound_the_logits_and_the_head_gradient(self, monkeypatch, n, hidden):
+        # with fewer rows than the hidden size, the head's gradient block
+        # sets the width: each block holds at most the budget of either
+        monkeypatch.setattr(transformer, "LOGIT_BLOCK_BYTES", 16 * 8 * 10)
+        h, w, targets = loss_case(VOCAB, n, hidden=hidden)
+        widths = []
+        masked_cross_entropy(h, w, targets, lambda lo, grad: widths.append((lo, grad.shape)))
+        assert [lo for lo, _ in widths] == list(range(0, VOCAB, 10))
+        assert all(shape == (hidden, min(10, VOCAB - lo)) for lo, shape in widths)
+
+    def test_update_may_change_the_columns_it_was_given(self, monkeypatch):
+        # each block's term of the input gradient takes the old weights
+        # before its update runs: an update that wrecks each block's columns
+        # changes neither the loss nor any gradient
+        monkeypatch.setattr(transformer, "LOGIT_BLOCK_BYTES", 16 * 8 * 10)
+        h, w, targets = loss_case(VOCAB, 6)
+        update, head_grad = collect_head_grad(w.shape)
+        kept = masked_cross_entropy(h, w, targets, update)
+        collect, wrecked_grad = collect_head_grad(w.shape)
+
+        def wreck(lo, grad):
+            collect(lo, grad)
+            w[:, lo : lo + grad.shape[1]] = np.nan
+
+        wrecked = masked_cross_entropy(h, w, targets, wreck)
+        assert np.isnan(w).all()
+        assert wrecked.loss == kept.loss
+        assert np.array_equal(wrecked.grad_hidden, kept.grad_hidden)
+        assert np.array_equal(wrecked_grad, head_grad)
+
+    def test_without_update_the_same_loss_and_input_gradient(self):
+        h, w, targets = loss_case(VOCAB, 6)
+        with_update = masked_cross_entropy(h, w, targets, collect_head_grad(w.shape)[0])
+        without = masked_cross_entropy(h, w, targets)
+        assert without.loss == with_update.loss
+        assert np.array_equal(without.grad_hidden, with_update.grad_hidden)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_refused_before_any_update(self, bad):
+        h, w, targets = loss_case(VOCAB, 4)
+        h[2, 3] = bad
+        calls = []
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite loss nan"):
+            masked_cross_entropy(h, w, targets, lambda lo, grad: calls.append(lo))
+        assert calls == []
 
     def test_target_outside_the_vocabulary_rejected(self):
-        h, head, targets = loss_case(VOCAB, 3)
+        h, w, targets = loss_case(VOCAB, 3)
         for bad in (-1, VOCAB):
             targets[1] = bad
             with pytest.raises(ValueError, match="target id outside vocabulary"):
-                masked_cross_entropy(h, head, targets)
+                masked_cross_entropy(h, w, targets)
 
 
 class TestGradients:
@@ -323,7 +388,8 @@ class TestGradients:
         def loss_fn():
             return trajectory_loss(model, inputs, targets, mask).loss
 
-        res = trajectory_loss(model, inputs, targets, mask)
+        update, head_grad = collect_head_grad(model.head.weight.value.shape)
+        res = trajectory_loss(model, inputs, targets, mask, update)
         model.backward(res.grad_hidden)
 
         rng = np.random.default_rng(13)
@@ -331,7 +397,7 @@ class TestGradients:
         worst = 0.0
         for name, p in model.parameters().items():
             flat = p.value.reshape(-1)
-            gflat = dense_grad(p).reshape(-1)
+            gflat = (head_grad if name == "head.weight" else dense_grad(p)).reshape(-1)
             if name == "embed.weight":
                 # only rows present in the batch receive gradient
                 cols = p.value.shape[1]
@@ -380,17 +446,21 @@ class TestLossRows:
         # parameter gradients
         inputs, targets, mask = prefixed_batch(seed=1)
         rows_model, full_model = Transformer(DESK, seed=6), Transformer(DESK, seed=6)
-        rows = trajectory_loss(rows_model, inputs, targets, mask)
+        rows_update, rows_head = collect_head_grad(rows_model.head.weight.value.shape)
+        rows = trajectory_loss(rows_model, inputs, targets, mask, rows_update)
         rows_model.backward(rows.grad_hidden)
         hidden = every_row(full_model.hidden, inputs)
-        full = masked_cross_entropy(hidden[mask], full_model.head.weight, targets[mask])
+        full_update, full_head = collect_head_grad(full_model.head.weight.value.shape)
+        full = masked_cross_entropy(hidden[mask], full_model.head.weight.value, targets[mask], full_update)
         grad = np.zeros_like(hidden)
         grad[mask] = full.grad_hidden
         full_model.backward(grad.reshape(-1, DESK.hidden))
         assert rows.loss == pytest.approx(full.loss, rel=1e-12)
+        assert np.allclose(rows_head, full_head, rtol=0, atol=1e-12)
         full_params = full_model.parameters()
         for name, p in rows_model.parameters().items():
-            assert np.allclose(p.grad, full_params[name].grad, rtol=0, atol=1e-12), name
+            if name != "head.weight":
+                assert np.allclose(p.grad, full_params[name].grad, rtol=0, atol=1e-12), name
 
     def test_finite_difference_through_gathered_rows(self):
         # any distinct rows, not just a loss mask, and an arbitrary linear
@@ -407,6 +477,8 @@ class TestLossRows:
         model.backward(weights)
         rng = np.random.default_rng(10)
         for name, p in model.parameters().items():
+            if name == "head.weight":
+                continue  # f ends before the head
             flat, gflat = p.value.reshape(-1), dense_grad(p).reshape(-1)
             if name == "embed.weight":
                 cols = p.value.shape[1]
@@ -434,10 +506,11 @@ class TestBackwardWrites:
         inputs, targets, mask = prefixed_batch(seed=15)
         res = trajectory_loss(model, inputs, targets, mask)
         model.backward(res.grad_hidden)
-        once = {name: p.grad.copy() for name, p in model.parameters().items()}
+        once = {name: p.grad.copy() for name, p in model.parameters().items() if p.grad is not None}
+        assert once.keys() == model.parameters().keys() - {"head.weight"}
         model.backward(res.grad_hidden)
-        for name, p in model.parameters().items():
-            assert np.array_equal(p.grad, once[name]), name
+        for name, grad in once.items():
+            assert np.array_equal(model.parameters()[name].grad, grad), name
 
     def test_disjoint_ids_clear_earlier_rows(self):
         model, fresh = Transformer(DESK, seed=16), Transformer(DESK, seed=16)
@@ -453,7 +526,8 @@ class TestBackwardWrites:
         assert np.array_equal(embed.rows, np.unique(second))
         fresh_params = fresh.parameters()
         for name, p in model.parameters().items():
-            assert np.array_equal(dense_grad(p), dense_grad(fresh_params[name])), name
+            if name != "head.weight":
+                assert np.array_equal(dense_grad(p), dense_grad(fresh_params[name])), name
 
 
 class TestLayers:
@@ -509,29 +583,60 @@ class TestLayers:
 
 
 class TestAdam:
+    # per step, the widths of the column blocks that the head's update takes:
+    # one block wider than BLOCK, so that a row goes in two chunks; blocks of
+    # several rows a chunk with a partial last one; a one-column block; a
+    # block of one column past BLOCK; and blocks of every row at once
+    HEAD_COLUMNS = Adam.BLOCK + 40
+    COLUMN_BLOCKS = [
+        [HEAD_COLUMNS],
+        [5000] * 6 + [HEAD_COLUMNS - 30_000],
+        [1, HEAD_COLUMNS - 1],
+        [Adam.BLOCK + 1, 39],
+        [4096] * 8 + [HEAD_COLUMNS - 8 * 4096],
+    ]
+
     def test_bit_identical_to_reference_formula(self):
         rng = np.random.default_rng(12)
-        # one parameter spans several update blocks, with a partial last one
-        shapes = {"small": (3, 5), "blocks": (2 * Adam.BLOCK + 7,), "matrix": (40, 30)}
+        # one parameter spans several update blocks, with a partial last
+        # one; "head" has no gradient array, and takes its update column
+        # block by column block, as the loss hands its gradient over
+        shapes = {
+            "small": (3, 5), "blocks": (2 * Adam.BLOCK + 7,), "matrix": (40, 30), "head": (7, self.HEAD_COLUMNS),
+        }
         params = {k: Parameter(rng.normal(size=s)) for k, s in shapes.items()}
+        params["head"].grad = None
         ref = {k: p.value.copy() for k, p in params.items()}
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         c = TrainConfig()
         opt = Adam(params, c)
-        for step in range(1, 6):
+        for step, widths in enumerate(self.COLUMN_BLOCKS, start=1):
+            assert sum(widths) == self.HEAD_COLUMNS
             lr = 0.01 / step
             bc1, bc2 = 1.0 - c.beta1**step, 1.0 - c.beta2**step
-            for k, p in params.items():
-                p.grad[...] = rng.normal(size=shapes[k]) * 10.0 ** rng.uniform(-6, 2)
-                m[k] = c.beta1 * m[k] + (1 - c.beta1) * p.grad
-                v[k] = c.beta2 * v[k] + (1 - c.beta2) * p.grad**2
+            grads = {k: rng.normal(size=shapes[k]) * 10.0 ** rng.uniform(-6, 2) for k in shapes}
+            for k, grad in grads.items():
+                m[k] = c.beta1 * m[k] + (1 - c.beta1) * grad
+                v[k] = c.beta2 * v[k] + (1 - c.beta2) * grad**2
                 ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + c.eps)
+            # each block's gradient is a strided view of a wider buffer, as
+            # the loss gives it
+            buf = np.empty((shapes["head"][0] + 3, max(widths)))
+            lo = 0
+            for width in widths:
+                block = buf[3:, :width]
+                block[...] = grads["head"][:, lo : lo + width]
+                opt.update_columns("head", lo, block, lr)
+                lo += width
+            for k, p in params.items():
+                if k != "head":
+                    p.grad[...] = grads[k]
             opt.step(lr)
+            assert opt.step_count == step
             for k, p in params.items():
                 assert np.array_equal(p.value, ref[k]), (step, k)
                 assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), (step, k)
-
 
     def test_row_path_matches_dense_formula(self):
         rng = np.random.default_rng(13)
@@ -623,16 +728,38 @@ class TestTraining:
             train(samples, list(range(8)), cfg, tcfg)
 
 
-    def test_equals_dense_reference_loop(self):
-        # the reference zeroes every gradient before each backward and runs
-        # the textbook Adam over every row of every parameter
+    def test_diverging_step_changes_nothing(self, monkeypatch):
+        # the divergence is refused between the loss's two passes, before
+        # the head's first column update: the step that diverges leaves
+        # every parameter and moment as the step before left them
         tok = self.make_tok()
-        samples = toy_dataset(tok, n=24, seed=3)
-        plan = list(range(len(samples)))
-        cfg = ModelConfig(vocab_size=tok.vocab_size, layers=1, hidden=16, heads=2, max_seq=16)
-        tcfg = TrainConfig(steps=6, batch_size=5, lr_start=0.01, lr_end=0.001, seed=4)
-        state = train(samples, plan, cfg, tcfg)
+        samples = toy_dataset(tok, n=8)
+        cfg = ModelConfig(vocab_size=tok.vocab_size, layers=1, hidden=32, heads=4, max_seq=16)
+        tcfg = TrainConfig(steps=3, batch_size=4, seed=0, lr_start=1e100, lr_end=1e99)
+        ended = []
+        step = Adam.step
 
+        def snapshot_step(opt, lr):
+            step(opt, lr)
+            ended.append((opt, {k: (p.value.copy(), opt.m[k].copy(), opt.v[k].copy())
+                                for k, p in opt.params.items()}))
+
+        monkeypatch.setattr(Adam, "step", snapshot_step)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged, match="step 1"):
+            train(samples, list(range(8)), cfg, tcfg)
+        assert len(ended) == 1
+        opt, before = ended[0]
+        assert opt.step_count == 1
+        for k, p in opt.params.items():
+            for now, then in zip((p.value, opt.m[k], opt.v[k]), before[k]):
+                assert np.array_equal(now, then, equal_nan=True), k
+
+    @staticmethod
+    def dense_reference(samples, plan, cfg, tcfg):
+        """The losses and parameters of a training run that zeroes every
+        gradient before each backward, collects the head's gradient blocks
+        into one dense array, and runs the textbook Adam over every row of
+        every parameter."""
         model = Transformer(cfg, seed=tcfg.seed)
         params = model.parameters()
         m = {k: np.zeros(p.value.shape) for k, p in params.items()}
@@ -643,21 +770,65 @@ class TestTraining:
             batch = [arrays[i] for i in plan_batch(plan, tcfg.batch_size, step)]
             inputs, targets, mask = batch_arrays(batch)
             for p in params.values():
-                p.grad[...] = 0.0
-            res = trajectory_loss(model, inputs, targets, mask)
+                if p.grad is not None:
+                    p.grad[...] = 0.0
+            update, head_grad = collect_head_grad(model.head.weight.value.shape)
+            res = trajectory_loss(model, inputs, targets, mask, update)
             model.backward(res.grad_hidden)
             losses.append(res.loss)
             lr = tcfg.lr_at(step)
             bc1, bc2 = 1.0 - tcfg.beta1 ** (step + 1), 1.0 - tcfg.beta2 ** (step + 1)
             for k, p in params.items():
-                grad = dense_grad(p)
+                grad = head_grad if k == "head.weight" else dense_grad(p)
                 m[k] = tcfg.beta1 * m[k] + (1 - tcfg.beta1) * grad
                 v[k] = tcfg.beta2 * v[k] + (1 - tcfg.beta2) * grad**2
                 p.value -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + tcfg.eps)
+        return losses, params
+
+    def test_equals_dense_reference_loop(self):
+        tok = self.make_tok()
+        samples = toy_dataset(tok, n=24, seed=3)
+        plan = list(range(len(samples)))
+        cfg = ModelConfig(vocab_size=tok.vocab_size, layers=1, hidden=16, heads=2, max_seq=16)
+        tcfg = TrainConfig(steps=6, batch_size=5, lr_start=0.01, lr_end=0.001, seed=4)
+        state = train(samples, plan, cfg, tcfg)
+        losses, params = self.dense_reference(samples, plan, cfg, tcfg)
         assert [loss for _, _, loss in state.log] == losses
         trained = state.model.parameters()
         # some embedding rows never had a gradient: the row path was taken
-        assert len(np.unique(np.concatenate([a for a, _ in arrays]))) < cfg.vocab_size
+        arrays = [np.asarray(s.tokens) for s in samples]
+        assert len(np.unique(np.concatenate(arrays))) < cfg.vocab_size
+        for name, p in params.items():
+            assert np.array_equal(trained[name].value, p.value), name
+
+    def test_equals_dense_reference_at_production_vocabulary(self, monkeypatch):
+        # two steps at V = 150,210, each over two column blocks of the head
+        vocab = 150_210
+        rng = np.random.default_rng(8)
+        samples = [
+            TokenizedSample(tuple(int(t) for t in rng.integers(0, vocab, size=5)),
+                            tuple(int(t) for t in rng.integers(0, vocab, size=n)), split_index=0)
+            for n in (3, 6, 2, 5, 4, 7)
+        ]
+        plan = list(range(len(samples)))
+        cfg = ModelConfig(vocab_size=vocab, layers=1, hidden=16, heads=2, max_seq=16)
+        tcfg = TrainConfig(steps=2, batch_size=3, lr_start=0.01, lr_end=0.001, seed=5)
+        blocks = []
+        update_columns = Adam.update_columns
+
+        def counted(opt, k, lo, grad, lr):
+            blocks.append((opt.step_count, lo, grad.shape[1]))
+            update_columns(opt, k, lo, grad, lr)
+
+        monkeypatch.setattr(Adam, "update_columns", counted)
+        state = train(samples, plan, cfg, tcfg)
+        for step in range(tcfg.steps):
+            starts = [lo for done, lo, _ in blocks if done == step]
+            assert len(starts) >= 2 and starts[0] == 0, step
+            assert sum(width for done, _, width in blocks if done == step) == vocab
+        losses, params = self.dense_reference(samples, plan, cfg, tcfg)
+        assert [loss for _, _, loss in state.log] == losses
+        trained = state.model.parameters()
         for name, p in params.items():
             assert np.array_equal(trained[name].value, p.value), name
 
@@ -1048,12 +1219,14 @@ class TestAllocation:
         assert peak < self.BLOCK * 5 // 4, f"peak {peak / 2**20:.1f} MB"
 
     def test_head_backward_makes_no_hidden_by_v_array(self):
-        # the weight gradient is written in place, not made and then added
-        model = Transformer(ModelConfig(vocab_size=self.V, layers=1, hidden=16, heads=2), seed=0)
-        head = model.head.weight.value.nbytes
-        ids = np.arange(self.ROWS).reshape(8, 8)
-        grad_logits = model.logits(ids, np.nonzero(np.ones((8, 8), dtype=bool)))
-        peak, dx = traced_peak(model.head.backward, grad_logits)
+        # a Linear of the head's shape writes its weight gradient in place,
+        # not made and then added. The model's own head has none: its loss
+        # hands the gradient on block by block
+        rng = np.random.default_rng(0)
+        layer = Linear(16, self.V, rng, bias=False)
+        head = layer.weight.value.nbytes
+        layer.forward(rng.normal(size=(self.ROWS, 16)))
+        peak, dx = traced_peak(layer.backward, rng.normal(size=(self.ROWS, self.V)))
         assert dx.shape == (self.ROWS, 16)
         assert peak < head // 4, f"peak {peak / 2**20:.1f} MB"
 
@@ -1073,6 +1246,30 @@ class TestAllocation:
         peak, res = traced_peak(step)
         assert res.n_targets == rows and math.isfinite(res.loss)
         assert peak < rows * vocab * 8 // 4, f"peak {peak / 2**20:.1f} MB"
+
+    def test_training_step_makes_no_head_gradient(self, monkeypatch):
+        # a model at the production vocabulary, its Adam and one training
+        # step peak below the parameters, the moments and a quarter of the
+        # head: the head's (hidden, V) gradient is never whole. A 1 MiB
+        # budget keeps a block of logits and one of the head's gradient far
+        # below that quarter
+        monkeypatch.setattr(transformer, "LOGIT_BLOCK_BYTES", 1 << 20)
+        vocab = 150_210
+        rng = np.random.default_rng(3)
+        ids, targets = rng.integers(0, vocab, size=(4, 12)), rng.integers(0, vocab, size=(4, 12))
+
+        def build_and_step():
+            model = Transformer(ModelConfig(vocab_size=vocab, layers=1, hidden=16, heads=2, max_seq=16), seed=0)
+            opt = Adam(model.parameters(), TrainConfig())
+            train_step(model, opt, ids, targets, np.ones((4, 12), dtype=bool), 1e-3)
+            return model, opt
+
+        peak, (model, opt) = traced_peak(build_and_step)
+        params = sum(p.value.nbytes for p in model.parameters().values())
+        moments = sum(a.nbytes for a in (*opt.m.values(), *opt.v.values()))
+        bound = params + moments + model.head.weight.value.nbytes // 4
+        assert opt.step_count == 1
+        assert peak < bound, f"peak {peak / 2**20:.1f} MB, bound {bound / 2**20:.1f} MB"
 
     def test_training_step_keeps_only_the_embedding_rows_it_touched(self):
         # at the production vocabulary the embedding's gradient and moments

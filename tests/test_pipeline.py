@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import re
+import resource
 import shutil
 import struct
 import threading
@@ -342,6 +343,26 @@ class TestEndToEnd:
         ]) == 0
         for name in ("checkpoint.ckpt", "train_log.csv"):
             assert (tmp_path / "train" / name).read_bytes() == (pipeline_run["train"] / name).read_bytes(), name
+
+    def test_every_stage_records_its_timing(self, pipeline_run, tmp_path):
+        # the two stages the chain leaves out run here, after it, in this
+        # process; ru_maxrss is in KiB
+        more = {"refine": tmp_path / "refine", "rank": tmp_path / "rank"}
+        tree, table = pipeline_run["ingest"] / "tree.jsonl", pipeline_run["sim"].parent / "nt_table.csv"
+        assert main(["refine-variants", "--tree", str(tree), "--out", str(more["refine"]), *SMALL_SETTINGS]) == 0
+        assert main(["baseline-rank", "--table", str(table), "--out", str(more["rank"]), *SMALL_SETTINGS]) == 0
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in {**pipeline_run, **more}.values()]
+        assert {m["stage"] for m in manifests} == {
+            name[len("cmd_"):].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+        peaks = []
+        for m in manifests:
+            timing = m["timing"]
+            assert set(timing) == {"wall_s", "cpu_s", "process_peak_rss_mb"}, m["stage"]
+            assert timing["wall_s"] > 0 and timing["cpu_s"] > 0, m["stage"]
+            peaks.append(timing["process_peak_rss_mb"])
+        # one process ran every stage, in this order: its peak only grows
+        assert 0 < peaks[0] and peaks == sorted(peaks)
+        assert peaks[-1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.05
 
     def test_train_records_its_blas_threads(self, pipeline_run):
         manifest = json.loads((pipeline_run["train"] / "manifest.json").read_text())
